@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,7 @@ from .kp import (
     omega1_and_partials,
     tau,
 )
+from .observables import g0
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -82,12 +84,14 @@ class RunConfig:
         report = driver.validate()
         if not report["ok"]:
             raise ConfigError("; ".join(report["problems"]))
-        horizon = float(horizon if horizon is not None else raw.get("horizon", 1.0))
-        step = float(step if step is not None else raw.get("step", 1e-3))
-        order = int(order if order is not None else raw.get("order", 16))
-        m_neg = int(raw.get("m_neg", 8))
-        n_psi = int(raw.get("n_psi", 8))
-        seed = int(raw.get("seed", 0))
+        horizon = _number(
+            horizon if horizon is not None else raw.get("horizon", 1.0), "horizon"
+        )
+        step = _number(step if step is not None else raw.get("step", 1e-3), "step")
+        order = _number(order if order is not None else raw.get("order", 16), "order", int)
+        m_neg = _number(raw.get("m_neg", 8), "m_neg", int)
+        n_psi = _number(raw.get("n_psi", 8), "n_psi", int)
+        seed = _number(raw.get("seed", 0), "seed", int)
         if horizon <= 0 or step <= 0 or order <= 0:
             raise ConfigError("horizon, step, and order must be positive")
         if m_neg < 0 or n_psi < 0:
@@ -128,6 +132,18 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _number(value, label, kind=float):
+    """``kind(value)`` for one config entry; malformed or non-finite is a ConfigError."""
+    what = "an integer" if kind is int else "a finite number"
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{label} must be {what}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{label} must be {what}, got {value!r}")
+    return number
+
+
 def _complex_vector(values, label) -> np.ndarray:
     """Accept [x, ...] or [[re, im], ...] JSON lists."""
     out = []
@@ -137,9 +153,9 @@ def _complex_vector(values, label) -> np.ndarray:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
                 raise ConfigError(f"{label} entries must be numbers or [re, im]")
-            out.append(complex(float(v[0]), float(v[1])))
+            out.append(complex(_number(v[0], label), _number(v[1], label)))
         elif isinstance(v, (int, float)):
-            out.append(complex(v))
+            out.append(complex(_number(v, label)))
         else:
             raise ConfigError(f"{label} entries must be numbers or [re, im]")
     return np.asarray(out, dtype=complex)
@@ -207,15 +223,8 @@ def cmd_evolve(args) -> int:
     csv_path = _out_path(args, "trajectory.csv")
     record.to_csv(csv_path, extra_columns=extra)
 
-    # H + G_0 is the conserved combination, with G_0 = sum_k k c_k psibar_k
-    kmax = min(config.n_psi, config.order)
-    g0 = np.array(
-        [
-            sum(k * s.c[k - 1] * s.psi(k) for k in range(1, kmax + 1))
-            for s in record.states
-        ]
-    )
-    energy = record.hamiltonian + g0
+    # H + G_0 is the conserved combination
+    energy = record.hamiltonian + np.array([g0(s) for s in record.states])
     report = {
         "drift": record.drift_report(),
         "energy_invariant_drift": float(np.abs(energy - energy[0]).max()),
@@ -279,18 +288,20 @@ def _read_snapshot(path, at_t) -> np.ndarray:
     except ValueError:
         raise ConfigError("snapshot CSV lacks a 't' column")
     orders = [
-        int(name[len("re_c_") :]) for name in header if name.startswith("re_c_")
+        _number(name[len("re_c_") :], "snapshot column", int)
+        for name in header
+        if name.startswith("re_c_")
     ]
     if not orders:
         raise ConfigError("snapshot CSV lacks re_c_*/im_c_* columns")
     order = max(orders)
     data = rows[1:]
-    times = np.array([float(r[t_col]) for r in data])
-    pick = data[int(np.abs(times - float(at_t)).argmin())]
+    times = np.array([_number(r[t_col], "snapshot t") for r in data])
+    pick = data[int(np.abs(times - _number(at_t, "at_t")).argmin())]
     c = np.empty(order, dtype=complex)
     for n in range(1, order + 1):
-        re = float(pick[header.index(f"re_c_{n}")])
-        im = float(pick[header.index(f"im_c_{n}")])
+        re = _number(pick[header.index(f"re_c_{n}")], f"snapshot re_c_{n}")
+        im = _number(pick[header.index(f"im_c_{n}")], f"snapshot im_c_{n}")
         c[n - 1] = complex(re, im)
     return c
 
@@ -317,7 +328,7 @@ def _time_rows(raw) -> list:
         for row in rows:
             if not isinstance(row, list) or not (1 <= len(row) <= 3):
                 raise ConfigError("each t_rows entry must list 1 to 3 times")
-            vals = tuple(float(v) for v in row)
+            vals = tuple(_number(v, "t_rows entry") for v in row)
             out.append(vals + (0.0,) * (3 - len(vals)))
         return out
     if "t_grid" in raw:
@@ -329,17 +340,19 @@ def _time_rows(raw) -> list:
             vals = grid.get(key, [0.0])
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"t_grid.{key} must be a nonempty list")
-            axes.append([float(v) for v in vals])
+            axes.append([_number(v, f"t_grid.{key} entry") for v in vals])
         return [row for row in itertools.product(*axes)]
     raise ConfigError("config needs 't_rows' or 't_grid'")
 
 
-def _kp_ints(raw, args) -> tuple:
-    n = int(raw.get("n", 1))
-    N = int(args.order if args.order is not None else raw.get("N", 16))
+def _graph_ints(raw, args, default_N=16) -> tuple:
+    """Graph order n and window N; N defaults to max(default_N, n)."""
+    n = _number(raw.get("n", 1), "n", int)
+    N = args.order if args.order is not None else raw.get("N", max(default_N, n))
+    N = _number(N, "N", int)
     if not 1 <= n <= 3:
         raise ConfigError("graph order n must be 1, 2, or 3")
-    if N < max(n, 1):
+    if N < n:
         raise ConfigError("truncation N must be at least n")
     return n, N
 
@@ -351,21 +364,11 @@ def _kp_cell(payload):
     lambda1 = -parts[(1, 0, 0)]
     residual = kp_residual(c, trow, N)
     tau_value = tau(op, trow, N)
-    row = [
-        _fmt(trow[0]),
-        _fmt(trow[1]),
-        _fmt(trow[2]),
-        _fmt(omega1.real),
-        _fmt(omega1.imag),
-        _fmt(lambda1.real),
-        _fmt(lambda1.imag),
-        _fmt(residual),
-        _fmt(tau_value.real),
-        _fmt(tau_value.imag),
-    ]
+    row = [*trow, omega1.real, omega1.imag, lambda1.real, lambda1.imag, residual]
+    row += [tau_value.real, tau_value.imag]
     if pair:
-        row.append(_fmt(kp_residual(c, trow, 2 * N)))
-    return row
+        row.append(kp_residual(c, trow, 2 * N))
+    return [_fmt(x) for x in row]
 
 
 def _run_cells(cells, parallel):
@@ -378,7 +381,7 @@ def _run_cells(cells, parallel):
 def cmd_kp(args) -> int:
     raw = _load_config(args.config)
     c = _shape_from_source(raw)
-    n, N = _kp_ints(raw, args)
+    n, N = _graph_ints(raw, args)
     rows = _time_rows(raw)
     pair = bool(raw.get("convergence_pair", False))
     op = step2_graph(c, n, N)
@@ -412,7 +415,7 @@ def cmd_kp(args) -> int:
 def cmd_tau(args) -> int:
     raw = _load_config(args.config)
     c = _shape_from_source(raw)
-    n, N = _kp_ints(raw, args)
+    n, N = _graph_ints(raw, args)
     rows = _time_rows(raw)
     op = step2_graph(c, n, N)
 
@@ -421,18 +424,7 @@ def cmd_tau(args) -> int:
         fh.write("t1,t2,t3,re_tau,im_tau\n")
         for trow in rows:
             value = tau(op, trow, N)
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(trow[0]),
-                        _fmt(trow[1]),
-                        _fmt(trow[2]),
-                        _fmt(value.real),
-                        _fmt(value.imag),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join(_fmt(x) for x in (*trow, value.real, value.imag)) + "\n")
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -446,12 +438,7 @@ def cmd_graph_dump(args) -> int:
     if "c" not in raw:
         raise ConfigError("graph-dump config needs a 'c' list")
     c = _complex_vector(raw["c"], "c")
-    n = int(raw.get("n", 1))
-    N = int(args.order if args.order is not None else raw.get("N", max(len(c), n)))
-    if not 1 <= n <= 3:
-        raise ConfigError("graph order n must be 1, 2, or 3")
-    if N < n:
-        raise ConfigError("truncation N must be at least n")
+    n, N = _graph_ints(raw, args, default_N=len(c))
     text = step2_graph(c, n, N).to_json()
     if args.out:
         path = _out_path(args, "graph.json")

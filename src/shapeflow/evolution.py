@@ -226,6 +226,10 @@ def evolve(
 
 
 def _rk4_step(state: ShapeState, d: HerglotzDriver, h: float) -> ShapeState:
+    # All four stages see the piece that covers the step's start: a step that
+    # ends on a switch must not evaluate its last stage with the next piece.
+    d = HerglotzDriver((d.piece_at(state.t),))
+
     def at(dt, dc, dpsi):
         return ShapeState(
             state.t + dt, state.c + dc, state.psibar + dpsi, state.m_neg

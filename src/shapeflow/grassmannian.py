@@ -28,6 +28,7 @@ __all__ = [
     "IndexSet",
     "UnsupportedOrder",
     "c_blocks",
+    "fprime_reciprocal",
     "graph_membership",
     "step1_ttilde",
     "step2_graph",
@@ -90,6 +91,12 @@ def _zeros(shape, obj):
     return np.zeros(shape, dtype=complex)
 
 
+def fprime_reciprocal(f_coeffs, N: int):
+    """Coefficients 0..N of 1/(1 + sum_k (k+1) c_k z^k); exact inputs stay exact."""
+    cc = _coeff_lookup(f_coeffs)
+    return TruncatedSeries([(j + 1) * cc(j) for j in range(N + 1)]).reciprocal().coeffs
+
+
 def c_blocks(f_coeffs, n: int, N: int):
     """Truncated blocks (C11, C12_cut, C11inv) for the given map coefficients.
 
@@ -103,7 +110,7 @@ def c_blocks(f_coeffs, n: int, N: int):
     obj = _is_object(f_coeffs)
     cc = _coeff_lookup(f_coeffs)
     d = [(j + 1) * cc(j) for j in range(N + 1)]
-    r = TruncatedSeries(d).reciprocal().coeffs
+    r = fprime_reciprocal(f_coeffs, N)
 
     c11 = _zeros((N + 1, N + 1), obj)
     c11inv = _zeros((N + 1, N + 1), obj)

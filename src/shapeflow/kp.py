@@ -19,23 +19,22 @@ where ``r`` is the reciprocal series of ``conj(f)'`` and ``a``-indices
 below zero vanish.  Derivatives act by a pure index shift,
 ``d/dt_k D_s = D_{s+k}``, which is exact for the truncated sums because the
 index set does not move.  Everything downstream (``omega_1 = D_1/(1-D_0)``,
-its partials, the KP residual) is evaluated symbolically in the ``D_s``
-slots and then filled with the tabulated values, so no finite differences
-enter the computation.
+its partials, the KP residual) follows from the tabulated values by the
+Leibniz rule applied to ``omega_1 (1 - D_0) = D_1``, so no finite
+differences enter the computation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import sympy
 
-from .grassmannian import GraphOperator
+from .grassmannian import GraphOperator, fprime_reciprocal
 from .observables import WindowTooSmall
 from .series import TruncatedLaurent, TruncatedSeries, exp_series
 
@@ -51,11 +50,13 @@ class SingularSystem(ArithmeticError):
 # Depth of the tabulated D_s values: a fourth derivative taken entirely in
 # t_3 shifts the index by 12.
 _TABLE_DEPTH = 12
-# Depth used by the symbolic engine: third-order partials of omega_1 reach
-# slot 1 + 3*3 = 10.
-_ENGINE_DEPTH = 10
 
 _NUMERIC = (int, float, complex, np.number)
+
+
+def _weight(alpha) -> int:
+    """The table shift w(alpha) = alpha_1 + 2 alpha_2 + 3 alpha_3 of d^alpha."""
+    return alpha[0] + 2 * alpha[1] + 3 * alpha[2]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,8 +123,8 @@ def schur(t, K: int) -> np.ndarray:
     """Schur polynomial values ``S_0..S_K`` of the time vector.
 
     Defined by ``exp(sum_k t_k z^k) = sum_q S_q z^q``.  Numeric inputs go
-    through :func:`exp_series`; symbolic or exact entries (sympy
-    expressions, Fractions) use the equivalent differential recurrence
+    through :func:`exp_series`; symbolic or exact entries (Fractions or
+    any other Python ring) use the equivalent differential recurrence
     ``q S_q = sum_j j t_j S_{q-j}`` in object arithmetic.
     """
     times = GeneralizedTimes.of(t)
@@ -173,28 +174,19 @@ class ABForm:
         supplied = np.asarray(tuple(f_coeffs), dtype=complex).ravel()
         c[: min(N, supplied.size)] = supplied[:N]
         cbar = np.conj(c)
-        deriv = np.concatenate([[1.0 + 0.0j], (np.arange(1, N + 1) + 1) * cbar])
-        r = TruncatedSeries(deriv).reciprocal()
-        rv = np.asarray([r.coeff(j) for j in range(N + 1)], dtype=complex)
-        a = np.asarray(schur(times, N + 1), dtype=complex)
-
-        def aval(q: int) -> complex:
-            return a[q] if 0 <= q < a.size else 0.0
-
-        table = []
-        for s in range(_TABLE_DEPTH + 1):
-            total = 0.0 + 0.0j
-            for m in range(1, N + 1):
-                inner = 0.0 + 0.0j
-                for j in range(0, N + 1 - m + 1):
-                    inner += rv[j] * aval(m + j - s)
-                total += m * cbar[m - 1] * inner
-            table.append(complex(total))
+        # D_s = sum_q v_q a_{q-s} with v = (m conj(c_m)) * r cut at q <= N+1,
+        # the only q that pair with a Schur value S_0..S_{N+1}
+        weighted = np.arange(N + 1) * np.concatenate([[0.0], cbar])
+        v = np.convolve(weighted, fprime_reciprocal(cbar, N))[: N + 2]
+        # a[q - s + depth] = S_{q-s}, zero below q = s
+        a = np.concatenate([np.zeros(_TABLE_DEPTH), schur(times, N + 1)])
+        lags = np.arange(N + 2) - np.arange(_TABLE_DEPTH + 1)[:, None] + _TABLE_DEPTH
+        table = a[lags] @ v
         return cls(
-            f_coeffs=tuple(complex(v) for v in supplied),
+            f_coeffs=tuple(complex(x) for x in supplied),
             t=times,
             N=int(N),
-            table=tuple(table),
+            table=tuple(complex(x) for x in table),
         )
 
     @staticmethod
@@ -207,7 +199,7 @@ class ABForm:
             raise ValueError(f"negative derivative order in {alpha}")
         if sum(alpha) > 4:
             raise ValueError(f"total derivative order above 4 is not tabulated: {alpha}")
-        return alpha[0] + 2 * alpha[1] + 3 * alpha[2]
+        return _weight(alpha)
 
     def partial(self, alpha=(0, 0, 0)) -> complex:
         """The exact partial ``d^alpha A`` as a table lookup."""
@@ -229,82 +221,69 @@ def a_form(f_coeffs, t, alpha, N: int) -> complex:
     return ABForm.build(f_coeffs, t, N).partial(alpha)
 
 
-@functools.lru_cache(maxsize=None)
-def _d_symbols():
-    return sympy.symbols(f"D0:{_ENGINE_DEPTH + 1}")
+# omega_1's partials of total order <= 3, then the two higher t_1 orders the
+# KP combination needs; sorted by total order, so that every alpha - gamma
+# in the recurrence comes before alpha.
+_PARTIALS = tuple(a for a in itertools.product(range(4), repeat=3) if sum(a) <= 3)
+_JET = tuple(sorted(_PARTIALS + ((4, 0, 0), (5, 0, 0)), key=sum))
 
 
-def _shift_derive(expr, k: int):
-    """Formal time derivative: chain rule with each slot D_s flowing to D_{s+k}."""
-    syms = _d_symbols()
-    out = sympy.S.Zero
-    for s, sym in enumerate(syms):
-        g = sympy.diff(expr, sym)
-        if g == 0:
-            continue
-        if s + k > _ENGINE_DEPTH:
-            raise RuntimeError(
-                f"formal derivative needs slot {s + k}, beyond engine depth {_ENGINE_DEPTH}"
-            )
-        out = out + g * syms[s + k]
-    return sympy.together(out)
+def _leibniz_terms(alpha) -> tuple:
+    """``(C(alpha, gamma), w(gamma), alpha - gamma)`` for every 0 < gamma <= alpha."""
+    terms = []
+    for gamma in itertools.product(*(range(x + 1) for x in alpha)):
+        if any(gamma):
+            rest = tuple(x - g for x, g in zip(alpha, gamma))
+            terms.append((math.prod(map(math.comb, alpha, gamma)), _weight(gamma), rest))
+    return tuple(terms)
 
 
-@functools.lru_cache(maxsize=None)
-def _omega_expr(alpha: tuple):
-    """Symbolic ``d^alpha omega_1`` with omega_1 = D_1/(1 - D_0)."""
-    syms = _d_symbols()
-    if alpha == (0, 0, 0):
-        return syms[1] / (1 - syms[0])
-    lead = next(i for i, x in enumerate(alpha) if x > 0)
-    parent = list(alpha)
-    parent[lead] -= 1
-    return _shift_derive(_omega_expr(tuple(parent)), lead + 1)
+_PLAN = tuple((alpha, _weight(alpha) + 1, _leibniz_terms(alpha)) for alpha in _JET)
 
 
-@functools.lru_cache(maxsize=None)
-def _omega_lambda(alpha: tuple):
-    return sympy.lambdify(_d_symbols(), _omega_expr(alpha), "numpy")
+def _omega_jet(ab: ABForm) -> dict:
+    """Exact partials ``d^alpha omega_1`` for every alpha in ``_JET``.
+
+    Differentiating ``omega_1 (1 - D_0) = D_1`` by Leibniz, with
+    ``d^gamma D_s = D_{s + w(gamma)}``, gives the Taylor-division recurrence
+
+        (1 - D_0) d^alpha omega_1 = D_{w(alpha)+1}
+            + sum_{0 < gamma <= alpha} C(alpha, gamma) D_{w(gamma)} d^{alpha-gamma} omega_1
+
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+    """
+    D = ab.table
+    denom = 1.0 - complex(D[0])
+    if abs(denom) <= 1e-10:
+        raise NearSingularA(f"1 - A = {denom:.3e} is too small to divide by")
+    jet = {}
+    for alpha, slot, terms in _PLAN:
+        acc = D[slot]
+        for binom, shift, rest in terms:
+            acc += binom * D[shift] * jet[rest]
+        jet[alpha] = acc / denom
+    return jet
 
 
-@functools.lru_cache(maxsize=None)
-def _kp_lambda():
-    """Evaluator for 3 d2^2 lam - d1(4 d3 lam - 12 lam d1 lam - d1^3 lam), lam = -d1 omega_1."""
-    lam = sympy.together(-_shift_derive(_omega_expr((0, 0, 0)), 1))
-    lam_1 = _shift_derive(lam, 1)
-    lam_11 = _shift_derive(lam_1, 1)
-    lam_111 = _shift_derive(lam_11, 1)
-    lam_22 = _shift_derive(_shift_derive(lam, 2), 2)
-    lam_3 = _shift_derive(lam, 3)
-    expr = 3 * lam_22 - _shift_derive(4 * lam_3 - 12 * lam * lam_1 - lam_111, 1)
-    return sympy.lambdify(_d_symbols(), expr, "numpy")
-
-
-def _engine_values(ab: ABForm) -> tuple:
-    return tuple(complex(v) for v in ab.table[: _ENGINE_DEPTH + 1])
-
-
-def _check_denominator(ab: ABForm) -> None:
-    if abs(1.0 - complex(ab.table[0])) <= 1e-10:
-        raise NearSingularA(
-            f"1 - A = {1.0 - complex(ab.table[0]):.3e} is too small to divide by"
-        )
+def _kp_value(jet: dict) -> complex:
+    """``3 d2^2 lam - d1(4 d3 lam - 12 lam d1 lam - d1^3 lam)`` with lam = -d1 omega_1."""
+    return (
+        -3 * jet[(1, 2, 0)]
+        + 4 * jet[(2, 0, 1)]
+        + 12 * (jet[(2, 0, 0)] ** 2 + jet[(1, 0, 0)] * jet[(3, 0, 0)])
+        - jet[(5, 0, 0)]
+    )
 
 
 def omega1_and_partials(ab: ABForm) -> dict:
     """omega_1 = B/(1-A) and all its time-partials of total order <= 3.
 
     Returns a dict keyed by the multi-index ``(alpha_1, alpha_2, alpha_3)``.
-    Derivatives are exact: the quotient rule is applied symbolically to the
-    slot variables and then filled with the tabulated values.
+    Derivatives are exact: each is the Leibniz recurrence of
+    :func:`_omega_jet` filled with the tabulated values.
     """
-    _check_denominator(ab)
-    vals = _engine_values(ab)
-    out = {}
-    for alpha in itertools.product(range(4), repeat=3):
-        if sum(alpha) <= 3:
-            out[alpha] = complex(_omega_lambda(alpha)(*vals))
-    return out
+    jet = _omega_jet(ab)
+    return {alpha: jet[alpha] for alpha in _PARTIALS}
 
 
 def kp_residual(f_coeffs, t, N: int) -> float:
@@ -314,13 +293,10 @@ def kp_residual(f_coeffs, t, N: int) -> float:
     - d_{t1}^3 lam)|`` with ``lam = -d_{t1} omega_1``, every derivative
     taken exactly through the shift rule.  The combination is an algebraic
     identity in the table slots, so the returned value measures only the
-    floating-point noise of the quotient-rule arithmetic: it sits at
-    roundoff level (~1e-15) for every window size N rather than decaying
-    with N.
+    floating-point noise of the recurrence: it sits at roundoff level
+    (~1e-15) for every window size N rather than decaying with N.
     """
-    ab = ABForm.build(f_coeffs, t, N)
-    _check_denominator(ab)
-    return float(abs(_kp_lambda()(*_engine_values(ab))))
+    return float(abs(_kp_value(_omega_jet(ABForm.build(f_coeffs, t, N)))))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "poisson_bracket",
     "gbar_coefficient",
     "corrected_G",
+    "g0",
     "reciprocal_coefficient",
     "iota",
     "truncated_witt_bracket",
@@ -397,6 +398,12 @@ def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
                 quad = c1 * c1 - c2.scale(4)
                 out = out + quad * PhasePoly.c(k, w) * psi
     return out
+
+
+def g0(state) -> complex:
+    """``corrected_G(0) = sum_k k c_k psibar_k`` at a trajectory state, k <= min(n_psi, order)."""
+    kmax = min(state.n_psi, state.order)
+    return sum(k * state.c[k - 1] * state.psi(k) for k in range(1, kmax + 1))
 
 
 class VectorFieldOnF0:

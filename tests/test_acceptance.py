@@ -36,6 +36,7 @@ from shapeflow.kp import (
 from shapeflow.observables import (
     BracketWindow,
     corrected_G,
+    g0,
     gbar_coefficient,
     iota,
     poisson_bracket,
@@ -333,12 +334,10 @@ def test_14_energy_difference_constant():
     s0 = ShapeState.initial(16, m_neg=8, n_psi=8)
     s0.psibar[s0.m_neg + 1] = 1.0
     rec = evolve(s0, d, horizon=1.0, step=1e-3)
-    g0 = np.array(
-        [sum(k * s.c[k - 1] * s.psi(k) for k in range(1, 9)) for s in rec.states]
-    )
+    g0s = np.array([g0(s) for s in rec.states])
     # The change of energy balances the change of G_0: H(t) - H(0) equals
     # G_0(0) - G_0(t), so H + G_0 stays at -sum_k p_k psibar_k(0) = -2.
-    total = rec.hamiltonian + g0
+    total = rec.hamiltonian + g0s
     drift = np.abs(total - total[0]).max()
     pk = d.moments(0.0, 8)
     expected = -sum(pk[k - 1] * s0.psi(k) for k in range(1, 9))

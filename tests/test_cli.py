@@ -92,6 +92,40 @@ def test_psibar0_width_mismatch_rejected(tmp_path):
     assert cli.main(["evolve", "--config", path]) == cli.EXIT_CONFIG_ERROR
 
 
+KP_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value",
+    [
+        ("evolve", IDENTITY_CONFIG, "horizon", "nan"),
+        ("evolve", IDENTITY_CONFIG, "horizon", "inf"),
+        ("evolve", IDENTITY_CONFIG, "step", "x"),
+        ("evolve", IDENTITY_CONFIG, "step", "-inf"),
+        ("evolve", IDENTITY_CONFIG, "order", "abc"),
+        ("evolve", IDENTITY_CONFIG, "m_neg", [1]),
+        ("evolve", IDENTITY_CONFIG, "n_psi", None),
+        ("evolve", IDENTITY_CONFIG, "seed", "s"),
+        ("evolve", IDENTITY_CONFIG, "psibar0", [[1.0, "b"]] * 5),
+        ("kp", KP_CONFIG, "n", "x"),
+        ("kp", KP_CONFIG, "N", "y"),
+        ("kp", KP_CONFIG, "t_rows", [["a"]]),
+        ("kp", KP_CONFIG, "t_grid", {"t1": ["b"]}),
+        ("tau", KP_CONFIG, "t_rows", [[0.05, "nan"]]),
+        ("graph-dump", {"c": [0.3]}, "n", "x"),
+        ("graph-dump", {"c": [0.3]}, "N", 1e400),
+    ],
+)
+def test_malformed_config_number_is_config_error(tmp_path, capsys, command, base, key, value):
+    config = dict(base, **{key: value})
+    if key == "t_grid":
+        del config["t_rows"]
+    path = write_config(tmp_path, config)
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_divergence_maps_to_numerical_failure(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise evolution.StepRejected("blew up")

@@ -17,6 +17,7 @@ from shapeflow.observables import (
     BracketWindow,
     PhasePoly,
     corrected_G,
+    g0,
     gbar_coefficient,
     poisson_bracket,
 )
@@ -88,6 +89,20 @@ def test_generating_function_conserved_random_driver():
     assert max(drift.values()) < 1e-7, drift
 
 
+def test_generating_function_conserved_across_driver_switch():
+    # The switch at t = 0.05 lies on the step grid; every RK4 stage of the
+    # step ending there must still use the first piece.
+    rng = np.random.default_rng(17)
+    first = random_driver(rng).pieces[0]
+    second = DriverPiece(0.05, random_driver(rng, n_atoms=2).pieces[0].atoms)
+    d = HerglotzDriver(pieces=(first, second))
+    psibar = rng.normal(size=17) + 1j * rng.normal(size=17)
+    s0 = ShapeState.initial(16, m_neg=8, n_psi=8, psibar=psibar)
+    rec = evolve(s0, d, horizon=0.1, step=1e-3)
+    drift = rec.drift_report()
+    assert max(drift.values()) < 1e-7, drift
+
+
 def test_generating_function_matches_observables():
     rng = np.random.default_rng(3)
     c = 0.2 * (rng.normal(size=6) + 1j * rng.normal(size=6))
@@ -123,17 +138,15 @@ def test_energy_conservation_has_plus_sign():
     s0.psibar[s0.m_neg + 1] = 1.0  # psibar_1 = 1
     d = HerglotzDriver.single_atom(0.0)
     rec = evolve(s0, d, horizon=1.0, step=1e-3)
-    g0 = np.array(
-        [sum(k * s.c[k - 1] * s.psi(k) for k in range(1, 9)) for s in rec.states]
-    )
-    total = rec.hamiltonian + g0
+    g0s = np.array([g0(s) for s in rec.states])
+    total = rec.hamiltonian + g0s
     np.testing.assert_allclose(total, -2.0 * np.ones_like(total), atol=1e-9)
     np.testing.assert_allclose(rec.hamiltonian, -2 * np.exp(-rec.times), atol=1e-9)
     np.testing.assert_allclose(
         rec.states[-1].c[0], 2 * np.exp(-1.0) - 2, atol=1e-9
     )
     # difference drifts by O(1): the minus-sign reading is not an invariant
-    diff = rec.hamiltonian - g0
+    diff = rec.hamiltonian - g0s
     assert np.abs(diff - diff[0]).max() > 1.0
 
     rng = np.random.default_rng(11)
@@ -141,10 +154,8 @@ def test_energy_conservation_has_plus_sign():
     psibar = rng.normal(size=17) + 1j * rng.normal(size=17)
     s0 = ShapeState.initial(16, m_neg=8, n_psi=8, psibar=psibar)
     rec = evolve(s0, d2, horizon=1.0, step=1e-3)
-    g0 = np.array(
-        [sum(k * s.c[k - 1] * s.psi(k) for k in range(1, 9)) for s in rec.states]
-    )
-    total = rec.hamiltonian + g0
+    g0s = np.array([g0(s) for s in rec.states])
+    total = rec.hamiltonian + g0s
     pk = d2.moments(0.0, 8)
     expected = -sum(pk[k - 1] * s0.psi(k) for k in range(1, 9))
     assert np.abs(total - expected).max() < 1e-7

@@ -1,9 +1,14 @@
 """Tests for the generalized-time flows: Schur values, bilinear forms,
 wave coefficients, Baker-Akhiezer functions, and tau determinants."""
 
+import functools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import sympy as sp
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +28,8 @@ from shapeflow.kp import (
     sato_psi,
     schur,
     tau,
-    _kp_lambda,
-    _omega_expr,
-    _shift_derive,
-    _d_symbols,
+    _kp_value,
+    _omega_jet,
 )
 from shapeflow.observables import WindowTooSmall
 
@@ -257,22 +260,95 @@ def test_kp_residual_at_roundoff_floor_for_every_window():
         assert kp_residual(c(N), t, N) < 1e-12
 
 
-def test_kp_combination_is_algebraic_identity():
-    # Symbolic proof that the residual vanishes identically: the evaluator's
-    # own expression simplifies to zero as a rational function of the slots.
-    syms = _d_symbols()
-    omega = _omega_expr((0, 0, 0))
-    lam = sp.together(-_shift_derive(omega, 1))
+# Symbolic oracle for the recurrence: omega_1 = D_1/(1 - D_0) as a rational
+# function of the table slots, differentiated by the chain rule with each
+# slot D_s flowing to D_{s+k} under d/dt_k.
+ORACLE_DEPTH = 10  # d_3^3 omega_1 reaches slot 1 + 3*3
+D_SYMS = sp.symbols(f"D0:{ORACLE_DEPTH + 1}")
+
+
+def _shift_derive(expr, k):
+    out = sp.S.Zero
+    for s, sym in enumerate(D_SYMS):
+        g = sp.diff(expr, sym)
+        if g != 0:
+            out = out + g * D_SYMS[s + k]
+    return sp.together(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_expr(alpha):
+    if alpha == (0, 0, 0):
+        return D_SYMS[1] / (1 - D_SYMS[0])
+    lead = next(i for i, x in enumerate(alpha) if x > 0)
+    parent = list(alpha)
+    parent[lead] -= 1
+    return _shift_derive(_omega_expr(tuple(parent)), lead + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _kp_expr():
+    """3 d2^2 lam - d1(4 d3 lam - 12 lam d1 lam - d1^3 lam), lam = -d1 omega_1."""
+    lam = sp.together(-_shift_derive(_omega_expr((0, 0, 0)), 1))
     lam_1 = _shift_derive(lam, 1)
     lam_111 = _shift_derive(_shift_derive(lam_1, 1), 1)
     lam_22 = _shift_derive(_shift_derive(lam, 2), 2)
     lam_3 = _shift_derive(lam, 3)
-    expr = 3 * lam_22 - _shift_derive(4 * lam_3 - 12 * lam * lam_1 - lam_111, 1)
-    assert sp.simplify(expr) == 0
-    # and the numeric evaluator does not collapse it symbolically: it returns
-    # honest floating-point noise, not literal zero, on a generic table
-    vals = tuple(0.1 / (s + 2) for s in range(11))
-    assert abs(_kp_lambda()(*vals)) < 1e-14
+    return 3 * lam_22 - _shift_derive(4 * lam_3 - 12 * lam * lam_1 - lam_111, 1)
+
+
+def table_form(values):
+    """An ABForm holding the given D_0, D_1, ... (zero-padded), for slot-level tests."""
+    table = tuple(values) + (0.0,) * (13 - len(values))
+    return ABForm(f_coeffs=(), t=GeneralizedTimes((0.0, 0.0, 0.0)), N=1, table=table)
+
+
+def test_kp_combination_is_algebraic_identity():
+    # Symbolic proof that the residual vanishes identically: the KP
+    # combination simplifies to zero as a rational function of the slots.
+    assert sp.simplify(_kp_expr()) == 0
+    # and the numeric recurrence does not collapse it symbolically: it
+    # returns honest floating-point noise, not literal zero, on a generic table
+    jet = _omega_jet(table_form([0.1 / (s + 2) for s in range(11)]))
+    assert abs(_kp_value(jet)) < 1e-14
+
+
+def test_recurrence_matches_symbolic_oracle_on_random_tables():
+    alphas = sorted(_omega_jet(table_form([0.0] * 11)))
+    assert len(alphas) == 22  # the 20 partials of order <= 3, plus d_1^4, d_1^5
+    exprs = [_omega_expr(alpha) for alpha in alphas]
+    oracle = sp.lambdify(D_SYMS, exprs + [_kp_expr()], "numpy")
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        vals = 0.4 * (rng.standard_normal(11) + 1j * rng.standard_normal(11))
+        ab = table_form(list(vals))
+        *want, want_kp = oracle(*vals)
+        jet = _omega_jet(ab)
+        parts = omega1_and_partials(ab)
+        assert sorted(parts) == [a for a in alphas if sum(a) <= 3]
+        for alpha, w in zip(alphas, want):
+            assert abs(jet[alpha] - w) <= 1e-12 * abs(w)
+            if alpha in parts:
+                assert parts[alpha] == jet[alpha]
+        # the KP value is roundoff on both sides: compare on the scale of its terms
+        terms = (jet[(1, 2, 0)], jet[(2, 0, 1)], jet[(2, 0, 0)] ** 2,
+                 jet[(1, 0, 0)] * jet[(3, 0, 0)], jet[(5, 0, 0)])
+        scale = 12 * max(abs(x) for x in terms)
+        assert abs(_kp_value(jet) - want_kp) <= 1e-12 * scale
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shapeflow.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_kp_residual_random_decaying_shapes():
