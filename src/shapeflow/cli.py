@@ -49,9 +49,17 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
+# evolve keeps every state in memory, so a run may ask for at most this many
+# steps (the example configs in scripts/configs ask for 1000)
+MAX_STEPS = 100_000
+
 
 class ConfigError(ValueError):
     """A config file is missing, malformed, or violates an invariant."""
+
+
+class NonFiniteOutput(ArithmeticError):
+    """A value about to be written is NaN or infinite."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,11 @@ class RunConfig:
         seed = _number(raw.get("seed", 0), "seed", int)
         if horizon <= 0 or step <= 0 or order <= 0:
             raise ConfigError("horizon, step, and order must be positive")
+        steps = horizon / step
+        if not (math.isfinite(steps) and round(steps) <= MAX_STEPS):
+            raise ConfigError(
+                f"horizon/step asks for {steps:.3g} steps; at most {MAX_STEPS} are allowed"
+            )
         if m_neg < 0 or n_psi < 0:
             raise ConfigError("psibar window bounds must be nonnegative")
         width = m_neg + n_psi + 1
@@ -125,11 +138,14 @@ def _load_config(path) -> dict:
         raise ConfigError("this command requires --config <path>")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
 
 
 def _number(value, label, kind=float):
@@ -171,6 +187,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _require_finite(values, what):
+    """NonFiniteOutput unless every value is finite; checked before writing."""
+    if not np.isfinite(np.asarray(values, dtype=complex)).all():
+        raise NonFiniteOutput(f"{what} holds a non-finite value; nothing was written")
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -201,6 +223,19 @@ def _koebe_errors(record) -> list:
     return errs
 
 
+def _energy_drift(record, driver: HerglotzDriver) -> float:
+    """Largest drift of H + G_0 within one driver piece.
+
+    H + G_0 is conserved along the flow of one piece; H jumps at a switch.
+    A state at a switch time belongs to the piece that starts there.
+    """
+    energy = record.hamiltonian + np.array([g0(s) for s in record.states])
+    starts = [p.t_start for p in driver.pieces]
+    piece = np.searchsorted(starts, record.times, side="right")
+    runs = np.split(energy, np.flatnonzero(np.diff(piece)) + 1)
+    return float(np.max([np.abs(e - e[0]).max() for e in runs]))
+
+
 def cmd_evolve(args) -> int:
     config = RunConfig.from_dict(
         _load_config(args.config), order=args.order, step=args.step, horizon=args.horizon
@@ -220,14 +255,9 @@ def cmd_evolve(args) -> int:
         extra["koebe_error"] = errs
         koebe_max = max(errs)
 
-    csv_path = _out_path(args, "trajectory.csv")
-    record.to_csv(csv_path, extra_columns=extra)
-
-    # H + G_0 is the conserved combination
-    energy = record.hamiltonian + np.array([g0(s) for s in record.states])
     report = {
         "drift": record.drift_report(),
-        "energy_invariant_drift": float(np.abs(energy - energy[0]).max()),
+        "energy_invariant_drift": _energy_drift(record, config.driver),
         "horizon": config.horizon,
         "step": config.step,
         "order": config.order,
@@ -235,13 +265,18 @@ def cmd_evolve(args) -> int:
         "n_psi": config.n_psi,
         "seed": config.seed,
         "steps": len(record.states),
-        "trajectory_csv": os.path.basename(csv_path),
     }
     if koebe_max is not None:
         report["koebe_max_error"] = koebe_max
+    checked = [*report["drift"].values(), report["energy_invariant_drift"]]
+    _require_finite(checked + extra.get("koebe_error", []), "the conservation report")
+
+    csv_path = _out_path(args, "trajectory.csv")
+    record.to_csv(csv_path, extra_columns=extra)
+    report["trajectory_csv"] = os.path.basename(csv_path)
     report_path = _out_path(args, "conservation.json")
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     worst = max(report["drift"].values()) if report["drift"] else 0.0
@@ -368,7 +403,7 @@ def _kp_cell(payload):
     row += [tau_value.real, tau_value.imag]
     if pair:
         row.append(kp_residual(c, trow, 2 * N))
-    return [_fmt(x) for x in row]
+    return row
 
 
 def _run_cells(cells, parallel):
@@ -402,12 +437,13 @@ def cmd_kp(args) -> int:
         header.append(f"residual_{2 * N}")
     cells = [(c, op, trow, N, pair) for trow in rows]
     results = _run_cells(cells, args.parallel)
+    _require_finite(results, "the kp sweep")
 
     path = _out_path(args, "kp_sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in results:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
     print(f"wrote {len(results)} rows to {path}")
     return EXIT_OK
 
@@ -419,11 +455,13 @@ def cmd_tau(args) -> int:
     rows = _time_rows(raw)
     op = step2_graph(c, n, N)
 
+    values = [tau(op, trow, N) for trow in rows]
+    _require_finite(values, "the tau sweep")
+
     path = _out_path(args, "tau.csv")
     with open(path, "w") as fh:
         fh.write("t1,t2,t3,re_tau,im_tau\n")
-        for trow in rows:
-            value = tau(op, trow, N)
+        for trow, value in zip(rows, values):
             fh.write(",".join(_fmt(x) for x in (*trow, value.real, value.imag)) + "\n")
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
@@ -514,6 +552,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (StepRejected, NearSingularA, SingularSystem) as exc:
+    except (StepRejected, NearSingularA, SingularSystem, NonFiniteOutput) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

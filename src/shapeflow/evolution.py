@@ -11,11 +11,15 @@ and the conjugate window psibar_m, -M <= m <= Npsi, by the linear advection
 
 which together form the canonical system of the time-dependent
 pseudo-Hamiltonian H = sum_m Phi_{m+1} psibar_m, Phi = f (1 - p(e^{-t}f)).
-Both right-hand sides are computed by truncated series arithmetic.  The
-generating function Gbar(z) = f'(z) psibar(z) has coefficients constant along
-trajectories; with the window layout used here the conservation is exact for
-every representable index whenever Npsi - N <= -M (upper-triangular error
-propagation never reaches the retained indices).
+The generating function Gbar(z) = f'(z) psibar(z) has coefficients constant
+along trajectories; with the window layout used here the conservation is
+exact for every representable index whenever Npsi - N <= -M
+(upper-triangular error propagation never reaches the retained indices).
+
+The numeric path works on raw ``complex128`` coefficient arrays: p(w) is
+composed by Horner on ``np.convolve`` slices, and ``evolve`` computes the
+driver moments once per driver piece.  ``TruncatedSeries`` stays for exact
+and symbolic callers (``ShapeState.f_over_z`` returns one).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import HerglotzDriver
-from .series import TruncatedLaurent, TruncatedSeries
+from .series import TruncatedSeries
 
 __all__ = [
     "ShapeState",
@@ -84,42 +88,66 @@ class ShapeState:
         return TruncatedSeries(np.concatenate([[1.0 + 0j], self.c]))
 
 
-def _phi_and_u(state: ShapeState, d: HerglotzDriver):
-    """Taylor windows of Phi = f(1 - p(w)) (order N+1) and U (order N).
-
-    Uses 1 - p(w) = -sum_k p_k w^k and U = -sum_k (k+1) p_k w^k with
-    w = e^{-t} f, sharing one Horner pass over powers of w.
-    """
-    n = state.order
-    # w = e^{-t} f as a window of order N+1 (constant term zero)
-    w = TruncatedSeries(
-        np.concatenate([[0.0 + 0j], np.exp(-state.t) * np.concatenate([[1.0], state.c])])
+def _w(state: ShapeState) -> np.ndarray:
+    """w = e^{-t} f as a window of order N+1 (constant term zero)."""
+    return np.concatenate(
+        [[0.0 + 0j], np.exp(-state.t) * np.concatenate([[1.0], state.c])]
     )
-    pk = d.moments(state.t, n + 1)
-    one_minus_p = _power_sum(-pk, w)
-    u = _power_sum(-(np.arange(2, n + 3)) * pk, w)
-    f = TruncatedSeries(np.concatenate([[0.0 + 0j, 1.0], state.c]))
-    return f * one_minus_p, u
 
 
-def _power_sum(q, w: TruncatedSeries) -> TruncatedSeries:
-    """sum_{k>=1} q_k w^k by Horner, truncated to w's window."""
-    n = w.order
-    acc = TruncatedSeries.constant(q[-1], n)
+def _power_sum(q, w: np.ndarray) -> np.ndarray:
+    """sum_{k>=1} q_k w^k by Horner (q[0] is q_1), truncated to w's window."""
+    keep = len(w)
+    acc = np.zeros(keep, dtype=complex)
+    acc[0] = q[-1]
     for qk in q[-2::-1]:
-        acc = acc * w + TruncatedSeries.constant(qk, n)
-    return acc * w
+        acc = np.convolve(acc, w)[:keep]
+        acc[0] += qk
+    return np.convolve(acc, w)[:keep]
 
 
-def rhs(state: ShapeState, d: HerglotzDriver):
-    """Time derivatives (dc, dpsibar) at the state."""
-    phi, u = _phi_and_u(state, d)
-    dc = np.asarray(phi.coeffs[2:], dtype=complex)  # dc_n/dt = Phi_{n+1}
-    uj = np.asarray(u.coeffs, dtype=complex)  # uj[j] = U_j (uj[0] = 0)
+def _phi(state: ShapeState, pk, w: np.ndarray) -> np.ndarray:
+    """Phi = f (1 - p(w)) to order N+1, with 1 - p(w) = -sum_k p_k w^k."""
+    f = np.concatenate([[0.0 + 0j, 1.0], state.c])
+    return np.convolve(f, _power_sum(-pk, w))[: len(w)]
+
+
+def _phi_and_u(state: ShapeState, pk):
+    """Taylor windows of Phi (order N+1) and U = -sum_k (k+1) p_k w^k.
+
+    ``pk`` holds the driver moments p_1..p_{N+1}; both are Horner passes
+    over powers of w = e^{-t} f.
+    """
+    w = _w(state)
+    return _phi(state, pk, w), _power_sum(-np.arange(2, state.order + 3) * pk, w)
+
+
+def _shifted(psz: np.ndarray, jmax: int):
+    """Row j-1 holds psibar at index i + j for every i, zero past the window.
+
+    Also returns where i + j is still inside the window.
+    """
+    idx = np.add.outer(np.arange(1, jmax + 1), np.arange(len(psz)))
+    padded = np.concatenate([psz, np.zeros(jmax, dtype=complex)])
+    return padded[idx], idx < len(psz)
+
+
+def rhs(state: ShapeState, d: HerglotzDriver, pk=None):
+    """Time derivatives (dc, dpsibar) at the state.
+
+    ``pk`` holds the moments p_1..p_{N+1} of the driver piece to use; they
+    are taken from ``d`` at ``state.t`` when omitted.
+    """
+    if pk is None:
+        pk = d.moments(state.t, state.order + 1)
+    phi, u = _phi_and_u(state, pk)
+    dc = phi[2:]  # dc_n/dt = Phi_{n+1}
     psz = state.psibar
-    dpsi = np.zeros_like(psz)
-    for j in range(1, min(state.order, len(psz) - 1) + 1):
-        dpsi[:-j] -= uj[j] * psz[j:]
+    shifted, _ = _shifted(psz, min(state.order, len(psz) - 1))
+    # dpsibar_m = 0 - U_1 psibar_{m+1} - U_2 psibar_{m+2} - ..., in increasing j;
+    # a sum that starts at +0 never becomes -0, so the zero padding is inert
+    terms = u[1 : len(shifted) + 1, None] * shifted
+    dpsi = np.subtract.accumulate(np.vstack([np.zeros_like(psz), terms]))[-1]
     return dc, dpsi
 
 
@@ -170,75 +198,119 @@ class TrajectoryRecord:
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
             for i, s in enumerate(self.states):
-                row = [repr(float(s.t))]
-                for z in np.concatenate([s.c, s.psibar, self.gbar[i], [self.hamiltonian[i]]]):
-                    row.append(repr(float(z.real)))
-                    row.append(repr(float(z.imag)))
-                for name in extra:
-                    row.append(repr(float(extra[name][i])))
-                fh.write(",".join(row) + "\n")
+                values = np.concatenate(
+                    [s.c, s.psibar, self.gbar[i], self.hamiltonian[i : i + 1]]
+                )
+                row = [float(s.t), *values.view(float).tolist()]  # re, im pairs
+                row += [float(extra[name][i]) for name in extra]
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
-def generating_function(state: ShapeState) -> TruncatedLaurent:
-    """Laurent window of Gbar(z) = f'(z) psibar(z): Gbar_k at power k-1."""
-    m_neg, n_psi, n = state.m_neg, state.n_psi, state.order
-    out = []
-    for k in range(-m_neg, n_psi + 1):
-        acc = state.psi(k)
-        for j in range(1, min(n, n_psi - k) + 1):
-            acc += (j + 1) * state.c[j - 1] * state.psi(k + j)
-        out.append(acc)
-    return TruncatedLaurent(-m_neg - 1, out)
+def _cmul(a, b):
+    """a * b as (ar br - ai bi) + i (ar bi + ai br), rounded like scalar math.
+
+    numpy's SIMD loop for complex arrays may fuse the multiply-adds, which
+    moves the last bits; the split form gives the scalar result exactly.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
-def pseudo_hamiltonian(state: ShapeState, d: HerglotzDriver) -> complex:
-    """H = sum_{m>=1} Phi_{m+1} psibar_m (z^0 pairing of the two windows)."""
-    phi, _ = _phi_and_u(state, d)
+def generating_function(state: ShapeState) -> np.ndarray:
+    """Coefficients Gbar_k, k = -m_neg..n_psi, of Gbar(z) = f'(z) psibar(z).
+
+    Gbar_k = psibar_k + sum_{j=1}^{min(N, n_psi-k)} (j+1) c_j psibar_{k+j} is
+    the coefficient of z^{k-1}; it is stored like psibar, at index k + m_neg.
+    Each Gbar_k adds its terms in increasing j.
+    """
+    psz = state.psibar
+    shifted, inside = _shifted(psz, min(state.order, len(psz) - 1))
+    coef = _cmul(np.arange(2.0, len(shifted) + 2), state.c[: len(shifted)])
+    # terms past the window become -0.0, which leaves every sum unchanged
+    terms = np.where(inside, _cmul(coef[:, None], shifted), complex(-0.0, -0.0))
+    return np.add.accumulate(np.vstack([psz, terms]))[-1]
+
+
+def pseudo_hamiltonian(state: ShapeState, d: HerglotzDriver, pk=None) -> complex:
+    """H = sum_{m>=1} Phi_{m+1} psibar_m (z^0 pairing of the two windows).
+
+    ``pk`` is as for :func:`rhs`.
+    """
+    if pk is None:
+        pk = d.moments(state.t, state.order + 1)
+    phi = _phi(state, pk, _w(state))
     total = 0j
     for m in range(1, min(state.order, state.n_psi) + 1):
-        total += phi.coeff(m + 1) * state.psi(m)
+        total += phi[m + 1] * state.psi(m)
     return total
+
+
+def _check_state(state: ShapeState, psi_bound: float):
+    """StepRejected unless |c| <= 1e6 and |psibar| <= psi_bound (NaN fails both)."""
+    if not np.abs(state.c).max(initial=0.0) <= _DIVERGENCE_GUARD:
+        raise StepRejected(f"|c| exceeded {_DIVERGENCE_GUARD:g} at t={state.t}")
+    if not np.abs(state.psibar).max(initial=0.0) <= psi_bound:
+        raise StepRejected(
+            f"|psibar| is not finite or grew past {_DIVERGENCE_GUARD:g} times "
+            f"its start at t={state.t}"
+        )
 
 
 def evolve(
     state0: ShapeState, d: HerglotzDriver, horizon: float, step: float
 ) -> TrajectoryRecord:
-    """Classical fixed-step RK4 trajectory with a snapshot at every step."""
+    """Classical fixed-step RK4 trajectory with a snapshot at every step.
+
+    Raises StepRejected when a state leaves the divergence guard (|c| above
+    1e6, or |psibar| above 1e6 times its starting peak) or when a state, a
+    Gbar coefficient or H is not finite.
+    """
     if step <= 0 or horizon < 0:
         raise ValueError("need step > 0 and horizon >= 0")
     n_steps = int(round(horizon / step))
+    moments = {}  # id(piece) -> p_1..p_{N+1}, computed once per driver piece
+
+    def moments_at(t):
+        piece = d.piece_at(t)
+        if id(piece) not in moments:
+            moments[id(piece)] = d.moments(t, state0.order + 1)
+        return moments[id(piece)]
+
     state = ShapeState(state0.t, state0.c.copy(), state0.psibar.copy(), state0.m_neg)
+    # psibar is linear in its start, so its guard scales with it; the cap keeps
+    # an infinite |psibar| outside the guard
+    psi_peak = max(1.0, np.abs(state.psibar).max(initial=0.0))
+    psi_bound = min(_DIVERGENCE_GUARD * psi_peak, np.finfo(float).max)
+    _check_state(state, psi_bound)
     states = [state]
     times = [state.t]
     for k in range(n_steps):
-        state = _rk4_step(state, d, step)
+        # all four stages use the piece covering the step's start: a step that
+        # ends on a switch must not evaluate its last stage with the next piece
+        state = _rk4_step(state, d, moments_at(state.t), step)
         state.t = state0.t + (k + 1) * step  # avoid additive time drift
-        peak = np.abs(state.c).max(initial=0.0)
-        if not peak <= _DIVERGENCE_GUARD:  # catches NaN as well
-            raise StepRejected(f"|c| exceeded {_DIVERGENCE_GUARD:g} at t={state.t}")
+        _check_state(state, psi_bound)
         states.append(state)
         times.append(state.t)
-    gbar = np.array(
-        [np.asarray(generating_function(s).coeffs, dtype=complex) for s in states]
-    )
-    ham = np.array([pseudo_hamiltonian(s, d) for s in states])
+    gbar = np.array([generating_function(s) for s in states])
+    ham = np.array([pseudo_hamiltonian(s, d, moments_at(s.t)) for s in states])
+    if not (np.isfinite(gbar).all() and np.isfinite(ham).all()):
+        raise StepRejected("Gbar or H is not finite along the trajectory")
     return TrajectoryRecord(np.array(times), states, gbar, ham)
 
 
-def _rk4_step(state: ShapeState, d: HerglotzDriver, h: float) -> ShapeState:
-    # All four stages see the piece that covers the step's start: a step that
-    # ends on a switch must not evaluate its last stage with the next piece.
-    d = HerglotzDriver((d.piece_at(state.t),))
-
+def _rk4_step(state: ShapeState, d: HerglotzDriver, pk, h: float) -> ShapeState:
     def at(dt, dc, dpsi):
         return ShapeState(
             state.t + dt, state.c + dc, state.psibar + dpsi, state.m_neg
         )
 
-    k1c, k1p = rhs(state, d)
-    k2c, k2p = rhs(at(h / 2, h / 2 * k1c, h / 2 * k1p), d)
-    k3c, k3p = rhs(at(h / 2, h / 2 * k2c, h / 2 * k2p), d)
-    k4c, k4p = rhs(at(h, h * k3c, h * k3p), d)
+    k1c, k1p = rhs(state, d, pk)
+    k2c, k2p = rhs(at(h / 2, h / 2 * k1c, h / 2 * k1p), d, pk)
+    k3c, k3p = rhs(at(h / 2, h / 2 * k2c, h / 2 * k2p), d, pk)
+    k4c, k4p = rhs(at(h, h * k3c, h * k3p), d, pk)
     return at(
         h,
         h / 6 * (k1c + 2 * k2c + 2 * k3c + k4c),

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeflow import checks, cli, evolution, kp
 from shapeflow.grassmannian import step2_graph
@@ -126,6 +129,32 @@ def test_malformed_config_number_is_config_error(tmp_path, capsys, command, base
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("command", ["evolve", "kp", "tau", "graph-dump"])
+@pytest.mark.parametrize("root", [[1, 2], "abc", 3])
+def test_config_root_must_be_an_object(tmp_path, capsys, command, root):
+    path = write_config(tmp_path, root)
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert "config root must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        ({"horizon": 1e9, "step": 1e-12}, []),
+        ({"horizon": 1e300, "step": 1e-300}, []),
+        ({}, ["--horizon", "1e9"]),
+        ({}, ["--step", "1e-9"]),
+    ],
+)
+def test_step_count_is_bounded(tmp_path, overrides, flags):
+    # rejected while reading the config, before any state is allocated
+    path = write_config(tmp_path, dict(IDENTITY_CONFIG, **overrides))
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out), *flags]) == cli.EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
 def test_divergence_maps_to_numerical_failure(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise evolution.StepRejected("blew up")
@@ -171,6 +200,109 @@ def test_evolve_atom_reports_koebe_error(tmp_path):
     assert header[-1] == "koebe_error"
     worst = max(float(row[-1]) for row in rows)
     assert worst == pytest.approx(report["koebe_max_error"])
+
+
+def test_evolve_huge_psibar_fails_closed(tmp_path):
+    config = dict(ATOM_CONFIG, m_neg=1, n_psi=1, psibar0=[1e308] * 3)
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["evolve", "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL_FAILURE
+    assert not out.exists()
+
+
+def test_energy_drift_is_taken_within_each_piece(tmp_path):
+    # H jumps at the switch; H + G_0 is conserved only inside a piece
+    rng = np.random.default_rng(4)
+    pieces = []
+    for start, count in ((0.0, 3), (0.05, 2)):
+        mus = rng.uniform(0.2, 1.0, count)
+        mus = [float(v) for v in mus[:-1] / mus.sum()]
+        mus.append(1.0 - sum(mus))
+        thetas = rng.uniform(0, 2 * np.pi, count)
+        pieces.append({"t_start": start, "atoms": [{"theta": float(t), "mu": m} for t, m in zip(thetas, mus)]})
+    config = {"driver": {"pieces": pieces}, "horizon": 0.1, "step": 1e-3, "order": 16, "m_neg": 8, "n_psi": 8}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "conservation.json").read_text())
+    assert report["energy_invariant_drift"] < 1e-7
+    assert max(report["drift"].values()) < 1e-7
+    # across the switch the combination moves by O(1)
+    header, rows = read_rows(out / "trajectory.csv")
+    h = np.array([complex(float(r[header.index("re_H")]), float(r[header.index("im_H")])) for r in rows])
+    assert np.abs(np.diff(h)).max() > 1e-2
+
+
+def _finite_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    payload = json.loads(text, parse_constant=refuse)
+    stack = [payload]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, float):
+            assert math.isfinite(item)
+    return payload
+
+
+_PSIBAR_ENTRY = st.one_of(
+    st.floats(-10, 10), st.sampled_from([1e300, -1e300, 1e307, 1e308, -1e308])
+)
+
+
+@st.composite
+def evolve_configs(draw):
+    order = draw(st.integers(1, 6))
+    m_neg, n_psi = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    step = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    steps = draw(st.integers(1, 200))
+    starts = sorted(draw(st.sets(st.integers(1, steps), max_size=2)))
+    pieces = []
+    for start in [0, *starts]:
+        mus = draw(st.lists(st.floats(0.1, 1.0), max_size=3))
+        if mus and draw(st.integers(0, 4)):  # else raw weights, mostly an invalid measure
+            mus = [v / sum(mus) for v in mus[:-1]]
+            mus.append(1.0 - sum(mus))
+        atoms = [{"theta": draw(st.floats(0, 2 * math.pi)), "mu": mu} for mu in mus]
+        pieces.append({"t_start": start * step, "atoms": atoms})
+    psibar0 = draw(st.lists(_PSIBAR_ENTRY, min_size=m_neg + n_psi + 1, max_size=m_neg + n_psi + 1))
+    return {
+        "driver": {"pieces": pieces},
+        "horizon": steps * step,
+        "step": step,
+        "order": order,
+        "m_neg": m_neg,
+        "n_psi": n_psi,
+        "psibar0": psibar0,
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=evolve_configs())
+def test_evolve_fails_closed_on_generated_configs(tmp_path_factory, config):
+    # every run ends in 0, 2 or 3, and whatever it writes is finite and parses
+    tmp = tmp_path_factory.mktemp("evolve")
+    path = write_config(tmp, config)
+    out = tmp / "out"
+    with np.errstate(all="ignore"):
+        code = cli.main(["evolve", "--config", path, "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_FAILURE)
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if code != cli.EXIT_OK:
+        assert written == []
+        return
+    assert written == ["conservation.json", "trajectory.csv"]
+    report = _finite_json((out / "conservation.json").read_text())
+    header, rows = read_rows(out / "trajectory.csv")
+    assert len(rows) == report["steps"]
+    assert all(len(row) == len(header) and all(math.isfinite(float(x)) for x in row) for row in rows)
 
 
 def test_evolve_identity_driver_omits_koebe_column(tmp_path):
@@ -377,6 +509,18 @@ def test_kp_near_singular_denominator_exit(tmp_path):
     path = write_config(tmp_path, config)
     code = cli.main(["kp", "--config", path, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL_FAILURE
+
+
+@pytest.mark.parametrize("command", ["kp", "tau"])
+def test_non_finite_sweep_row_is_numerical_failure(tmp_path, capsys, command):
+    config = {"f_source": {"c": [1e200]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = cli.main([command, "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL_FAILURE
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
 
 
 def test_kp_order_flag_overrides_window(tmp_path):

@@ -7,6 +7,7 @@ from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
 from shapeflow.evolution import (
     ShapeState,
     StepRejected,
+    _phi_and_u,
     evolve,
     generating_function,
     pseudo_hamiltonian,
@@ -21,6 +22,7 @@ from shapeflow.observables import (
     gbar_coefficient,
     poisson_bracket,
 )
+from shapeflow.series import TruncatedSeries
 
 
 def random_driver(rng, n_atoms=3):
@@ -33,6 +35,88 @@ def random_driver(rng, n_atoms=3):
 
 def koebe_side(x):
     return x / (1 + x) ** 2
+
+
+# -- reference kernel ---------------------------------------------------------
+# The TruncatedSeries formulation the array kernel replaced.  It performs the
+# same floating-point operations in the same order, so the two must agree
+# bit for bit.
+
+
+def oracle_power_sum(q, w):
+    n = w.order
+    acc = TruncatedSeries.constant(q[-1], n)
+    for qk in q[-2::-1]:
+        acc = acc * w + TruncatedSeries.constant(qk, n)
+    return acc * w
+
+
+def oracle_phi_and_u(state, d):
+    n = state.order
+    w = TruncatedSeries(
+        np.concatenate([[0.0 + 0j], np.exp(-state.t) * np.concatenate([[1.0], state.c])])
+    )
+    pk = d.moments(state.t, n + 1)
+    one_minus_p = oracle_power_sum(-pk, w)
+    u = oracle_power_sum(-(np.arange(2, n + 3)) * pk, w)
+    f = TruncatedSeries(np.concatenate([[0.0 + 0j, 1.0], state.c]))
+    return f * one_minus_p, u
+
+
+def oracle_rhs(state, d):
+    phi, u = oracle_phi_and_u(state, d)
+    dc = np.asarray(phi.coeffs[2:], dtype=complex)
+    uj = np.asarray(u.coeffs, dtype=complex)
+    psz = state.psibar
+    dpsi = np.zeros_like(psz)
+    for j in range(1, min(state.order, len(psz) - 1) + 1):
+        dpsi[:-j] -= uj[j] * psz[j:]
+    return dc, dpsi
+
+
+def oracle_hamiltonian(state, d):
+    phi, _ = oracle_phi_and_u(state, d)
+    total = 0j
+    for m in range(1, min(state.order, state.n_psi) + 1):
+        total += phi.coeff(m + 1) * state.psi(m)
+    return total
+
+
+def oracle_gbar(state):
+    out = []
+    for k in range(-state.m_neg, state.n_psi + 1):
+        acc = state.psi(k)
+        for j in range(1, min(state.order, state.n_psi - k) + 1):
+            acc += (j + 1) * state.c[j - 1] * state.psi(k + j)
+        out.append(acc)
+    return np.array(out)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_array_kernel_matches_series_oracle_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    for trial in range(6):
+        d = random_driver(rng, n_atoms=1 + trial % 4)
+        m_neg = int(rng.integers(0, order + 1))
+        n_psi = int(rng.integers(0, order + 1))
+        c = 0.3 * (rng.normal(size=order) + 1j * rng.normal(size=order)) / np.arange(1, order + 1)
+        psibar = rng.normal(size=m_neg + n_psi + 1) + 1j * rng.normal(size=m_neg + n_psi + 1)
+        s = ShapeState(float(rng.uniform(0, 2)), c, psibar, m_neg=m_neg)
+        pk = d.moments(s.t, order + 1)
+
+        phi, u = _phi_and_u(s, pk)
+        phi_ref, u_ref = oracle_phi_and_u(s, d)
+        assert same_bits(phi, phi_ref.coeffs) and same_bits(u, u_ref.coeffs)
+        dc, dpsi = rhs(s, d)
+        dc_ref, dpsi_ref = oracle_rhs(s, d)
+        assert same_bits(dc, dc_ref) and same_bits(dpsi, dpsi_ref)
+        assert same_bits(rhs(s, d, pk)[1], dpsi_ref)
+        assert same_bits(pseudo_hamiltonian(s, d), oracle_hamiltonian(s, d))
+        assert same_bits(generating_function(s), oracle_gbar(s))
 
 
 def test_identity_driver_is_frozen():
@@ -114,7 +198,7 @@ def test_generating_function_matches_observables():
     pvals = {m: s.psi(m) for m in range(-3, 7)}
     for k in range(-3, 7):
         expected = gbar_coefficient(k, w).evaluate(cvals, pvals)
-        assert abs(g.coeff(k - 1) - expected) < 1e-13
+        assert abs(g[k + 3] - expected) < 1e-13
 
 
 def test_pseudo_hamiltonian_trivial_and_pairing():
@@ -171,12 +255,10 @@ def test_bracket_consistency_with_finite_differences():
     i = 100
     s = rec.states[i]
     w = BracketWindow(n_c=8, m_neg=0, n_psi=8)
-    from shapeflow.evolution import _phi_and_u
-
-    phi, _ = _phi_and_u(s, d)
+    phi, _ = _phi_and_u(s, d.moments(s.t, 9))
     ham = PhasePoly.zero(w)
     for m in range(1, 9):
-        ham = ham + PhasePoly.psibar(m, w).scale(QC.from_number(complex(phi.coeff(m + 1))))
+        ham = ham + PhasePoly.psibar(m, w).scale(QC.from_number(complex(phi[m + 1])))
     for k in (1, 2, 5):
         bracket = poisson_bracket(PhasePoly.c(k, w), ham).evaluate()
         err = {}
@@ -207,6 +289,21 @@ def test_divergence_guard_rejects_wild_step():
     s0 = ShapeState(0.0, np.full(6, 1e3 + 0j), np.zeros(2, dtype=complex), m_neg=0)
     with pytest.raises(StepRejected):
         evolve(s0, HerglotzDriver.single_atom(0.0), horizon=2.0, step=1.0)
+
+
+def test_divergence_guard_watches_psibar():
+    # c stays tame; psibar overflows within the first step
+    s0 = ShapeState.initial(4, m_neg=1, n_psi=1, psibar=np.full(3, 1e308 + 0j))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepRejected, match="psibar"):
+        evolve(s0, HerglotzDriver.single_atom(0.0), horizon=0.01, step=1e-3)
+    # an infinite start is rejected before the first step
+    s0 = ShapeState.initial(4, m_neg=1, n_psi=1, psibar=np.array([np.inf, 0, 0], dtype=complex))
+    with pytest.raises(StepRejected, match="psibar"):
+        evolve(s0, HerglotzDriver.single_atom(0.0), horizon=0.0, step=1e-3)
+    # a large but representable psibar is scaled, not rejected
+    s0 = ShapeState.initial(4, m_neg=1, n_psi=1, psibar=np.full(3, 1e200 + 0j))
+    rec = evolve(s0, HerglotzDriver.single_atom(0.0), horizon=0.01, step=1e-3)
+    assert np.isfinite(rec.gbar).all() and np.isfinite(rec.hamiltonian).all()
 
 
 def test_csv_dump_is_deterministic(tmp_path):
