@@ -52,6 +52,10 @@ EXIT_NUMERICAL_FAILURE = 3
 # evolve keeps every state in memory, so a run may ask for at most this many
 # steps (the example configs in scripts/configs ask for 1000)
 MAX_STEPS = 100_000
+# largest truncation order or window bound a config may ask for: order, m_neg
+# and n_psi (evolve) and N (kp, tau, graph-dump); the example configs and the
+# benchmark use at most 16, and kp's convergence pair doubles N
+MAX_WINDOW = 256
 
 
 class ConfigError(ValueError):
@@ -109,6 +113,7 @@ class RunConfig:
             )
         if m_neg < 0 or n_psi < 0:
             raise ConfigError("psibar window bounds must be nonnegative")
+        _check_window({"order": order, "m_neg": m_neg, "n_psi": n_psi})
         width = m_neg + n_psi + 1
         if "psibar0" in raw:
             psibar0 = _complex_vector(raw["psibar0"], "psibar0")
@@ -158,6 +163,13 @@ def _number(value, label, kind=float):
     if not math.isfinite(number):
         raise ConfigError(f"{label} must be {what}, got {value!r}")
     return number
+
+
+def _check_window(sizes):
+    """ConfigError when a window size passes MAX_WINDOW; checked before allocating."""
+    for label, size in sizes.items():
+        if size > MAX_WINDOW:
+            raise ConfigError(f"{label} = {size} exceeds the largest window, {MAX_WINDOW}")
 
 
 def _complex_vector(values, label) -> np.ndarray:
@@ -389,6 +401,7 @@ def _graph_ints(raw, args, default_N=16) -> tuple:
         raise ConfigError("graph order n must be 1, 2, or 3")
     if N < n:
         raise ConfigError("truncation N must be at least n")
+    _check_window({"N": N})
     return n, N
 
 
@@ -477,7 +490,10 @@ def cmd_graph_dump(args) -> int:
         raise ConfigError("graph-dump config needs a 'c' list")
     c = _complex_vector(raw["c"], "c")
     n, N = _graph_ints(raw, args, default_N=len(c))
-    text = step2_graph(c, n, N).to_json()
+    op = step2_graph(c, n, N)
+    values = [op.matrix.ravel(), op.c11[0], *(e.coeffs for e in op.basis)]
+    _require_finite(np.concatenate(values), "the graph operator")
+    text = op.to_json()
     if args.out:
         path = _out_path(args, "graph.json")
         with open(path, "w") as fh:

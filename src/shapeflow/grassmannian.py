@@ -225,7 +225,7 @@ class GraphOperator:
                 {"lo": e.lo, "coeffs": [ri(x) for x in e.coeffs]} for e in self.basis
             ],
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:

@@ -31,6 +31,7 @@ __all__ = [
     "corrected_G",
     "g0",
     "reciprocal_coefficient",
+    "reciprocal_coefficients",
     "iota",
     "truncated_witt_bracket",
     "WindowMismatch",
@@ -56,37 +57,51 @@ class WindowTooSmall(ValueError):
     """Window cannot represent the requested object."""
 
 
+def _normal(x):
+    """An int or Fraction in normal form: integral values are int."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return int(x.numerator)
+
+
+def _exact(x):
+    """Any rational or float as an exact int or Fraction in normal form."""
+    return _normal(x if isinstance(x, (int, Fraction)) else Fraction(x))
+
+
 class QC:
-    """Exact rational-complex scalar: re + i*im with Fraction parts."""
+    """Exact rational-complex scalar re + i*im.
+
+    int or Fraction parts; integral Fractions are stored as int, so integer
+    arithmetic never builds a Fraction.  Floats enter exactly.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _exact(re)
+        self.im = _exact(im)
 
     @classmethod
     def from_number(cls, x):
         if isinstance(x, QC):
             return x
         if isinstance(x, complex):
-            return cls(Fraction(x.real), Fraction(x.imag))
-        return cls(Fraction(x))
+            return cls(x.real, x.imag)
+        return cls(x)
 
     def __add__(self, other):
-        return QC(self.re + other.re, self.im + other.im)
+        return _qc(_normal(self.re + other.re), _normal(self.im + other.im))
 
     def __sub__(self, other):
-        return QC(self.re - other.re, self.im - other.im)
+        return _qc(_normal(self.re - other.re), _normal(self.im - other.im))
 
     def __mul__(self, other):
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _qc(_normal(a * c - b * d), _normal(a * d + b * c))
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, QC):
@@ -105,6 +120,14 @@ class QC:
         if self.im == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
+
+
+def _qc(re, im):
+    """QC from parts already in normal form."""
+    q = object.__new__(QC)
+    q.re = re
+    q.im = im
+    return q
 
 
 @dataclass(frozen=True)
@@ -139,7 +162,12 @@ def _mono_mul(m1, m2):
 
 
 class PhasePoly:
-    """Polynomial in the phase variables with exact QC coefficients."""
+    """Polynomial in the phase variables with exact QC coefficients.
+
+    The public constructor checks every index against the window and
+    normalizes every coefficient; arithmetic on checked operands builds its
+    result with ``_trusted`` and skips both.
+    """
 
     __slots__ = ("window", "_terms")
 
@@ -159,11 +187,19 @@ class PhasePoly:
             clean[mono] = coeff
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, window, terms):
+        """Wrap terms that are already clean: nonzero QC, in-window indices."""
+        poly = object.__new__(cls)
+        poly.window = window
+        poly._terms = terms
+        return poly
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, window):
-        return cls(window)
+        return cls._trusted(window, {})
 
     @classmethod
     def constant(cls, value, window):
@@ -173,13 +209,13 @@ class PhasePoly:
     def c(cls, n, window):
         if not window.has_c(n):
             raise IndexOutOfWindow(f"c_{n} outside window")
-        return cls(window, {(((_C, n), 1),): QC(1)})
+        return cls._trusted(window, {(((_C, n), 1),): QC(1)})
 
     @classmethod
     def psibar(cls, m, window):
         if not window.has_psi(m):
             raise IndexOutOfWindow(f"psibar_{m} outside window")
-        return cls(window, {(((_PSI, m), 1),): QC(1)})
+        return cls._trusted(window, {(((_PSI, m), 1),): QC(1)})
 
     # -- inspection ----------------------------------------------------------
 
@@ -214,22 +250,34 @@ class PhasePoly:
                     ok = False
             if ok:
                 kept[mono] = coeff
-        return PhasePoly(self.window, kept)
+        return PhasePoly._trusted(self.window, kept)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
-        if self.window != other.window:
+        if self.window is not other.window and self.window != other.window:
             raise WindowMismatch("operands declared over different windows")
 
     def __add__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self._check(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            out[mono] = out.get(mono, QC(0)) + coeff
-        return PhasePoly(self.window, out)
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = coeff
+            else:
+                total = prev + coeff
+                if total:
+                    out[mono] = total
+                else:
+                    del out[mono]
+        return PhasePoly._trusted(self.window, out)
 
     def __sub__(self, other):
         if not isinstance(other, PhasePoly):
@@ -237,11 +285,16 @@ class PhasePoly:
         return self + (-other)
 
     def __neg__(self):
-        return PhasePoly(self.window, {m: -c for m, c in self._terms.items()})
+        return PhasePoly._trusted(self.window, {m: -c for m, c in self._terms.items()})
 
     def scale(self, s):
         s = QC.from_number(s)
-        return PhasePoly(self.window, {m: c * s for m, c in self._terms.items()})
+        if not s:
+            return PhasePoly.zero(self.window)
+        # a product of nonzero exact scalars is nonzero
+        return PhasePoly._trusted(
+            self.window, {m: c * s for m, c in self._terms.items()}
+        )
 
     def __mul__(self, other):
         if not isinstance(other, PhasePoly):
@@ -251,8 +304,9 @@ class PhasePoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mono_mul(m1, m2)
-                out[mono] = out.get(mono, QC(0)) + c1 * c2
-        return PhasePoly(self.window, out)
+                prev = out.get(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return PhasePoly._trusted(self.window, {m: c for m, c in out.items() if c})
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -292,9 +346,9 @@ class PhasePoly:
                 del d[(k, idx)]
             else:
                 d[(k, idx)] = e - 1
-            key = tuple(sorted(d.items()))
-            out[key] = out.get(key, QC(0)) + coeff * QC(e)
-        return PhasePoly(self.window, out)
+            # distinct monomials keep distinct keys, and e >= 1 keeps coeff nonzero
+            out[tuple(sorted(d.items()))] = coeff * QC(e)
+        return PhasePoly._trusted(self.window, out)
 
     def evaluate(self, c_values=None, psi_values=None):
         """Numeric value at a phase point.
@@ -342,8 +396,8 @@ def gbar_coefficient(k: int, window: BracketWindow) -> PhasePoly:
     return PhasePoly(window, terms)
 
 
-def reciprocal_coefficient(n: int, window: BracketWindow) -> PhasePoly:
-    """n-th Taylor coefficient of z/f(z) as a polynomial in the c variables.
+def reciprocal_coefficients(n: int, window: BracketWindow) -> list:
+    """Taylor coefficients a_0..a_n of z/f(z) as polynomials in the c variables.
 
     Satisfies a_0 = 1 and a_n = -sum_{j=1}^{n} c_j a_{n-j}.
     """
@@ -357,7 +411,12 @@ def reciprocal_coefficient(n: int, window: BracketWindow) -> PhasePoly:
         for j in range(1, m + 1):
             acc = acc + PhasePoly.c(j, window) * table[m - j]
         table.append(-acc)
-    return table[n]
+    return table
+
+
+def reciprocal_coefficient(n: int, window: BracketWindow) -> PhasePoly:
+    """n-th Taylor coefficient a_n of z/f(z); see ``reciprocal_coefficients``."""
+    return reciprocal_coefficients(n, window)[n]
 
 
 def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
@@ -378,6 +437,7 @@ def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
     if window.n_c < -j:
         raise IndexOutOfWindow(f"window too small for G_{j}")
     w = window
+    a = reciprocal_coefficients(w.n_c, w) if j == -2 else None
     out = PhasePoly.zero(w)
     for k in range(1, w.n_psi + 1):
         psi = PhasePoly.psibar(k, w)
@@ -392,7 +452,7 @@ def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
         else:
             if w.has_c(k + 2):
                 out = out + PhasePoly.c(k + 2, w).scale(k + 3) * psi
-                out = out - reciprocal_coefficient(k + 2, w) * psi
+                out = out - a[k + 2] * psi
             if w.has_c(k):
                 c1, c2 = PhasePoly.c(1, w), PhasePoly.c(2, w)
                 quad = c1 * c1 - c2.scale(4)

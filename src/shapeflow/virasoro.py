@@ -20,13 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .observables import (
-    QC,
     BracketWindow,
     PhasePoly,
     VectorFieldOnF0,
     WindowMismatch,
     WindowTooSmall,
-    reciprocal_coefficient,
+    reciprocal_coefficients,
 )
 from .series import TruncatedSeries
 
@@ -82,12 +81,13 @@ def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
             raise WindowTooSmall("L_-2 needs c indices up to 3")
         c1, c2 = PhasePoly.c(1, w), PhasePoly.c(2, w)
         quad = c1 * c1 - c2.scale(4)
+        a = reciprocal_coefficients(n_max, w)
         comps = {}
         for n in range(1, n_max + 1):
             poly = quad * _c(n, w)
             if n + 2 <= n_max:
                 poly = poly + PhasePoly.c(n + 2, w).scale(n + 3)
-                poly = poly - reciprocal_coefficient(n + 2, w)
+                poly = poly - a[n + 2]
             comps[n] = poly
         return VectorFieldOnF0(w, comps)
     # k <= -3: L_k = commutator(L_{-1}, L_{k+1}) / (k + 2)
@@ -96,7 +96,7 @@ def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
     field = kirillov_L(-2, w)
     lower = kirillov_L(-1, w)
     for j in range(-3, k - 1, -1):
-        field = commutator(lower, field).scale(QC(Fraction(1, j + 2)))
+        field = commutator(lower, field).scale(Fraction(1, j + 2))
     return field
 
 
@@ -115,16 +115,22 @@ def commutator(x: VectorFieldOnF0, y: VectorFieldOnF0) -> VectorFieldOnF0:
     return VectorFieldOnF0(x.window, comps)
 
 
-def _pairwise_min_distance(values: np.ndarray) -> float:
-    best = np.inf
-    block = 256
-    for i in range(0, len(values), block):
-        chunk = values[i : i + block]
-        diff = np.abs(chunk[:, None] - values[None, :])
-        j, k = np.indices(diff.shape)
-        diff[i + j == k] = np.inf
-        best = min(best, float(diff.min()))
-    return best
+def _has_close_pair(values: np.ndarray, tol: float) -> bool:
+    """True when two of the values lie closer than tol.
+
+    Sort-and-sweep: after sorting by real part, neighbours d apart are
+    compared for d = 1, 2, ... while some pair is within tol in real part.
+    A pair with |a - b| < tol has |Re(a - b)| < tol, so no pair is missed,
+    and the real-part gap of d-th neighbours only grows with d.
+    """
+    v = values[np.argsort(values.real, kind="stable")]
+    for d in range(1, len(v)):
+        near = v.real[d:] - v.real[:-d] < tol
+        if not near.any():
+            return False
+        if (np.abs(v[d:][near] - v[:-d][near]) < tol).any():
+            return True
+    return False
 
 
 def schaeffer_spencer(f: TruncatedSeries, k: int, Q: int = 2048) -> TruncatedSeries:
@@ -139,13 +145,17 @@ def schaeffer_spencer(f: TruncatedSeries, k: int, Q: int = 2048) -> TruncatedSer
     Fourier transform.  The coefficients are reliable where |L_j| 2^{-j} is
     above roundoff; for |z| <= 1/2 the re-evaluated series is spectrally
     accurate.
+
+    Raises QuadratureDegenerate when two boundary images f(w) lie closer than
+    1e-8 (a sort-and-sweep test, ``_has_close_pair``, O(Q log Q) unless many
+    images share a real part) or when f(w) - f(z) nearly vanishes on the grid.
     """
     r = 0.5
     theta = 2 * np.pi * np.arange(Q) / Q
     w = np.exp(1j * theta)
     fw = np.asarray(f.evaluate(w))
     fpw = np.asarray(f.differentiate().evaluate(w))
-    if _pairwise_min_distance(fw) < 1e-8:
+    if _has_close_pair(fw, 1e-8):
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
     order_out = f.order + max(k, 0)

@@ -523,6 +523,57 @@ def test_non_finite_sweep_row_is_numerical_failure(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_non_finite_graph_is_numerical_failure(tmp_path, capsys):
+    path = write_config(tmp_path, {"c": [1e200], "n": 1, "N": 4})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = cli.main(["graph-dump", "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL_FAILURE
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
+
+
+TOO_WIDE = cli.MAX_WINDOW + 1
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("evolve", dict(IDENTITY_CONFIG, order=TOO_WIDE), []),
+        ("evolve", dict(IDENTITY_CONFIG, m_neg=TOO_WIDE), []),
+        ("evolve", dict(IDENTITY_CONFIG, n_psi=TOO_WIDE), []),
+        ("evolve", IDENTITY_CONFIG, ["--order", str(TOO_WIDE)]),
+        ("kp", dict(KP_CONFIG, N=TOO_WIDE), []),
+        ("kp", KP_CONFIG, ["--order", str(TOO_WIDE)]),
+        ("tau", dict(KP_CONFIG, N=TOO_WIDE), []),
+        ("tau", dict(KP_CONFIG, N=10**8), []),
+        ("graph-dump", {"c": [0.3], "n": 1, "N": TOO_WIDE}, []),
+        ("graph-dump", {"c": [0.3], "n": 1, "N": 10**8}, []),
+        ("graph-dump", {"c": [0.01] * TOO_WIDE, "n": 1}, []),
+    ],
+)
+def test_window_size_is_bounded(tmp_path, capsys, monkeypatch, command, config, flags):
+    # rejected while reading the config, before any state or matrix is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("window arrays built for an oversized window")
+
+    monkeypatch.setattr(cli, "evolve", unreachable)
+    monkeypatch.setattr(cli, "step2_graph", unreachable)
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", path, "--out", str(out), *flags])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert f"exceeds the largest window, {cli.MAX_WINDOW}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_window_is_admitted(tmp_path):
+    path = write_config(tmp_path, {"c": [0.3], "n": 1, "N": cli.MAX_WINDOW})
+    out = tmp_path / "out"
+    assert cli.main(["graph-dump", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "graph.json").read_text())["N"] == cli.MAX_WINDOW
+
+
 def test_kp_order_flag_overrides_window(tmp_path):
     config = {
         "f_source": {"c": [0.4]},

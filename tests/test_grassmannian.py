@@ -187,3 +187,10 @@ def test_json_dump_deterministic():
     assert data["n"] == 2 and data["N"] == 5
     assert data["c11_band"][1] == [0.2, -0.4]  # band built from conj(c)
     assert len(data["basis"]) == 6 and data["basis"][0]["lo"] == -2
+
+
+def test_json_dump_refuses_non_finite_values():
+    op = step2_graph([0.1], 1, 3)
+    op.matrix[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        op.to_json()

@@ -16,10 +16,13 @@ from shapeflow.observables import (
     corrected_G,
     gbar_coefficient,
     iota,
+    VectorFieldOnF0,
     poisson_bracket,
     reciprocal_coefficient,
+    reciprocal_coefficients,
     truncated_witt_bracket,
 )
+from shapeflow.virasoro import commutator
 
 W = BracketWindow(n_c=6, m_neg=3, n_psi=6)
 
@@ -57,6 +60,145 @@ def test_out_of_window_variable_raises():
         PhasePoly.c(7, W)
     with pytest.raises(IndexOutOfWindow):
         PhasePoly.psibar(-4, W)
+
+
+def test_public_constructor_checks_every_term():
+    with pytest.raises(IndexOutOfWindow):
+        PhasePoly(W, {(((0, 7), 1),): 1})
+    with pytest.raises(IndexOutOfWindow):
+        PhasePoly(W, {(((0, 1), 1), ((1, -4), 1)): 1})
+    with pytest.raises(ValueError):
+        PhasePoly(W, {(((0, 1), 0),): 1})
+    # coefficients are normalized and zeros dropped
+    p = PhasePoly(W, {(((0, 1), 1),): Fraction(6, 3), (((1, 2), 1),): 0})
+    assert p == c(1).scale(2)
+    assert type(p.coefficient((((0, 1), 1),)).re) is int
+
+
+def test_cancelled_terms_are_dropped():
+    prod = (c(1) + c(2)) * (c(1) - c(2))
+    assert set(prod.terms()) == {(((0, 1), 2),), (((0, 2), 2),)}
+    assert prod == c(1) * c(1) - c(2) * c(2)
+    assert (c(1) + c(2) - c(2)).terms() == c(1).terms()
+    assert c(1).scale(0).terms() == {}
+
+
+# ---------------------------------------------------------------------------
+# QC normal form
+
+
+def test_qc_integer_parts_stay_int():
+    q = QC(3, -2)
+    assert type(q.re) is int and type(q.im) is int
+    prod = q * q + QC(1) - QC(0, 5)
+    assert (prod.re, prod.im) == (6, -17)
+    assert type(prod.re) is int and type(prod.im) is int
+    assert type(QC(True).re) is int
+
+
+def test_qc_integral_fraction_is_stored_as_int():
+    q = QC(Fraction(4, 2), Fraction(-9, 3))
+    assert q.re == 2 and type(q.re) is int
+    assert q.im == -3 and type(q.im) is int
+    # a Fraction sum that lands on an integer is normalized too
+    half = QC(Fraction(1, 2))
+    assert type((half + half).re) is int
+    assert type((half * QC(4)).re) is int
+    assert isinstance(QC(Fraction(1, 3)).re, Fraction)
+
+
+def test_qc_floats_enter_exactly():
+    assert QC(0.5).re == Fraction(1, 2)
+    assert QC(0.1).re == Fraction(0.1)  # the binary value, not 1/10
+    assert type(QC(2.0).re) is int
+    assert QC.from_number(0.25 - 1.5j) == QC(Fraction(1, 4), Fraction(-3, 2))
+
+
+def test_qc_equality_across_forms():
+    assert QC(2) == QC(Fraction(2, 1)) == QC(2.0) == 2 == Fraction(2)
+    assert QC(Fraction(1, 2)) == QC(0.5) == Fraction(1, 2)
+    assert QC(1, 1) != QC(1)
+    assert QC(0) == QC(Fraction(0), 0.0) and not QC(0.0)
+    assert repr(QC(Fraction(4, 2), Fraction(1, 2))) == "QC(2, 1/2)"
+
+
+# ---------------------------------------------------------------------------
+# results do not depend on how the same exact coefficient entered
+
+_FORMS = (int, lambda k: Fraction(k, 1), float)
+
+
+@st.composite
+def _poly_spec(draw, w, c_only=False):
+    """Terms as (re, im, variables) with small integer parts."""
+    spec = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        re = draw(st.integers(min_value=-4, max_value=4))
+        im = draw(st.integers(min_value=-4, max_value=4))
+        variables = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            if c_only or draw(st.booleans()):
+                variables.append((0, draw(st.integers(min_value=1, max_value=w.n_c))))
+            else:
+                variables.append(
+                    (1, draw(st.integers(min_value=-w.m_neg, max_value=w.n_psi)))
+                )
+        spec.append((re, im, variables))
+    return spec
+
+
+def _build(spec, w, form):
+    poly = PhasePoly.zero(w)
+    for re, im, variables in spec:
+        term = PhasePoly.constant(QC(form(re), form(im)), w)
+        for kind, idx in variables:
+            term = term * (PhasePoly.c(idx, w) if kind == 0 else PhasePoly.psibar(idx, w))
+        poly = poly + term
+    return poly
+
+
+def _int_parts(poly):
+    return all(
+        type(q.re) is int and type(q.im) is int for q in poly.terms().values()
+    )
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_results_agree_across_coefficient_forms(data):
+    w = BracketWindow(n_c=3, m_neg=1, n_psi=3)
+    p_spec = data.draw(_poly_spec(w))
+    q_spec = data.draw(_poly_spec(w))
+    x_spec = {n: data.draw(_poly_spec(w, c_only=True)) for n in (1, 2, 3)}
+    y_spec = {n: data.draw(_poly_spec(w, c_only=True)) for n in (1, 3)}
+    results = []
+    for form in _FORMS:
+        p, q = _build(p_spec, w, form), _build(q_spec, w, form)
+        x = VectorFieldOnF0(w, {n: _build(sp, w, form) for n, sp in x_spec.items()})
+        y = VectorFieldOnF0(w, {n: _build(sp, w, form) for n, sp in y_spec.items()})
+        prod, bracket, field = p * q, poisson_bracket(p, q), commutator(x, y)
+        assert all(map(_int_parts, [prod, bracket, *field.components.values()]))
+        assert (p - p).terms() == {}
+        results.append((prod, bracket, field))
+    assert results[0] == results[1] == results[2]
+
+
+# ---------------------------------------------------------------------------
+# reciprocal coefficients
+
+
+def test_reciprocal_table_matches_single_coefficients():
+    w = BracketWindow(n_c=8, m_neg=0, n_psi=8)
+    table = reciprocal_coefficients(8, w)
+    assert len(table) == 9
+    for n in range(9):
+        for k in range(n + 1):
+            assert reciprocal_coefficients(n, w)[k] == table[k]
+            assert reciprocal_coefficient(k, w) == table[k]
+    with pytest.raises(IndexOutOfWindow):
+        reciprocal_coefficients(9, w)
+    with pytest.raises(ValueError):
+        reciprocal_coefficients(-1, w)
 
 
 def _random_poly(draw, w, max_terms=4, max_degree=3):

@@ -16,6 +16,7 @@ from shapeflow.observables import (
 from shapeflow.series import TruncatedSeries
 from shapeflow.virasoro import (
     QuadratureDegenerate,
+    _has_close_pair,
     commutator,
     kirillov_L,
     schaeffer_spencer,
@@ -174,3 +175,79 @@ def test_quadrature_rejects_folded_boundary():
     f = TruncatedSeries([0, 1, -1 / np.sqrt(2)])  # f(e^{i pi/4}) == f(e^{-i pi/4})
     with pytest.raises(QuadratureDegenerate):
         schaeffer_spencer(f, 1, Q=2048)
+
+
+# ---------------------------------------------------------------------------
+# boundary distinctness test
+
+
+def brute_close_pair(values, tol):
+    """O(Q^2) reference: some pair i < j with |v_i - v_j| < tol."""
+    return any(
+        (np.abs(values[i + 1 :] - values[i]) < tol).any() for i in range(len(values) - 1)
+    )
+
+
+TOL = 1e-3
+
+
+def separated_points(rng, count):
+    """Jittered grid points at least 5 * TOL apart, in random order."""
+    side = int(np.ceil(np.sqrt(count)))
+    idx = rng.permutation(side * side)[:count]
+    jitter = rng.uniform(-2 * TOL, 2 * TOL, (2, count))
+    return (idx % side) * 10 * TOL + jitter[0] + 1j * ((idx // side) * 10 * TOL + jitter[1])
+
+
+def test_close_pair_matches_brute_force_on_random_sets():
+    rng = np.random.default_rng(11)
+    found = 0
+    for size in (2, 3, 17, 64, 300):
+        for _ in range(10):
+            v = rng.uniform(0, 0.1, size) + 1j * rng.uniform(0, 0.1, size)
+            want = brute_close_pair(v, TOL)
+            assert _has_close_pair(v, TOL) == want
+            found += want
+    assert 0 < found < 50  # both outcomes occur
+
+
+@pytest.mark.parametrize("gap, want", [(0.5, True), (2.0, False)])
+def test_close_pair_finds_a_planted_pair(gap, want):
+    rng = np.random.default_rng(12)
+    for size in (2, 50, 400):
+        v = separated_points(rng, size)
+        i = rng.integers(size)
+        v = np.append(v, v[i] + gap * TOL * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        v = rng.permutation(v)
+        assert brute_close_pair(v, TOL) is want
+        assert _has_close_pair(v, TOL) is want
+
+
+@pytest.mark.parametrize("step, want", [(2.0, False), (0.5, True)])
+def test_close_pair_with_shared_real_parts(step, want):
+    # columns of 40 points with one real part each; only the vertical step decides
+    rng = np.random.default_rng(13)
+    column = 1j * step * TOL * np.arange(40)
+    v = rng.permutation(np.concatenate([column + x for x in (0.0, 0.2, 0.2 + 3 * TOL)]))
+    assert brute_close_pair(v, TOL) is want
+    assert _has_close_pair(v, TOL) is want
+
+
+def test_close_pair_finds_exact_copies():
+    assert _has_close_pair(np.array([0.5 + 0j, 2.0, 0.5 + 0j]), TOL)
+    assert not _has_close_pair(np.array([0.5 + 0j]), TOL)
+
+
+@pytest.mark.parametrize(
+    "c2, want",
+    [
+        (-2.0 / 3.0, False),  # f(1) == f(1/2): the boundary itself stays injective
+        (-1 / np.sqrt(2), True),  # f(e^{i pi/4}) == f(e^{-i pi/4}) on the grid
+    ],
+)
+def test_close_pair_on_degenerate_boundaries(c2, want):
+    f = TruncatedSeries([0, 1, c2])
+    w = np.exp(2j * np.pi * np.arange(2048) / 2048)
+    fw = np.asarray(f.evaluate(w))
+    assert brute_close_pair(fw, 1e-8) is want
+    assert _has_close_pair(fw, 1e-8) is want
