@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextvars
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -33,7 +35,7 @@ import numpy as np
 from . import checks
 from .driver import HerglotzDriver
 from .evolution import ShapeState, StepRejected, evolve
-from .grassmannian import step2_graph
+from .grassmannian import InverseCheckFailed, step2_graph
 from .kp import (
     ABForm,
     NearSingularA,
@@ -421,8 +423,11 @@ def _kp_cell(payload):
 
 def _run_cells(cells, parallel):
     if parallel > 1:
+        # each cell runs in a copy of the caller's context, so the numpy error
+        # state set around the dispatch holds in the worker threads too
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_kp_cell, cells))
+            jobs = [pool.submit(contextvars.copy_context().run, _kp_cell, c) for c in cells]
+            return [job.result() for job in jobs]
     return [_kp_cell(cell) for cell in cells]
 
 
@@ -508,7 +513,12 @@ def cmd_graph_dump(args) -> int:
 # parser / dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and then reused.
+
+    It is not built at import, so importing the CLI builds no parser.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="path to a JSON config file")
     shared.add_argument("--order", type=int, help="series truncation order override")
@@ -564,10 +574,19 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        return _DISPATCH[args.command](args)
+        # overflow and NaN are caught by the finiteness checks before any
+        # write, and reported once as a numerical failure
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (StepRejected, NearSingularA, SingularSystem, NonFiniteOutput) as exc:
+    except (
+        StepRejected,
+        NearSingularA,
+        SingularSystem,
+        InverseCheckFailed,
+        NonFiniteOutput,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedLaurent, TruncatedSeries
+from .series import TruncatedLaurent
 
 __all__ = [
     "GraphOperator",
     "IndexSet",
+    "InverseCheckFailed",
     "UnsupportedOrder",
     "c_blocks",
     "fprime_reciprocal",
@@ -38,6 +39,10 @@ __all__ = [
 
 class UnsupportedOrder(ValueError):
     """Requested more negative rows than closed-form corrections exist for."""
+
+
+class InverseCheckFailed(ArithmeticError):
+    """C11 times its Toeplitz inverse is not the identity to 1e-12 (or is not finite)."""
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,41 @@ def _zeros(shape, obj):
     return np.zeros(shape, dtype=complex)
 
 
+def _unit_reciprocal(a, obj):
+    """Coefficients of 1/a(z) on the window of ``a``, for ``a_0 = 1``.
+
+    ``r_0 = 1`` and ``r_k = -sum_{j=1..k} a_j r_{k-j}`` in plain Python
+    arithmetic: on ``complex`` for numeric input, whose values are then
+    byte-identical to :meth:`TruncatedSeries.reciprocal`, and on the raw
+    values for exact input, which stays exact.
+    """
+    if not obj:
+        a = [complex(x) for x in a]
+    tail = a[1:]
+    r = [1]
+    for _ in tail:
+        # r holds r_0..r_{k-1}, so reversed(r) pairs a_j with r_{k-j}
+        acc = 0
+        for x, y in zip(tail, reversed(r)):
+            acc = acc + x * y
+        r.append(-acc)
+    return np.array(r, dtype=object if obj else complex)
+
+
 def fprime_reciprocal(f_coeffs, N: int):
-    """Coefficients 0..N of 1/(1 + sum_k (k+1) c_k z^k); exact inputs stay exact."""
+    """Coefficients 0..N of 1/(1 + sum_k (k+1) c_k z^k); exact inputs stay exact.
+
+    A ``complex128`` array for numeric coefficients, an object array of the
+    exact values otherwise (see :func:`_unit_reciprocal`).
+    """
     cc = _coeff_lookup(f_coeffs)
-    return TruncatedSeries([(j + 1) * cc(j) for j in range(N + 1)]).reciprocal().coeffs
+    return _unit_reciprocal([(j + 1) * cc(j) for j in range(N + 1)], _is_object(f_coeffs))
+
+
+def _upper_toeplitz(band):
+    """The square upper-triangular Toeplitz matrix whose entry (i, j) is band[j - i]."""
+    idx = np.arange(len(band))
+    return np.triu(band[np.abs(idx - idx[:, None])])
 
 
 def c_blocks(f_coeffs, n: int, N: int):
@@ -104,25 +140,19 @@ def c_blocks(f_coeffs, n: int, N: int):
     row 1, 2c_1, 3c_2, ...; C12_cut holds the n raw negative rows (column q
     pairs with psibar_{q+1}); C11inv is the Toeplitz band of the reciprocal
     of the derivative symbol, which inverts C11 exactly in this truncation.
+    Numeric and exact coefficients share this code; exact entries stay exact.
     """
     if N < n:
         raise ValueError("window N must be at least n")
     obj = _is_object(f_coeffs)
     cc = _coeff_lookup(f_coeffs)
-    d = [(j + 1) * cc(j) for j in range(N + 1)]
-    r = fprime_reciprocal(f_coeffs, N)
-
-    c11 = _zeros((N + 1, N + 1), obj)
-    c11inv = _zeros((N + 1, N + 1), obj)
-    for k in range(N + 1):
-        for m in range(k, N + 1):
-            c11[k, m] = d[m - k]
-            c11inv[k, m] = r[m - k]
+    d = np.array([(j + 1) * cc(j) for j in range(N + 1)], dtype=object if obj else complex)
+    c11 = _upper_toeplitz(d)
+    c11inv = _upper_toeplitz(fprime_reciprocal(f_coeffs, N))
+    # row j, column q carries (q+1+j) c_{q+j} = d[q+j], zero past the window
     c12 = _zeros((n, N + 1), obj)
     for j in range(1, n + 1):
-        for q in range(N + 1):
-            if q + j <= N:
-                c12[j - 1, q] = (q + 1 + j) * cc(q + j)
+        c12[j - 1, : N + 1 - j] = d[j:]
     return c11, c12, c11inv
 
 
@@ -132,7 +162,7 @@ def _correction_rows(f_coeffs, n: int, N: int):
     cc = _coeff_lookup(f_coeffs)
     rows = _zeros((n, N + 1), obj)
     if n >= 3:
-        a = TruncatedSeries([cc(j) for j in range(N + 1)]).reciprocal().coeffs
+        a = _unit_reciprocal([cc(j) for j in range(N + 1)], obj)
     for q in range(N + 1):
         k = q + 1  # the psibar index this column pairs with
         ck = cc(k)
@@ -239,8 +269,8 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
     if not _is_object(cbar):
         scale = max(1.0, float(np.abs(c11inv).max()))
         resid = np.abs(c11 @ c11inv - np.eye(N + 1)).max() / scale
-        if resid > 1e-12:
-            raise ArithmeticError(f"triangular inverse check failed: {resid:g}")
+        if not resid <= 1e-12:
+            raise InverseCheckFailed(f"triangular inverse check failed: {resid:g}")
     basis = []
     for k in range(N + 1):
         coeffs = list(gamma[::-1, k]) + list(c11[:, k])

@@ -27,6 +27,7 @@ differences enter the computation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -36,7 +37,7 @@ import numpy as np
 
 from .grassmannian import GraphOperator, fprime_reciprocal
 from .observables import WindowTooSmall
-from .series import TruncatedLaurent, TruncatedSeries, exp_series
+from .series import TruncatedLaurent
 
 
 class NearSingularA(ArithmeticError):
@@ -122,32 +123,52 @@ class GeneralizedTimes:
 def schur(t, K: int) -> np.ndarray:
     """Schur polynomial values ``S_0..S_K`` of the time vector.
 
-    Defined by ``exp(sum_k t_k z^k) = sum_q S_q z^q``.  Numeric inputs go
-    through :func:`exp_series`; symbolic or exact entries (Fractions or
-    any other Python ring) use the equivalent differential recurrence
-    ``q S_q = sum_j j t_j S_{q-j}`` in object arithmetic.
+    Defined by ``exp(sum_k t_k z^k) = sum_q S_q z^q`` and computed by the
+    differential recurrence ``q S_q = sum_{j <= min(q, M)} (j t_j) S_{q-j}``
+    in plain Python arithmetic, one code path for every coefficient ring.
+    Numeric entries run on Python ``complex`` and scale by ``1.0 / q``, the
+    reciprocal numpy's complex-by-integer division multiplies by, so the
+    values are byte-identical to :func:`~shapeflow.series.exp_series`.
+    Exact entries (Fractions, symbols) stay exact and scale by
+    ``Fraction(1, q)``.
     """
     times = GeneralizedTimes.of(t)
     if K < 0:
         raise ValueError("Schur order must be >= 0")
-    vals = times.values
-    if all(isinstance(v, _NUMERIC) for v in vals):
-        coeffs = np.zeros(K + 1, dtype=complex)
-        for k, v in enumerate(vals, start=1):
-            if k <= K:
-                coeffs[k] = v
-        series = exp_series(TruncatedSeries(coeffs))
-        return np.asarray([series.coeff(q) for q in range(K + 1)], dtype=complex)
+    numeric = all(isinstance(v, _NUMERIC) for v in times.values)
+    vals = times.values[:K]
+    if numeric:
+        vals = [complex(v) for v in vals]
+    jt = [j * v for j, v in enumerate(vals, start=1)]
     out = [1]
     for q in range(1, K + 1):
+        # out holds S_0..S_{q-1}, so reversed(out) pairs t_j with S_{q-j}
         acc = 0
-        for j in range(1, q + 1):
-            tj = vals[j - 1] if j <= len(vals) else 0
-            if tj == 0:
-                continue
-            acc = acc + j * tj * out[q - j]
-        out.append(Fraction(1, q) * acc if isinstance(acc, (int, Fraction)) else acc / q)
-    return np.asarray(out, dtype=object)
+        for w, s in zip(jt, reversed(out)):
+            acc = acc + w * s
+        out.append(acc * (1.0 / q if numeric else Fraction(1, q)))
+    return np.asarray(out, dtype=complex if numeric else object)
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_weights(coeffs: bytes, N: int) -> np.ndarray:
+    """The weights ``v`` of ``D_s = sum_q v_q S_{q-s}`` for one shape and window.
+
+    ``v = (m conj(c_m)) * r`` cut at ``q <= N+1``, the only ``q`` that pair
+    with a Schur value ``S_0..S_{N+1}``; ``r`` is the reciprocal of
+    ``conj(f)'``.  It depends on the shape alone, so a sweep computes it
+    once per (shape, window).  The key is the ``complex128`` bytes of the
+    first ``N`` coefficients, so shapes that differ in any bit, a signed
+    zero included, get their own entry; the returned array is read-only.
+    """
+    c = np.zeros(N, dtype=complex)
+    supplied = np.frombuffer(coeffs, dtype=complex)
+    c[: supplied.size] = supplied
+    cbar = np.conj(c)
+    weighted = np.arange(N + 1) * np.concatenate([[0.0], cbar])
+    v = np.convolve(weighted, fprime_reciprocal(cbar, N))[: N + 2]
+    v.flags.writeable = False
+    return v
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,14 +191,8 @@ class ABForm:
         times = GeneralizedTimes.of(t)
         if N < 1:
             raise WindowTooSmall(f"bilinear form needs N >= 1, got {N}")
-        c = np.zeros(N, dtype=complex)
         supplied = np.asarray(tuple(f_coeffs), dtype=complex).ravel()
-        c[: min(N, supplied.size)] = supplied[:N]
-        cbar = np.conj(c)
-        # D_s = sum_q v_q a_{q-s} with v = (m conj(c_m)) * r cut at q <= N+1,
-        # the only q that pair with a Schur value S_0..S_{N+1}
-        weighted = np.arange(N + 1) * np.concatenate([[0.0], cbar])
-        v = np.convolve(weighted, fprime_reciprocal(cbar, N))[: N + 2]
+        v = _shape_weights(supplied[:N].tobytes(), int(N))
         # a[q - s + depth] = S_{q-s}, zero below q = s
         a = np.concatenate([np.zeros(_TABLE_DEPTH), schur(times, N + 1)])
         lags = np.arange(N + 2) - np.arange(_TABLE_DEPTH + 1)[:, None] + _TABLE_DEPTH
@@ -381,12 +396,10 @@ def tau(op: GraphOperator, t, N: int) -> complex:
     n = op.n
     h = np.asarray(schur(-times, N + n), dtype=complex)
     inv_sym = np.asarray(schur(times, N), dtype=complex)
-    a_inv = np.zeros((N + 1, N + 1), dtype=complex)
-    for q in range(N + 1):
-        a_inv[q:, q] = inv_sym[: N + 1 - q]
-    b = np.empty((N + 1, n), dtype=complex)
-    for k in range(1, n + 1):
-        b[:, k - 1] = h[k : N + 1 + k]
+    # lower-triangular Toeplitz band: a_inv[i, q] = S_{i-q}(t), b[i, k-1] = S_{i+k}(-t)
+    rows = np.arange(N + 1)[:, None]
+    a_inv = np.tril(inv_sym[np.abs(rows - np.arange(N + 1))])
+    b = h[rows + np.arange(1, n + 1)]
     graph_cols = np.zeros((n, N + 1), dtype=complex)
     cols = min(N, op.N) + 1
     graph_cols[:, :cols] = np.asarray(op.matrix, dtype=complex)[:, :cols]

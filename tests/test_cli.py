@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,37 @@ def test_non_finite_graph_is_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+HUGE_C = {"f_source": {"c": [1e200]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
+HUGE_T = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_rows": [[1e200, 1e150], [1e300]]}
+INVERSE_NAN = "triangular inverse check failed: nan"
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("graph-dump", {"c": [1e200], "n": 1, "N": 4}, [], INVERSE_NAN),
+        ("kp", HUGE_C, [], INVERSE_NAN),
+        ("tau", HUGE_C, [], INVERSE_NAN),
+        ("kp", HUGE_T, [], "the kp sweep holds a non-finite value; nothing was written"),
+        ("kp", HUGE_T, ["--parallel", "2"], "the kp sweep holds a non-finite value; nothing was written"),
+        ("tau", HUGE_T, [], "the tau sweep holds a non-finite value; nothing was written"),
+    ],
+)
+def test_numerical_failure_is_one_line_and_no_warnings(tmp_path, capsys, command, config, flags, message):
+    # no caller-side np.errstate: the CLI itself keeps numpy quiet, worker
+    # threads included, and ends in exit 3 with nothing written; c_1 = 1e200
+    # gives a NaN inverse residual, the huge times overflow the sweep rows
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", path, "--out", str(out), *flags])
+    assert code == cli.EXIT_NUMERICAL_FAILURE
+    assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 TOO_WIDE = cli.MAX_WINDOW + 1
 
 
@@ -588,6 +620,27 @@ def test_kp_order_flag_overrides_window(tmp_path):
     assert code == cli.EXIT_OK
     header, _ = read_rows(out / "kp_sweep.csv")
     assert header[-1] == "residual_16"
+
+
+def test_parser_is_built_once_and_carries_no_state(tmp_path, capsys):
+    config = {
+        "f_source": {"c": [0.4]},
+        "n": 1,
+        "N": 4,
+        "t_rows": [[0.05]],
+        "convergence_pair": True,
+    }
+    path = write_config(tmp_path, config)
+    outs = [tmp_path / name for name in ("order8", "plain", "after_error")]
+    assert cli.main(["kp", "--config", path, "--out", str(outs[0]), "--order", "8"]) == cli.EXIT_OK
+    assert cli.main(["kp", "--config", path, "--out", str(outs[1])]) == cli.EXIT_OK
+    assert cli.main(["kp", "--config", path, "--order", "eight"]) == cli.EXIT_CONFIG_ERROR
+    assert cli.main(["kp", "--config", path, "--out", str(outs[2])]) == cli.EXIT_OK
+    capsys.readouterr()
+    headers = [read_rows(out / "kp_sweep.csv")[0][-1] for out in outs]
+    assert headers == ["residual_16", "residual_8", "residual_8"]
+    assert (outs[1] / "kp_sweep.csv").read_bytes() == (outs[2] / "kp_sweep.csv").read_bytes()
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_tau_command_matches_library(tmp_path):

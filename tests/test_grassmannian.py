@@ -9,15 +9,17 @@ import sympy as sp
 from shapeflow.grassmannian import (
     GraphOperator,
     IndexSet,
+    InverseCheckFailed,
     UnsupportedOrder,
     c_blocks,
+    fprime_reciprocal,
     graph_membership,
     step1_ttilde,
     step2_graph,
     virtual_dimension,
 )
 from shapeflow.observables import BracketWindow, corrected_G
-from shapeflow.series import TruncatedLaurent
+from shapeflow.series import TruncatedLaurent, TruncatedSeries
 
 
 def test_virtual_dimension_examples():
@@ -53,6 +55,35 @@ def test_c_blocks_numeric_inverse_matches_linalg():
     c = 0.3 * (rng.normal(size=16) + 1j * rng.normal(size=16)) / np.arange(1, 17)
     c11, _, c11inv = c_blocks(c, 1, 16)
     assert np.abs(c11inv - np.linalg.inv(c11)).max() < 1e-12
+
+
+def test_fprime_reciprocal_matches_series_reciprocal():
+    # the recurrence keeps the bytes of TruncatedSeries.reciprocal on numbers
+    # and its exact values on Fractions, for windows shorter and longer than c
+    rng = np.random.default_rng(17)
+    for N in range(0, 33):
+        size = int(rng.integers(0, 20))
+        c = 0.5 * (rng.normal(size=size) + 1j * rng.normal(size=size)) / np.arange(1, size + 1)
+        coeffs = list(np.conj(c))
+        symbol = [1] + [(j + 1) * (coeffs[j - 1] if j <= size else 0) for j in range(1, N + 1)]
+        got = fprime_reciprocal(coeffs, N)
+        assert got.dtype == complex
+        assert got.tobytes() == TruncatedSeries(symbol).reciprocal().coeffs.tobytes()
+        exact = [Fraction(int(k), 7) for k in rng.integers(-5, 6, size=size + 1)]
+        symbol = [1] + [(j + 1) * (exact[j - 1] if j <= size + 1 else 0) for j in range(1, N + 1)]
+        got = fprime_reciprocal(exact, N)
+        want = TruncatedSeries(symbol).reciprocal().coeffs
+        assert got.dtype == object and list(got) == list(want)
+        assert all(isinstance(x, (int, Fraction)) for x in got)
+
+
+def test_inverse_check_rejects_a_non_finite_residual():
+    # c_1 = 1e200 overflows the Toeplitz inverse: the residual is NaN, which
+    # a plain `resid > 1e-12` test let through
+    with np.errstate(all="ignore"):
+        with pytest.raises(InverseCheckFailed, match="triangular inverse check failed: nan"):
+            step2_graph([1e200], 1, 4)
+    assert issubclass(InverseCheckFailed, ArithmeticError)
 
 
 def test_cut_rows_follow_raw_tail_pattern():

@@ -1,6 +1,7 @@
 """Tests for the generalized-time flows: Schur values, bilinear forms,
 wave coefficients, Baker-Akhiezer functions, and tau determinants."""
 
+import csv
 import functools
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeflow import grassmannian as gr
+from shapeflow import kp
 from shapeflow.kp import (
     ABForm,
     BakerAkhiezer,
@@ -32,6 +34,9 @@ from shapeflow.kp import (
     _omega_jet,
 )
 from shapeflow.observables import WindowTooSmall
+from shapeflow.series import TruncatedSeries, exp_series
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def schur_recurrence(tvals, K):
@@ -45,6 +50,20 @@ def schur_recurrence(tvals, K):
     for q in range(1, K + 1):
         a[q] = sum(j * xi[j] * a[q - j] for j in range(1, q + 1)) / q
     return a
+
+
+def series_schur(tvals, K):
+    """Schur oracle through the series layer: ``exp_series`` of xi's window.
+
+    This was the numeric path of ``schur`` before the recurrence moved into
+    it; the kernel must keep its bytes.
+    """
+    coeffs = np.zeros(K + 1, dtype=complex)
+    for k, v in enumerate(tvals, start=1):
+        if k <= K:
+            coeffs[k] = v
+    series = exp_series(TruncatedSeries(coeffs))
+    return np.asarray([series.coeff(q) for q in range(K + 1)], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +116,41 @@ def test_schur_matches_displayed_polynomials():
         assert sp.expand(sp.sympify(S[k]) - expr) == 0
 
 
+def schur_cases(seed, count):
+    """Seeded time vectors of every kind the sweeps feed to ``schur``."""
+    rng = np.random.default_rng(seed)
+    zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for i in range(count):
+        M = int(rng.integers(1, 6))
+        kind = i % 6
+        if kind == 0:  # real, over several scales
+            t = tuple(float(x) for x in rng.standard_normal(M) * 10.0 ** rng.integers(-3, 1))
+        elif kind == 1:  # complex
+            t = tuple(complex(x, y) for x, y in 0.3 * rng.standard_normal((M, 2)))
+        elif kind == 2:  # Sato-shifted, M = 24
+            base = GeneralizedTimes(tuple(0.1 * rng.standard_normal(3)))
+            t = base.sato_shifted(3 * complex(*rng.standard_normal(2)), 24).values
+        elif kind == 3:  # negated, as tau's exp(-xi) block uses
+            t = (-GeneralizedTimes(tuple(complex(*v) for v in rng.standard_normal((M, 2))))).values
+        elif kind == 4:  # all zero
+            t = (0.0,) * M
+        else:  # signed zeros among nonzero entries
+            pool = zeros + [0.25, -0.5j, 0.1 - 0.2j]
+            t = tuple(pool[k] for k in rng.integers(0, len(pool), size=M))
+        yield t, int(rng.integers(0, 40))
+
+
+def test_schur_matches_series_oracle_bit_for_bit():
+    count = 0
+    for t, K in schur_cases(2025, 2400):
+        got = schur(t, K)
+        want = series_schur(t, K)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (t, K)
+        count += 1
+    assert count == 2400
+
+
 def test_schur_trivial_times():
     S = schur((0.0, 0.0, 0.0), 6)
     assert S[0] == 1.0
@@ -145,6 +199,47 @@ def test_a_form_matches_matrix_assembly():
         want = row @ inv @ col
         got = a_form(c, t, alpha, N)
         assert abs(got - want) < 1e-12
+
+
+def reference_table(c, t, N):
+    """The table of a fresh build: the weight cache is emptied first."""
+    kp._shape_weights.cache_clear()
+    return ABForm.build(c, t, N).table
+
+
+def test_shape_weights_are_cached_per_shape_and_window():
+    t = (0.04, -0.02, 0.01)
+    c = decaying_c(8)
+    kp._shape_weights.cache_clear()
+    first = ABForm.build(c, t, 8).table
+    assert ABForm.build(c, (0.01, 0.0, 0.0), 8).table != first
+    assert kp._shape_weights.cache_info().hits == 1
+
+    # the cached array is read-only
+    weights = kp._shape_weights(c.tobytes(), 8)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+
+    # mutating the caller's array after a build does not reach a later table
+    c[0] += 0.1
+    mutated = ABForm.build(c, t, 8).table
+    assert mutated != first
+    assert mutated == reference_table(c, t, 8)
+
+    # two shapes one ulp apart get their own tables
+    near = c.copy()
+    near[0] = complex(np.nextafter(c[0].real, 1.0), c[0].imag)
+    kp._shape_weights.cache_clear()
+    pair = ABForm.build(c, t, 8).table, ABForm.build(near, t, 8).table
+    assert pair[0] != pair[1]
+    assert pair == (reference_table(c, t, 8), reference_table(near, t, 8))
+
+    # N is part of the key: three coefficients at N = 4 and then N = 8
+    short = c[:3]
+    kp._shape_weights.cache_clear()
+    small, large = ABForm.build(short, t, 4).table, ABForm.build(short, t, 8).table
+    assert (small, large) == (reference_table(short, t, 4), reference_table(short, t, 8))
 
 
 def test_a_form_trivials_and_validation():
@@ -463,3 +558,34 @@ def test_tau_quotient_reproduces_wave_function():
     ba = baker_akhiezer(op, t, z_samples=(3.0 * np.exp(1j * np.pi / 7), -3.0))
     for z, psi in zip(ba.samples, ba.values):
         assert abs(sato_psi(op, t, z, N) - psi) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# example script
+
+
+def test_kp_sweep_script_runs_and_reruns_byte_identical(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "kp_sweep.py"), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in ("kp_sweep.csv", "tau.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    with open(outs[0] / "kp_sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(outs[0] / "tau.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 12
+    assert len(rows) == 12  # the 3 x 2 x 2 grid of configs/kp_sweep.json
+    for row in rows:
+        assert float(row["residual"]) <= 1e-12
+        assert float(row["residual_32"]) <= 1e-12
