@@ -21,7 +21,6 @@ from .observables import (
     iota,
     poisson_bracket,
 )
-from .series import TruncatedSeries
 from .virasoro import commutator, kirillov_L, schaeffer_spencer
 
 SUITES = ("witt", "bracket", "basis", "quadrature")
@@ -35,24 +34,29 @@ class IdentityCheck:
     run: Callable[[], Tuple[bool, str]]
 
 
-def _shift(series: TruncatedSeries, m: int, order: int) -> TruncatedSeries:
-    """z^m * series, truncated to the given order."""
-    coeffs = np.zeros(order + 1, dtype=complex)
-    src = series.coeffs[: max(order + 1 - m, 0)]
-    coeffs[m : m + len(src)] = src
-    return TruncatedSeries(coeffs)
+def _field_closed_form(f, k: int):
+    """Direct image of f (a ``TruncatedSeries``) under the degree-k deformation field.
 
+    Built with the reference arithmetic of :mod:`shapeflow.series`, so the
+    quadrature check shares no code with the array kernel it tests.
+    """
+    from .series import TruncatedSeries
 
-def _field_closed_form(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Direct image of f under the degree-k deformation field."""
+    def shift(series, m, order):
+        """z^m * series, truncated to the given order."""
+        coeffs = np.zeros(order + 1, dtype=complex)
+        src = series.coeffs[: max(order + 1 - m, 0)]
+        coeffs[m : m + len(src)] = src
+        return TruncatedSeries(coeffs)
+
     if k >= 1:
-        return _shift(f.differentiate(), k + 1, f.order + k)
+        return shift(f.differentiate(), k + 1, f.order + k)
     if k == 0:
-        return _shift(f.differentiate(), 1, f.order) - f
+        return shift(f.differentiate(), 1, f.order) - f
     if k == -1:
         c1 = complex(f.coeff(2))
         one = TruncatedSeries.constant(1, f.order)
-        fp = _shift(f.differentiate(), 0, f.order)
+        fp = shift(f.differentiate(), 0, f.order)
         return fp - f.scale(2 * c1) - one
     raise ValueError(k)
 
@@ -146,7 +150,7 @@ def _check_basis_displays() -> Tuple[bool, str]:
     }
     worst = 0.0
     for (k, power), want in display.items():
-        worst = max(worst, abs(complex(op.basis[k].coeff(power)) - want))
+        worst = max(worst, abs(complex(op.basis[power + op.n, k]) - want))
     if worst > 1e-12:
         return False, f"basis coefficient mismatch, worst |error| = {worst:.3e}"
     return True, f"e_0..e_2 match their closed forms, worst |error| = {worst:.3e}"
@@ -162,7 +166,7 @@ def _check_basis_gradients() -> Tuple[bool, str]:
         g = corrected_G(1 - j, window)
         for k in range(N + 1):
             grad = g.diff("psi", k + 1).evaluate(cbar, {})
-            worst = max(worst, abs(complex(op.basis[k].coeff(-j)) - complex(grad)))
+            worst = max(worst, abs(complex(op.basis[op.n - j, k]) - complex(grad)))
     if worst > 1e-12:
         return False, f"basis/gradient mismatch, worst |error| = {worst:.3e}"
     return True, f"negative basis parts equal observable gradients, worst {worst:.3e}"
@@ -173,27 +177,30 @@ def _check_basis_gradients() -> Tuple[bool, str]:
 
 
 def _check_quadrature_identity_map() -> Tuple[bool, str]:
-    f = TruncatedSeries(np.concatenate([[0.0, 1.0], np.zeros(7)]))
+    f = np.concatenate([[0.0, 1.0], np.zeros(7)])
     for k in (1, 2, 3):
         out = schaeffer_spencer(f, k)
-        want = np.zeros(out.order + 1)
+        want = np.zeros(len(out))
         want[k + 1] = 1.0
-        if max(abs(complex(out.coeff(j)) - want[j]) for j in range(out.order + 1)) > 1e-12:
+        if np.abs(out - want).max() > 1e-12:
             return False, f"identity map at k={k} is not z^{k + 1}"
     for k in (0, -1):
         out = schaeffer_spencer(f, k)
-        if max(abs(complex(out.coeff(j))) for j in range(out.order + 1)) > 1e-12:
+        if np.abs(out).max() > 1e-12:
             return False, f"identity map at k={k} is not zero"
     return True, "monomial images of the identity map reproduced exactly"
 
 
 def _check_quadrature_sample_map() -> Tuple[bool, str]:
+    # the reference layer is loaded only here: importing the CLI leaves it out
+    from .series import TruncatedSeries
+
     coeffs = [0.0, 1.0, 0.12, -0.08 + 0.05j, 0.04, -0.02j, 0.01, 0.005j]
     f = TruncatedSeries(np.asarray(coeffs, dtype=complex))
     z = 0.5 * np.exp(2j * np.pi * np.arange(129) / 129)
     worst = 0.0
     for k in (-1, 0, 1, 2, 3):
-        got = schaeffer_spencer(f, k)
+        got = TruncatedSeries(schaeffer_spencer(f.coeffs, k))
         want = _field_closed_form(f, k)
         worst = max(worst, np.abs(got.evaluate(z) - want.evaluate(z)).max())
     if worst > 1e-10:

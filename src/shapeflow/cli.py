@@ -156,13 +156,19 @@ def _load_config(path) -> dict:
 
 
 def _number(value, label, kind=float):
-    """``kind(value)`` for one config entry; malformed or non-finite is a ConfigError."""
+    """``kind(value)`` for one config entry; malformed or non-finite is a ConfigError.
+
+    A boolean is not a number, and an ``int`` entry must be integral: 2.7
+    is refused rather than cut to 2.
+    """
     what = "an integer" if kind is int else "a finite number"
+    if isinstance(value, bool):
+        raise ConfigError(f"{label} must be {what}, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{label} must be {what}, got {value!r}") from None
-    if not math.isfinite(number):
+    if not math.isfinite(number) or (isinstance(value, float) and number != value):
         raise ConfigError(f"{label} must be {what}, got {value!r}")
     return number
 
@@ -231,8 +237,7 @@ def _koebe_errors(record) -> list:
 
     errs = []
     for state in record.states:
-        fz = z * state.f_over_z().evaluate(z)
-        w = np.exp(-state.t) * fz
+        w = np.exp(-state.t) * state.f(z)
         errs.append(float(np.abs(kb(w) - np.exp(-state.t) * kb(z)).max()))
     return errs
 
@@ -344,7 +349,20 @@ def _read_snapshot(path, at_t) -> np.ndarray:
     if not orders:
         raise ConfigError("snapshot CSV lacks re_c_*/im_c_* columns")
     order = max(orders)
+    missing = [
+        f"{p}_c_{n}"
+        for n in range(1, order + 1)
+        for p in ("re", "im")
+        if f"{p}_c_{n}" not in header
+    ]
+    if missing:
+        raise ConfigError(f"snapshot CSV lacks the column(s) {', '.join(missing)}")
     data = rows[1:]
+    for line, r in enumerate(data, start=2):
+        if len(r) < len(header):
+            raise ConfigError(
+                f"snapshot CSV line {line} has {len(r)} fields, its header has {len(header)}"
+            )
     times = np.array([_number(r[t_col], "snapshot t") for r in data])
     pick = data[int(np.abs(times - _number(at_t, "at_t")).argmin())]
     c = np.empty(order, dtype=complex)
@@ -436,7 +454,9 @@ def cmd_kp(args) -> int:
     c = _shape_from_source(raw)
     n, N = _graph_ints(raw, args)
     rows = _time_rows(raw)
-    pair = bool(raw.get("convergence_pair", False))
+    pair = raw.get("convergence_pair", False)
+    if not isinstance(pair, bool):
+        raise ConfigError(f"convergence_pair must be true or false, got {pair!r}")
     op = step2_graph(c, n, N)
 
     header = [
@@ -496,7 +516,7 @@ def cmd_graph_dump(args) -> int:
     c = _complex_vector(raw["c"], "c")
     n, N = _graph_ints(raw, args, default_N=len(c))
     op = step2_graph(c, n, N)
-    values = [op.matrix.ravel(), op.c11[0], *(e.coeffs for e in op.basis)]
+    values = [op.matrix.ravel(), op.c11[0], op.basis.ravel()]
     _require_finite(np.concatenate(values), "the graph operator")
     text = op.to_json()
     if args.out:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries
-
 __all__ = ["Atom", "DriverPiece", "HerglotzDriver", "InvalidMeasure"]
 
 _WEIGHT_TOL = 1e-12
@@ -112,12 +110,6 @@ class HerglotzDriver:
         mus = np.array([a.mu for a in piece.atoms])
         k = np.arange(1, N + 1)
         return 2.0 * (mus[None, :] * np.exp(-1j * np.outer(k, thetas))).sum(axis=1)
-
-    def p_series(self, t, N):
-        """Taylor window of p(z,t) to order N; constant term exactly 1."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        return TruncatedSeries(np.concatenate([[1.0 + 0j], self.moments(t, N)]))
 
     def validate(self, grid=1024, radius=0.99):
         """Invariant report; never raises.

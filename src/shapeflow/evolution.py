@@ -16,10 +16,11 @@ along trajectories; with the window layout used here the conservation is
 exact for every representable index whenever Npsi - N <= -M
 (upper-triangular error propagation never reaches the retained indices).
 
-The numeric path works on raw ``complex128`` coefficient arrays: p(w) is
-composed by Horner on ``np.convolve`` slices, and ``evolve`` computes the
-driver moments once per driver piece.  ``TruncatedSeries`` stays for exact
-and symbolic callers (``ShapeState.f_over_z`` returns one).
+Everything here works on raw ``complex128`` coefficient arrays: p(w) is
+composed by Horner on ``np.convolve`` slices, ``evolve`` computes the driver
+moments once per driver piece, and ``ShapeState.f`` evaluates the map by
+Horner's rule.  The tests keep :mod:`shapeflow.series` as the reference the
+kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import HerglotzDriver
-from .series import TruncatedSeries
 
 __all__ = [
     "ShapeState",
@@ -39,6 +39,7 @@ __all__ = [
     "evolve",
     "generating_function",
     "pseudo_hamiltonian",
+    "taylor_values",
 ]
 
 _DIVERGENCE_GUARD = 1e6
@@ -83,9 +84,18 @@ class ShapeState:
     def psi(self, m):
         return self.psibar[m + self.m_neg]
 
-    def f_over_z(self) -> TruncatedSeries:
-        """1 + sum c_n z^n as a Taylor window of order N."""
-        return TruncatedSeries(np.concatenate([[1.0 + 0j], self.c]))
+    def f(self, z):
+        """f(z) = z (1 + sum c_n z^n) at a point or array."""
+        z = np.asarray(z, dtype=complex)
+        return z * taylor_values(np.concatenate([[1.0 + 0j], self.c]), z)
+
+
+def taylor_values(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_j coeffs[j] z^j by Horner's rule, at a point or array.
+
+    Rounds exactly like ``TruncatedSeries.evaluate``.
+    """
+    return np.polyval(coeffs[::-1], z)
 
 
 def _w(state: ShapeState) -> np.ndarray:

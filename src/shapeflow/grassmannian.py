@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedLaurent
-
 __all__ = [
     "GraphOperator",
     "IndexSet",
@@ -185,44 +183,43 @@ def step1_ttilde(f_coeffs, n: int, N: int):
 
 @dataclass
 class GraphOperator:
-    """Finite-rank operator T_n together with the graph basis it defines."""
+    """Finite-rank operator T_n together with the graph basis it defines.
+
+    Column k of ``basis`` is e_k and row p + n holds its coefficient of z^p,
+    for powers -n..N; a coefficient window on those powers is an array of
+    length n + N + 1 laid out the same way.
+    """
 
     n: int
     N: int
     matrix: np.ndarray  # n x (N+1)
     c11: np.ndarray
     c11_inv: np.ndarray
-    basis: list  # e_0..e_N as TruncatedLaurent with lo = -n
+    basis: np.ndarray  # (n+N+1) x (N+1)
 
-    def element_from_psi(self, psi) -> TruncatedLaurent:
+    def _check_psi(self, psi):
+        psi = np.asarray(psi)
+        if psi.shape != (self.N + 1,):
+            raise ValueError(f"psi must have length {self.N + 1}")
+        return psi
+
+    def element_from_psi(self, psi) -> np.ndarray:
         """The graph element with positive part C11 psi and negative part T (C11 psi)."""
-        psi = np.asarray(psi)
-        if psi.shape != (self.N + 1,):
-            raise ValueError(f"psi must have length {self.N + 1}")
-        pos = self.c11 @ psi
-        neg = self.matrix @ pos
-        return TruncatedLaurent(-self.n, list(neg[::-1]) + list(pos))
+        pos = self.c11 @ self._check_psi(psi)
+        return np.concatenate([(self.matrix @ pos)[::-1], pos])
 
-    def combination(self, psi) -> TruncatedLaurent:
+    def combination(self, psi) -> np.ndarray:
         """sum_k psi[k] e_k over the basis."""
-        psi = np.asarray(psi)
-        if psi.shape != (self.N + 1,):
-            raise ValueError(f"psi must have length {self.N + 1}")
-        stack = np.stack([np.asarray(e.coeffs) for e in self.basis], axis=1)
-        return TruncatedLaurent(-self.n, stack @ psi)
+        return self.basis @ self._check_psi(psi)
 
     def index_set(self, tol: float = 1e-9) -> IndexSet:
         """Pivot powers of the basis under column reduction, relative to Z+.
 
-        The stacked basis matrix is reduced left to right; each independent
-        column contributes the power of its largest remaining entry.  Powers
-        in 0..N that never appear are `removed`; negative pivot powers are
-        `added`.
+        The basis matrix is reduced left to right; each independent column
+        contributes the power of its largest remaining entry.  Powers in 0..N
+        that never appear are `removed`; negative pivot powers are `added`.
         """
-        stack = np.stack(
-            [np.asarray(e.coeffs, dtype=complex) for e in self.basis], axis=1
-        )
-        work = stack.copy()
+        work = np.array(self.basis, dtype=complex)
         pivots = {}
         for col in range(work.shape[1]):
             v = work[:, col]
@@ -252,7 +249,7 @@ class GraphOperator:
             "T": [[ri(x) for x in row] for row in self.matrix],
             "c11_band": [ri(self.c11[0, m]) for m in range(self.N + 1)],
             "basis": [
-                {"lo": e.lo, "coeffs": [ri(x) for x in e.coeffs]} for e in self.basis
+                {"lo": -self.n, "coeffs": [ri(x) for x in e]} for e in self.basis.T
             ],
         }
         return json.dumps(payload, sort_keys=True, allow_nan=False)
@@ -271,21 +268,19 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
         resid = np.abs(c11 @ c11inv - np.eye(N + 1)).max() / scale
         if not resid <= 1e-12:
             raise InverseCheckFailed(f"triangular inverse check failed: {resid:g}")
-    basis = []
-    for k in range(N + 1):
-        coeffs = list(gamma[::-1, k]) + list(c11[:, k])
-        basis.append(TruncatedLaurent(-n, coeffs))
+    basis = np.vstack([gamma[::-1], c11])
     return GraphOperator(n=n, N=N, matrix=t_n, c11=c11, c11_inv=c11inv, basis=basis)
 
 
-def graph_membership(g: TruncatedLaurent, op: GraphOperator, psi) -> float:
-    """Sup-norm residual of G against the basis combination sum psi[k] e_k."""
-    if g.lo > -op.n or g.hi < op.N:
+def graph_membership(g, op: GraphOperator, psi) -> float:
+    """Sup-norm residual of G against the basis combination sum psi[k] e_k.
+
+    ``g`` holds the coefficients of G on powers -n..N, as rows of the basis.
+    """
+    g = np.asarray(g)
+    if g.shape != (op.n + op.N + 1,):
         raise ValueError(
-            f"G must cover powers {-op.n}..{op.N}, got {g.lo}..{g.hi}"
+            f"G must hold the {op.n + op.N + 1} coefficients of powers "
+            f"{-op.n}..{op.N}, got shape {g.shape}"
         )
-    combo = op.combination(psi)
-    return max(
-        abs(complex(g.coeff(p)) - complex(combo.coeff(p)))
-        for p in range(-op.n, op.N + 1)
-    )
+    return float(np.abs(g.astype(complex) - op.combination(psi).astype(complex)).max())

@@ -37,7 +37,6 @@ import numpy as np
 
 from .grassmannian import GraphOperator, fprime_reciprocal
 from .observables import WindowTooSmall
-from .series import TruncatedLaurent
 
 
 class NearSingularA(ArithmeticError):
@@ -318,13 +317,14 @@ def kp_residual(f_coeffs, t, N: int) -> float:
 class BakerAkhiezer:
     """A wave function ``Psi = exp(xi) (1 + sum_k omega_k z^-k)``.
 
-    ``laurent`` holds the coefficient window of Psi on ``z^-n .. z^N``;
-    ``values`` are evaluations at the requested sample points.
+    ``laurent`` holds the coefficients of Psi on ``z^-n .. z^N`` (index
+    p + n for the power p, as in :class:`GraphOperator`); ``values`` are
+    evaluations at the requested sample points.
     """
 
     n: int
     omegas: tuple
-    laurent: TruncatedLaurent
+    laurent: np.ndarray
     samples: tuple
     values: tuple
 
@@ -366,8 +366,7 @@ def baker_akhiezer(op: GraphOperator, t, z_samples: Sequence = ()) -> BakerAkhie
         sum(omegas[ell - 1] * aval(ell - k) for ell in range(1, n + 1))
         for k in range(n, 0, -1)
     ]
-    positive = a[: N + 1] + shifted @ omegas
-    laurent = TruncatedLaurent(-n, list(negative) + list(positive))
+    laurent = np.concatenate([negative, a[: N + 1] + shifted @ omegas])
 
     zs = np.atleast_1d(np.asarray(z_samples, dtype=complex)).ravel()
     values = []

@@ -1,4 +1,7 @@
-"""Truncated power/Laurent series arithmetic on a fixed coefficient window.
+"""Truncated Taylor series arithmetic on a fixed coefficient window.
+
+This is the reference layer: the tests and the benchmark compare the
+array kernels of the package against it, and no runtime module imports it.
 
 Every object stores the coefficients of ``z**k`` for ``k`` in a finite window
 and nothing else.  All arithmetic follows one truncation contract:
@@ -21,20 +24,14 @@ import numpy as np
 
 __all__ = [
     "TruncatedSeries",
-    "TruncatedLaurent",
     "exp_series",
     "ZeroConstantTerm",
-    "InnerConstantTermNonzero",
     "NonzeroConstantTerm",
 ]
 
 
 class ZeroConstantTerm(ValueError):
     """reciprocal() of a series whose z^0 coefficient vanishes."""
-
-
-class InnerConstantTermNonzero(ValueError):
-    """compose(p, w) with w(0) != 0."""
 
 
 class NonzeroConstantTerm(ValueError):
@@ -98,14 +95,6 @@ class TruncatedSeries:
             return self.coeffs[k]
         return 0j if self._numeric else 0
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def as_laurent(self):
-        return TruncatedLaurent(0, self.coeffs)
-
     # -- ring operations ---------------------------------------------------
 
     def _common(self, other):
@@ -158,23 +147,6 @@ class TruncatedSeries:
             r.append(-acc if unit else -acc / a0)
         return TruncatedSeries(r)
 
-    def compose(self, inner):
-        """self(inner(z)) truncated to the smaller window; inner(0) must be 0."""
-        if not isinstance(inner, TruncatedSeries):
-            raise TypeError("compose expects a TruncatedSeries inner argument")
-        w0 = inner.coeff(0)
-        if not _is_zero(w0):
-            raise InnerConstantTermNonzero(
-                "composition needs an inner series with zero constant term"
-            )
-        n = min(self.order, inner.order)
-        w = inner.truncate(n)
-        res = TruncatedSeries([self.coeffs[n]] + [0] * n)
-        for k in range(n - 1, -1, -1):
-            res = res * w
-            res = res + TruncatedSeries([self.coeffs[k]] + [0] * n)
-        return res
-
     def differentiate(self):
         """d/dz, window shrinks by one (constant series maps to zero series)."""
         if self.order == 0:
@@ -214,109 +186,6 @@ def _is_zero(x):
         return x == 0
     except TypeError:  # pragma: no cover - exotic coefficient rings
         return False
-
-
-class TruncatedLaurent:
-    """Laurent window sum_{k=lo}^{hi} a_k z^k with lo <= 0 <= hi allowed to vary."""
-
-    __slots__ = ("lo", "coeffs", "_numeric")
-
-    def __init__(self, lo, coefficients):
-        self.lo = int(lo)
-        self.coeffs, self._numeric = _pack(coefficients)
-
-    @classmethod
-    def zero(cls, lo, hi):
-        return cls(lo, [0.0] * (hi - lo + 1))
-
-    @property
-    def hi(self):
-        return self.lo + len(self.coeffs) - 1
-
-    def coeff(self, k):
-        if self.lo <= k <= self.hi:
-            return self.coeffs[k - self.lo]
-        return 0j if self._numeric else 0
-
-    def restrict(self, lo, hi):
-        """Window intersection; out-of-window coefficients are dropped."""
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if lo > hi:
-            raise ValueError("empty window")
-        return TruncatedLaurent(lo, self.coeffs[lo - self.lo : hi - self.lo + 1])
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedLaurent):
-            return NotImplemented
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return TruncatedLaurent(
-            lo, [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedLaurent):
-            return NotImplemented
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return TruncatedLaurent(
-            lo, [self.coeff(k) - other.coeff(k) for k in range(lo, hi + 1)]
-        )
-
-    def __neg__(self):
-        return TruncatedLaurent(self.lo, [-x for x in self.coeffs])
-
-    def scale(self, s):
-        return TruncatedLaurent(self.lo, [x * s for x in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedLaurent):
-            return self.scale(other)
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty window")
-        out = []
-        for k in range(lo, hi + 1):
-            acc = 0
-            for i in range(self.lo, self.hi + 1):
-                j = k - i
-                if other.lo <= j <= other.hi:
-                    acc = acc + self.coeffs[i - self.lo] * other.coeffs[j - other.lo]
-            out.append(acc)
-        return TruncatedLaurent(lo, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def differentiate(self):
-        """d/dz: coefficient of z^(k-1) is k*a_k, window shifts down by one."""
-        return TruncatedLaurent(
-            self.lo - 1,
-            [k * self.coeffs[k - self.lo] for k in range(self.lo, self.hi + 1)],
-        )
-
-    def evaluate(self, z):
-        z = np.asarray(z, dtype=complex) if self._numeric else z
-        acc = 0
-        for k in range(self.lo, self.hi + 1):
-            acc = acc + self.coeffs[k - self.lo] * z**k
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedLaurent):
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and len(self.coeffs) == len(other.coeffs)
-            and all(x == y for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TruncatedLaurent(lo={self.lo}, hi={self.hi}, coeffs={list(self.coeffs)!r})"
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .evolution import taylor_values
 from .observables import (
     BracketWindow,
     PhasePoly,
@@ -27,7 +28,6 @@ from .observables import (
     WindowTooSmall,
     reciprocal_coefficients,
 )
-from .series import TruncatedSeries
 
 __all__ = [
     "QuadratureDegenerate",
@@ -133,8 +133,11 @@ def _has_close_pair(values: np.ndarray, tol: float) -> bool:
     return False
 
 
-def schaeffer_spencer(f: TruncatedSeries, k: int, Q: int = 2048) -> TruncatedSeries:
-    """Variation of f by the boundary field -i z^k, as a Taylor series.
+def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
+    """Variation of f by the boundary field -i z^k, as Taylor coefficients.
+
+    ``f`` holds the Taylor coefficients f_0..f_N of the map; the result holds
+    those of the variation, of degree N + max(k, 0).
 
     Computes the contour integral
 
@@ -153,17 +156,18 @@ def schaeffer_spencer(f: TruncatedSeries, k: int, Q: int = 2048) -> TruncatedSer
     r = 0.5
     theta = 2 * np.pi * np.arange(Q) / Q
     w = np.exp(1j * theta)
-    fw = np.asarray(f.evaluate(w))
-    fpw = np.asarray(f.differentiate().evaluate(w))
+    f = np.asarray(f, dtype=complex)
+    fw = taylor_values(f, w)
+    fpw = taylor_values(np.arange(1, len(f)) * f[1:], w)
     if _has_close_pair(fw, 1e-8):
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
-    order_out = f.order + max(k, 0)
+    order_out = len(f) - 1 + max(k, 0)
     n_z = 128
     while n_z < 2 * (order_out + 1):
         n_z *= 2
     zs = r * np.exp(2j * np.pi * np.arange(n_z) / n_z)
-    fz = np.asarray(f.evaluate(zs))
+    fz = taylor_values(f, zs)
 
     weight = (w * fpw / fw) ** 2 * w**k
     denom = fw[None, :] - fz[:, None]
@@ -172,5 +176,4 @@ def schaeffer_spencer(f: TruncatedSeries, k: int, Q: int = 2048) -> TruncatedSer
     vals = fz**2 * (weight[None, :] / denom).mean(axis=1)
 
     lam = np.fft.fft(vals) / n_z
-    coeffs = lam[: order_out + 1] / r ** np.arange(order_out + 1)
-    return TruncatedSeries(coeffs)
+    return lam[: order_out + 1] / r ** np.arange(order_out + 1)

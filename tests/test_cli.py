@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -118,6 +119,15 @@ KP_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
         ("tau", KP_CONFIG, "t_rows", [[0.05, "nan"]]),
         ("graph-dump", {"c": [0.3]}, "n", "x"),
         ("graph-dump", {"c": [0.3]}, "N", 1e400),
+        ("evolve", IDENTITY_CONFIG, "order", 8.5),
+        ("evolve", IDENTITY_CONFIG, "horizon", True),
+        ("evolve", IDENTITY_CONFIG, "seed", False),
+        ("kp", KP_CONFIG, "N", 2.7),
+        ("kp", KP_CONFIG, "n", True),
+        ("kp", KP_CONFIG, "convergence_pair", "no"),
+        ("kp", KP_CONFIG, "convergence_pair", 1),
+        ("graph-dump", {"c": [0.3]}, "N", 4.5),
+        ("graph-dump", {"c": [True]}, "n", 1),
     ],
 )
 def test_malformed_config_number_is_config_error(tmp_path, capsys, command, base, key, value):
@@ -475,6 +485,26 @@ def test_kp_snapshot_roundtrip(tmp_path):
     assert float(record["im_omega1"]) == parts[(0, 0, 0)].imag
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,re_c_1,im_c_1,re_c_3,im_c_3\n0.1,0.5,0.0,0.1,0.0\n", "re_c_2"),
+        ("t,re_c_1,im_c_1\n0.0,0.5,0.0\n0.1,0.5\n", "line 3 has 2 fields"),
+    ],
+    ids=["missing-column", "short-row"],
+)
+@pytest.mark.parametrize("command", ["kp", "tau"])
+def test_malformed_snapshot_csv_is_config_error(tmp_path, capsys, command, text, message):
+    snapshot = tmp_path / "trajectory.csv"
+    snapshot.write_text(text)
+    config = dict(KP_CONFIG, f_source={"snapshot_csv": str(snapshot), "at_t": 0.1})
+    path = write_config(tmp_path, config)
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_kp_grid_parallel_matches_serial(tmp_path):
     config = {
         "f_source": {"c": [0.3, 0.09]},
@@ -703,3 +733,22 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     assert len(lines) == len(checks.registry())
+
+
+def test_trajectory_demo_script_runs(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "trajectory_demo.py"), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    errors = [
+        float(line.split(":")[1])
+        for line in proc.stdout.splitlines()
+        if "implicit-solution error:" in line
+    ]
+    assert len(errors) == 1 and errors[0] < 1e-8

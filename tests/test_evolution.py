@@ -12,6 +12,7 @@ from shapeflow.evolution import (
     generating_function,
     pseudo_hamiltonian,
     rhs,
+    taylor_values,
 )
 from shapeflow.observables import (
     QC,
@@ -119,6 +120,16 @@ def test_array_kernel_matches_series_oracle_bit_for_bit(order):
         assert same_bits(generating_function(s), oracle_gbar(s))
 
 
+def test_taylor_values_match_series_evaluate_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        order = int(rng.integers(0, 40))
+        coeffs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        z = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.random(33))
+        assert same_bits(taylor_values(coeffs, z), TruncatedSeries(coeffs).evaluate(z))
+        assert same_bits(taylor_values(coeffs, z[0]), TruncatedSeries(coeffs).evaluate(z[0]))
+
+
 def test_identity_driver_is_frozen():
     rng = np.random.default_rng(0)
     psibar = rng.normal(size=17) + 1j * rng.normal(size=17)
@@ -146,7 +157,7 @@ def test_implicit_solution_atom_at_zero():
     for i, z in enumerate(zs):
         t_idx = 100 * (i + 1)
         s = rec.states[t_idx]
-        w = np.exp(-s.t) * z * s.f_over_z().evaluate(z)
+        w = np.exp(-s.t) * s.f(z)
         err = abs(koebe_side(w) - np.exp(-s.t) * koebe_side(z))
         worst = max(worst, err)
     assert worst < 1e-8

@@ -19,7 +19,7 @@ from shapeflow.grassmannian import (
     virtual_dimension,
 )
 from shapeflow.observables import BracketWindow, corrected_G
-from shapeflow.series import TruncatedLaurent, TruncatedSeries
+from shapeflow.series import TruncatedSeries
 
 
 def test_virtual_dimension_examples():
@@ -135,7 +135,7 @@ def test_basis_closed_forms_through_z3():
         - 2 * c1 * c4 - 4 * c1**3 * c2 + c1**5,
     }
     for (k, power), want in display.items():
-        got = op.basis[k].coeff(power)
+        got = op.basis[power + op.n, k]
         assert sp.expand(got - want) == 0, (k, power)
 
 
@@ -150,16 +150,15 @@ def test_basis_negative_parts_match_observable_gradients():
         g = corrected_G(1 - j, w)
         for k in range(N + 1):
             grad = g.diff("psi", k + 1).evaluate(cbar, {})
-            assert abs(op.basis[k].coeff(-j) - grad) < 1e-12, (j, k)
+            assert abs(op.basis[op.n - j, k] - grad) < 1e-12, (j, k)
 
 
 def test_identity_map_graph_is_canonical():
     op = step2_graph([], 2, 6)
     assert np.abs(op.matrix).max() == 0
     for k in range(7):
-        e = op.basis[k]
         for p in range(-2, 7):
-            assert e.coeff(p) == (1 if p == k else 0)
+            assert op.basis[p + op.n, k] == (1 if p == k else 0)
     assert op.virtual_dimension() == 0
 
 
@@ -176,14 +175,14 @@ def test_membership_unit_vector_is_e0():
     op = step2_graph(c, 2, 8)
     psi = np.zeros(9, dtype=complex)
     psi[0] = 1.0
-    assert graph_membership(op.basis[0], op, psi) == 0.0
+    assert graph_membership(op.basis[:, 0], op, psi) == 0.0
 
 
 def test_membership_identity_map():
     rng = np.random.default_rng(4)
     psi = rng.normal(size=9) + 1j * rng.normal(size=9)
     op = step2_graph([], 3, 8)
-    g = TruncatedLaurent(-3, [0, 0, 0] + list(psi))
+    g = np.concatenate([[0, 0, 0], psi])
     assert graph_membership(g, op, psi) < 1e-15
 
 
@@ -203,9 +202,11 @@ def test_membership_dual_route_small_residual():
 
 def test_membership_window_check():
     op = step2_graph([0.1], 2, 6)
-    too_narrow = TruncatedLaurent(-1, [1] * 8)
+    too_narrow = np.ones(8)
     with pytest.raises(ValueError):
         graph_membership(too_narrow, op, np.zeros(7))
+    with pytest.raises(ValueError):
+        graph_membership(np.ones(10), op, np.zeros(7))
 
 
 def test_json_dump_deterministic():

@@ -436,14 +436,19 @@ def test_cli_import_leaves_sympy_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, shapeflow.cli; print('sympy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, shapeflow.cli; "
+            "print('sympy' in sys.modules, 'shapeflow.series' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_kp_residual_random_decaying_shapes():
@@ -475,9 +480,9 @@ def test_wave_function_identity_shape_is_constant_one():
     ba = baker_akhiezer(op, (0.0, 0.0, 0.0), z_samples=(2.0, 3.0 + 1.0j))
     assert all(abs(w) < 1e-15 for w in ba.omegas)
     assert all(abs(v - 1.0) < 1e-15 for v in ba.values)
-    assert abs(ba.laurent.coeff(0) - 1.0) < 1e-15
+    assert abs(ba.laurent[op.n] - 1.0) < 1e-15
     assert all(
-        abs(ba.laurent.coeff(p)) < 1e-15 for p in range(-op.n, op.N + 1) if p != 0
+        abs(ba.laurent[p + op.n]) < 1e-15 for p in range(-op.n, op.N + 1) if p != 0
     )
 
 
@@ -490,7 +495,7 @@ def test_wave_function_membership_in_graph():
         c /= np.arange(1, N + 1)
         op = gr.step2_graph(c, n, N)
         ba = baker_akhiezer(op, t)
-        pos = np.array([ba.laurent.coeff(i) for i in range(N + 1)])
+        pos = ba.laurent[n:]
         psi = op.c11_inv @ pos
         assert gr.graph_membership(ba.laurent, op, psi) < 1e-8
 
@@ -510,7 +515,7 @@ def test_wave_function_pole_window():
         want = a[i] + sum(
             ba.omegas[l - 1] * a[i + l] for l in range(1, n + 1) if i + l <= N + n
         )
-        assert abs(ba.laurent.coeff(i) - want) < 1e-13
+        assert abs(ba.laurent[i + n] - want) < 1e-13
 
 
 def test_wave_function_singular_system_raises():

@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeflow.series import (
-    InnerConstantTermNonzero,
     NonzeroConstantTerm,
-    TruncatedLaurent,
     TruncatedSeries,
     ZeroConstantTerm,
     exp_series,
@@ -40,19 +38,6 @@ def test_mul_hand_expanded():
     b = TruncatedSeries([1, -c, c * c])
     p = a * b
     np.testing.assert_allclose(p.coeffs, [1, 0, 0], atol=1e-15)
-
-
-def test_compose_hand_expanded():
-    # p(w) with p = 1 + 2w, w = z + z^2  ->  1 + 2z + 2z^2
-    p = TruncatedSeries([1, 2, 0])
-    w = TruncatedSeries([0, 1, 1])
-    np.testing.assert_allclose(p.compose(w).coeffs, [1, 2, 2])
-
-
-def test_compose_rejects_nonzero_inner_constant():
-    p = TruncatedSeries([1, 2])
-    with pytest.raises(InnerConstantTermNonzero):
-        p.compose(TruncatedSeries([0.5, 1]))
 
 
 def test_reciprocal_rejects_zero_constant():
@@ -187,29 +172,6 @@ def test_mul_commutes_and_distributes(a, b):
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
-def test_laurent_mul_and_window_intersection():
-    # (z^-1 + 1) * (z^-1 + z) on windows [-1,1]x[-1,1] -> window [-1,1]
-    a = TruncatedLaurent(-1, [1, 1, 0])
-    b = TruncatedLaurent(-1, [1, 0, 1])
-    p = a * b
-    assert (p.lo, p.hi) == (-1, 1)
-    # full product is z^-2 + z^-1 + 1 + z; window drops the z^-2 term
-    np.testing.assert_allclose(p.coeffs, [1, 1, 1])
-
-
-def test_laurent_differentiate_shifts_window():
-    s = TruncatedLaurent(-2, [3, 0, 1, 2])  # 3 z^-2 + 1 + 2 z
-    d = s.differentiate()
-    assert (d.lo, d.hi) == (-3, 0)
-    np.testing.assert_allclose(d.coeffs, [-6, 0, 0, 2])
-
-
-def test_laurent_evaluate():
-    s = TruncatedLaurent(-1, [2, 1, 3])  # 2/z + 1 + 3z
-    z = 0.5 + 0.25j
-    assert abs(s.evaluate(z) - (2 / z + 1 + 3 * z)) < 1e-14
-
-
 def test_taylor_evaluate_matches_polyval():
     rng = np.random.default_rng(3)
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -221,5 +183,3 @@ def test_taylor_evaluate_matches_polyval():
 def test_coeff_out_of_window_is_zero():
     s = TruncatedSeries([1, 2, 3])
     assert s.coeff(5) == 0
-    laur = s.as_laurent()
-    assert laur.coeff(-1) == 0 and laur.coeff(2) == 3
