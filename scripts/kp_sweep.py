@@ -26,9 +26,9 @@ def main():
     parser.add_argument("--parallel", default="1", help="worker count")
     args = parser.parse_args()
 
-    base = ["--config", CONFIG, "--out", args.out, "--parallel", args.parallel]
-    for command in ("kp", "tau"):
-        code = cli_main([command] + base)
+    base = ["--config", CONFIG, "--out", args.out]
+    for argv in (["kp", *base, "--parallel", args.parallel], ["tau", *base]):
+        code = cli_main(argv)
         if code != 0:
             sys.exit(code)
 

@@ -12,8 +12,10 @@ Commands
                 deterministic JSON form.
 
 All outputs are deterministic given the config and seed: floats are written
-with ``repr`` so re-runs produce byte-identical files.  Exit codes: 0
-success, 1 check failure, 2 config error, 3 numerical failure.
+with ``repr`` so re-runs produce byte-identical files.  Each command takes
+only the flags it reads.  Exit codes: 0 success, 1 check failure, 2 config
+or usage error (an unusable ``--out`` directory included, found before any
+computation), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -158,11 +160,12 @@ def _load_config(path) -> dict:
 def _number(value, label, kind=float):
     """``kind(value)`` for one config entry; malformed or non-finite is a ConfigError.
 
-    A boolean is not a number, and an ``int`` entry must be integral: 2.7
-    is refused rather than cut to 2.
+    A config number must be a JSON number: a string or a boolean is refused,
+    and an ``int`` entry must be integral: 2.7 is refused rather than cut
+    to 2.
     """
     what = "an integer" if kind is int else "a finite number"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{label} must be {what}, got {value!r}")
     try:
         number = kind(value)
@@ -171,6 +174,15 @@ def _number(value, label, kind=float):
     if not math.isfinite(number) or (isinstance(value, float) and number != value):
         raise ConfigError(f"{label} must be {what}, got {value!r}")
     return number
+
+
+def _cell(text, label, kind=float):
+    """A snapshot-CSV cell, which is text, parsed as ``kind`` and checked by ``_number``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"{label} must be a number, got {text!r}") from None
+    return _number(value, label, kind)
 
 
 def _check_window(sizes):
@@ -197,9 +209,27 @@ def _complex_vector(values, label) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
+def _check_out_dir(path):
+    """ConfigError unless ``path`` is, or can be made, a writable directory.
+
+    Checked before any computation; the directory itself is made only when
+    the first output is written, so a failed run leaves nothing behind.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"output directory {path!r} is unusable: {probe!r} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {path!r} is unusable: {probe!r} is not writable")
+
+
 def _out_path(args, filename) -> str:
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir!r} is unusable: {exc}") from exc
     return os.path.join(out_dir, filename)
 
 
@@ -342,7 +372,7 @@ def _read_snapshot(path, at_t) -> np.ndarray:
     except ValueError:
         raise ConfigError("snapshot CSV lacks a 't' column")
     orders = [
-        _number(name[len("re_c_") :], "snapshot column", int)
+        _cell(name[len("re_c_") :], "snapshot column", int)
         for name in header
         if name.startswith("re_c_")
     ]
@@ -363,12 +393,12 @@ def _read_snapshot(path, at_t) -> np.ndarray:
             raise ConfigError(
                 f"snapshot CSV line {line} has {len(r)} fields, its header has {len(header)}"
             )
-    times = np.array([_number(r[t_col], "snapshot t") for r in data])
-    pick = data[int(np.abs(times - _number(at_t, "at_t")).argmin())]
+    times = np.array([_cell(r[t_col], "snapshot t") for r in data])
+    pick = data[int(np.abs(times - at_t).argmin())]
     c = np.empty(order, dtype=complex)
     for n in range(1, order + 1):
-        re = _number(pick[header.index(f"re_c_{n}")], f"snapshot re_c_{n}")
-        im = _number(pick[header.index(f"im_c_{n}")], f"snapshot im_c_{n}")
+        re = _cell(pick[header.index(f"re_c_{n}")], f"snapshot re_c_{n}")
+        im = _cell(pick[header.index(f"im_c_{n}")], f"snapshot im_c_{n}")
         c[n - 1] = complex(re, im)
     return c
 
@@ -382,7 +412,7 @@ def _shape_from_source(raw) -> np.ndarray:
     if "snapshot_csv" in source:
         if "at_t" not in source:
             raise ConfigError("snapshot f_source needs 'at_t'")
-        return _read_snapshot(source["snapshot_csv"], source["at_t"])
+        return _read_snapshot(source["snapshot_csv"], _number(source["at_t"], "at_t"))
     raise ConfigError("f_source must supply 'c' or 'snapshot_csv'")
 
 
@@ -533,22 +563,31 @@ def cmd_graph_dump(args) -> int:
 # parser / dispatch
 
 
+# the flags each command reads; any other flag is a usage error
+_FLAGS = {
+    "config": ("--config", {"help": "path to a JSON config file"}),
+    "order": ("--order", {"type": int, "help": "series truncation order override"}),
+    "step": ("--step", {"type": float, "help": "time step override"}),
+    "horizon": ("--horizon", {"type": float, "help": "time horizon override"}),
+    "out": ("--out", {"default": ".", "help": "output directory (default: current)"}),
+    "out_or_stdout": ("--out", {"help": "output directory (default: print to stdout)"}),
+    "parallel": ("--parallel", {"type": int, "default": 1, "help": "worker count for sweep cells"}),
+}
+_COMMANDS = {
+    "evolve": ("run a shape trajectory", ("config", "order", "step", "horizon", "out")),
+    "check": ("run an identity suite", ("out_or_stdout",)),
+    "kp": ("sweep generalized times", ("config", "order", "out", "parallel")),
+    "tau": ("tau determinant over a time grid", ("config", "order", "out")),
+    "graph-dump": ("dump a graph operator as JSON", ("config", "order", "out_or_stdout")),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first ``main`` call and then reused.
 
     It is not built at import, so importing the CLI builds no parser.
     """
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="path to a JSON config file")
-    shared.add_argument("--order", type=int, help="series truncation order override")
-    shared.add_argument("--step", type=float, help="time step override (evolve)")
-    shared.add_argument("--horizon", type=float, help="time horizon override (evolve)")
-    shared.add_argument("--out", help="output directory (default: current)")
-    shared.add_argument(
-        "--parallel", type=int, default=1, help="worker count for sweep cells"
-    )
-
     parser = argparse.ArgumentParser(
         prog="shapeflow",
         description="Shape evolution, identity checks, and integrable-flow sweeps.",
@@ -559,14 +598,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list every identity check with its source location and exit",
     )
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("evolve", parents=[shared], help="run a shape trajectory")
-    check = sub.add_parser("check", parents=[shared], help="run an identity suite")
-    check.add_argument("suite", choices=checks.SUITES)
-    sub.add_parser("kp", parents=[shared], help="sweep generalized times")
-    sub.add_parser("tau", parents=[shared], help="tau determinant over a time grid")
-    sub.add_parser(
-        "graph-dump", parents=[shared], help="dump a graph operator as JSON"
-    )
+    for command, (text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        if command == "check":
+            cmd.add_argument("suite", choices=checks.SUITES)
+        for flag in flags:
+            name, options = _FLAGS[flag]
+            cmd.add_argument(name, **options)
     return parser
 
 
@@ -594,6 +632,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
+        if args.out is not None:
+            _check_out_dir(args.out or ".")
         # overflow and NaN are caught by the finiteness checks before any
         # write, and reported once as a numerical failure
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

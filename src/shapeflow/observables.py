@@ -10,6 +10,17 @@ Phase coordinates are the map coefficients ``c_1..c_Nc`` of
 Coefficients are exact rational-complex numbers, so every bracket identity
 here is an equality of polynomials, not a tolerance check.
 
+Monomials are stored as packed ``int`` keys.  Each variable of a window owns
+a 16-bit field holding its exponent (c_1..c_Nc in the low fields, then
+psibar_{-M}..psibar_Npsi), so a monomial product is one integer addition and
+d/dx reads its exponent with a shift and a mask.  The top bit of every field
+is a guard: an exponent that reaches 2**15 raises ``ExponentOverflow``
+instead of carrying into the next variable.  The layout belongs to the
+window and is built on first use.  Tuple keys, sorted tuples of
+``((kind, index), exponent)`` with kind 0 for c and 1 for psibar, are the
+public form: the constructor, ``coefficient`` and ``terms`` take and return
+them, and only this module reads a packed key.
+
 The module also houses the generating-function coefficients ``Gbar_k`` (the
 z^{k-1} coefficient of f'(z) psibar(z)), their corrected negative-index
 versions ``G_0, G_{-1}, G_{-2}``, and the substitution psibar_k -> d/dc_k
@@ -18,6 +29,8 @@ turning a linear observable into a vector field on coefficient space.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +51,7 @@ __all__ = [
     "IndexOutOfWindow",
     "NotLinearInPsi",
     "WindowTooSmall",
+    "ExponentOverflow",
 ]
 
 
@@ -55,6 +69,10 @@ class NotLinearInPsi(ValueError):
 
 class WindowTooSmall(ValueError):
     """Window cannot represent the requested object."""
+
+
+class ExponentOverflow(OverflowError):
+    """A monomial exponent does not fit its field of the packed key."""
 
 
 def _normal(x):
@@ -98,6 +116,8 @@ class QC:
 
     def __mul__(self, other):
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _qc(_normal(a * c), 0)
         return _qc(_normal(a * c - b * d), _normal(a * d + b * c))
 
     def __neg__(self):
@@ -130,6 +150,55 @@ def _qc(re, im):
     return q
 
 
+# A tuple monomial is a sorted tuple of ((kind, index), exponent) with kind 0
+# for c and 1 for psibar; the empty tuple is the constant monomial.
+_C, _PSI = 0, 1
+
+# bits per variable in a packed key; the top bit of each field is the guard
+_BITS = 16
+_MAX_EXP = (1 << (_BITS - 1)) - 1
+
+
+class _KeyLayout:
+    """Where each variable of one window sits in a packed monomial key."""
+
+    __slots__ = ("shift", "variables", "guard", "psi_mask", "psi_units")
+
+    def __init__(self, window):
+        self.variables = [(_C, n) for n in range(1, window.n_c + 1)] + [
+            (_PSI, m) for m in range(-window.m_neg, window.n_psi + 1)
+        ]
+        self.shift = {var: _BITS * s for s, var in enumerate(self.variables)}
+        self.guard = sum((_MAX_EXP + 1) << s for s in self.shift.values())
+        self.psi_mask = sum(
+            _MAX_EXP << s for (kind, _), s in self.shift.items() if kind == _PSI
+        )
+        # key of psibar_m alone -> m, for m >= 1
+        self.psi_units = {
+            1 << self.shift[(_PSI, m)]: m for m in range(1, window.n_psi + 1)
+        }
+
+    def encode(self, mono):
+        """Packed key of a tuple monomial; None when it has no key in this window."""
+        key = 0
+        for var, e in mono:
+            s = self.shift.get(var)
+            if s is None or not 1 <= e <= _MAX_EXP:
+                return None
+            key += e << s
+        return key
+
+    def decode(self, key):
+        """Sorted tuple monomial of a packed key: fields are read lowest first."""
+        mono = []
+        while key:
+            s = ((key & -key).bit_length() - 1) // _BITS * _BITS
+            e = (key >> s) & _MAX_EXP
+            mono.append((self.variables[s // _BITS], e))
+            key -= e << s
+        return tuple(mono)
+
+
 @dataclass(frozen=True)
 class BracketWindow:
     """Index window: c_n for 1 <= n <= n_c, psibar_m for -m_neg <= m <= n_psi."""
@@ -148,17 +217,69 @@ class BracketWindow:
     def has_psi(self, m):
         return -self.m_neg <= m <= self.n_psi
 
+    @functools.cached_property
+    def _keys(self):
+        """Packed-key layout, built once per window on first use."""
+        return _KeyLayout(self)
 
-# A monomial is a sorted tuple of ((kind, index), exponent) with kind 0 for c
-# and 1 for psibar; the empty tuple is the constant monomial.
-_C, _PSI = 0, 1
+
+def _add_part(acc, key, re, im):
+    """acc[key] += (re, im)."""
+    part = acc.get(key)
+    if part is None:
+        acc[key] = [re, im]
+    else:
+        part[0] += re
+        part[1] += im
 
 
-def _mono_mul(m1, m2):
-    d = dict(m1)
-    for var, e in m2:
-        d[var] = d.get(var, 0) + e
-    return tuple(sorted(d.items()))
+def _raw(terms):
+    """Terms as a list of (key, re, im)."""
+    return [(k, q.re, q.im) for k, q in terms.items()]
+
+
+def _raw_diff(terms, shift, sign=1):
+    """sign * d/dx of terms as a list of (key, re, im); x sits at ``shift``."""
+    unit, mask = 1 << shift, _MAX_EXP
+    out = []
+    for k, q in terms.items():
+        e = (k >> shift) & mask
+        if e:
+            e *= sign
+            out.append((k - unit, q.re * e, q.im * e))
+    return out
+
+
+def _product_into(acc, left, right):
+    """acc[k1 + k2] += x1 * x2 over two raw term lists."""
+    get = acc.get
+    for k1, a, b in left:
+        for k2, c, d in right:
+            key = k1 + k2
+            part = get(key)
+            if part is None:
+                acc[key] = [a * c - b * d, a * d + b * c]
+            else:
+                part[0] += a * c - b * d
+                part[1] += a * d + b * c
+
+
+def _collect(window, acc):
+    """PhasePoly of accumulated raw parts {key: [re, im]}, one QC per nonzero term.
+
+    Raises ExponentOverflow when a key has a guard bit set.
+    """
+    if functools.reduce(operator.or_, acc, 0) & window._keys.guard:
+        raise ExponentOverflow(f"a monomial exponent reached {_MAX_EXP + 1}")
+    # _qc and _normal inlined: every result term of a kernel passes here
+    new = object.__new__
+    terms = {}
+    for key, (re, im) in acc.items():
+        if re or im:
+            q = terms[key] = new(QC)
+            q.re = re if type(re) is int else _normal(re)
+            q.im = im if type(im) is int else _normal(im)
+    return PhasePoly._trusted(window, terms)
 
 
 class PhasePoly:
@@ -173,6 +294,7 @@ class PhasePoly:
 
     def __init__(self, window, terms=None):
         self.window = window
+        keys = window._keys
         clean = {}
         for mono, coeff in (terms or {}).items():
             coeff = QC.from_number(coeff)
@@ -181,15 +303,19 @@ class PhasePoly:
             for (kind, idx), e in mono:
                 if e < 1:
                     raise ValueError("monomial exponents must be positive")
-                ok = window.has_c(idx) if kind == _C else window.has_psi(idx)
-                if not ok:
+                if e > _MAX_EXP:
+                    raise ExponentOverflow(f"exponent {e} exceeds {_MAX_EXP}")
+                if (kind, idx) not in keys.shift:
                     raise IndexOutOfWindow(f"variable index {idx} outside window")
-            clean[mono] = coeff
-        self._terms = clean
+            key = keys.encode(mono)
+            if key in clean:
+                coeff = clean[key] + coeff
+            clean[key] = coeff
+        self._terms = {k: q for k, q in clean.items() if q}
 
     @classmethod
     def _trusted(cls, window, terms):
-        """Wrap terms that are already clean: nonzero QC, in-window indices."""
+        """Wrap packed terms that are already clean: nonzero QC, in-window keys."""
         poly = object.__new__(cls)
         poly.window = window
         poly._terms = terms
@@ -209,13 +335,13 @@ class PhasePoly:
     def c(cls, n, window):
         if not window.has_c(n):
             raise IndexOutOfWindow(f"c_{n} outside window")
-        return cls._trusted(window, {(((_C, n), 1),): QC(1)})
+        return cls._trusted(window, {1 << window._keys.shift[(_C, n)]: QC(1)})
 
     @classmethod
     def psibar(cls, m, window):
         if not window.has_psi(m):
             raise IndexOutOfWindow(f"psibar_{m} outside window")
-        return cls._trusted(window, {(((_PSI, m), 1),): QC(1)})
+        return cls._trusted(window, {1 << window._keys.shift[(_PSI, m)]: QC(1)})
 
     # -- inspection ----------------------------------------------------------
 
@@ -223,14 +349,18 @@ class PhasePoly:
         return not self._terms
 
     def coefficient(self, mono):
-        """Exact coefficient of a monomial key (QC(0) when absent)."""
-        return self._terms.get(mono, QC(0))
+        """Exact coefficient of a tuple monomial (QC(0) when absent or out of window)."""
+        key = self.window._keys.encode(mono)
+        return self._terms.get(key, QC(0))
 
     def terms(self):
-        return dict(self._terms)
+        """The terms keyed by tuple monomials."""
+        decode = self.window._keys.decode
+        return {decode(k): q for k, q in self._terms.items()}
 
     def uses_psi(self):
-        return any(kind == _PSI for mono in self._terms for (kind, _), _ in mono)
+        mask = self.window._keys.psi_mask
+        return any(k & mask for k in self._terms)
 
     def restricted(self, c_max=None, psi_max=None, psi_min=None):
         """Drop monomials with any variable index outside the given bounds.
@@ -238,18 +368,17 @@ class PhasePoly:
         Used for window-interior comparisons where truncation edge terms are
         meaningless.
         """
-        kept = {}
-        for mono, coeff in self._terms.items():
-            ok = True
-            for (kind, idx), _ in mono:
-                if kind == _C and c_max is not None and idx > c_max:
-                    ok = False
-                elif kind == _PSI and psi_max is not None and idx > psi_max:
-                    ok = False
-                elif kind == _PSI and psi_min is not None and idx < psi_min:
-                    ok = False
-            if ok:
-                kept[mono] = coeff
+        drop = 0
+        for (kind, idx), s in self.window._keys.shift.items():
+            if kind == _C:
+                out = c_max is not None and idx > c_max
+            else:
+                out = (psi_max is not None and idx > psi_max) or (
+                    psi_min is not None and idx < psi_min
+                )
+            if out:
+                drop |= _MAX_EXP << s
+        kept = {k: q for k, q in self._terms.items() if not k & drop}
         return PhasePoly._trusted(self.window, kept)
 
     # -- arithmetic ----------------------------------------------------------
@@ -261,28 +390,32 @@ class PhasePoly:
     def __add__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        if not isinstance(other, PhasePoly):
+            return NotImplemented
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        """self + other, or self - other when ``negate``."""
         self._check(other)
         if not other._terms:
             return self
         if not self._terms:
-            return other
+            return -other if negate else other
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             prev = out.get(mono)
             if prev is None:
-                out[mono] = coeff
+                out[mono] = -coeff if negate else coeff
             else:
-                total = prev + coeff
+                total = prev - coeff if negate else prev + coeff
                 if total:
                     out[mono] = total
                 else:
                     del out[mono]
         return PhasePoly._trusted(self.window, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PhasePoly):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return PhasePoly._trusted(self.window, {m: -c for m, c in self._terms.items()})
@@ -300,13 +433,9 @@ class PhasePoly:
         if not isinstance(other, PhasePoly):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                prev = out.get(mono)
-                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return PhasePoly._trusted(self.window, {m: c for m, c in out.items() if c})
+        acc = {}
+        _product_into(acc, _raw(self._terms), _raw(other._terms))
+        return _collect(self.window, acc)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -323,7 +452,7 @@ class PhasePoly:
             return "PhasePoly(0)"
         names = {_C: "c", _PSI: "psibar"}
         bits = []
-        for mono, coeff in sorted(self._terms.items()):
+        for mono, coeff in sorted(self.terms().items(), key=lambda t: t[0]):
             factors = [
                 f"{names[kind]}_{idx}" + (f"^{e}" if e > 1 else "")
                 for (kind, idx), e in mono
@@ -334,21 +463,16 @@ class PhasePoly:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, kind, idx):
-        """Partial derivative with respect to c_idx (kind 'c') or psibar_idx."""
-        k = _C if kind == "c" else _PSI
-        out = {}
-        for mono, coeff in self._terms.items():
-            d = dict(mono)
-            e = d.get((k, idx))
-            if not e:
-                continue
-            if e == 1:
-                del d[(k, idx)]
-            else:
-                d[(k, idx)] = e - 1
-            # distinct monomials keep distinct keys, and e >= 1 keeps coeff nonzero
-            out[tuple(sorted(d.items()))] = coeff * QC(e)
-        return PhasePoly._trusted(self.window, out)
+        """Partial derivative with respect to c_idx (kind 'c') or psibar_idx.
+
+        Zero for a variable outside the window.
+        """
+        shift = self.window._keys.shift.get((_C if kind == "c" else _PSI, idx))
+        if shift is None:
+            return PhasePoly.zero(self.window)
+        # distinct monomials keep distinct keys
+        acc = {k: [re, im] for k, re, im in _raw_diff(self._terms, shift)}
+        return _collect(self.window, acc)
 
     def evaluate(self, c_values=None, psi_values=None):
         """Numeric value at a phase point.
@@ -358,10 +482,11 @@ class PhasePoly:
         """
         c_values = c_values or {}
         psi_values = psi_values or {}
+        decode = self.window._keys.decode
         total = 0j
-        for mono, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             val = complex(coeff)
-            for (kind, idx), e in mono:
+            for (kind, idx), e in decode(key):
                 base = c_values.get(idx, 0) if kind == _C else psi_values.get(idx, 0)
                 val *= complex(base) ** e
             total += val
@@ -373,11 +498,18 @@ def poisson_bracket(r1: PhasePoly, r2: PhasePoly) -> PhasePoly:
     if r1.window != r2.window:
         raise WindowMismatch("bracket operands declared over different windows")
     w = r1.window
-    out = PhasePoly.zero(w)
+    shift = w._keys.shift
+    t1, t2 = r1._terms, r2._terms
+    acc = {}
     for n in range(1, min(w.n_c, w.n_psi) + 1):
-        out = out + r1.diff("c", n) * r2.diff("psi", n)
-        out = out - r1.diff("psi", n) * r2.diff("c", n)
-    return out
+        sc, sp = shift[(_C, n)], shift[(_PSI, n)]
+        left = _raw_diff(t1, sc)
+        if left:
+            _product_into(acc, left, _raw_diff(t2, sp))
+        left = _raw_diff(t1, sp, -1)
+        if left:
+            _product_into(acc, left, _raw_diff(t2, sc))
+    return _collect(w, acc)
 
 
 def gbar_coefficient(k: int, window: BracketWindow) -> PhasePoly:
@@ -388,29 +520,35 @@ def gbar_coefficient(k: int, window: BracketWindow) -> PhasePoly:
     """
     if not window.has_psi(k):
         raise IndexOutOfWindow(f"Gbar_{k} not representable in window")
-    terms = {(((_PSI, k), 1),): QC(1)}
+    shift = window._keys.shift
+    terms = {1 << shift[(_PSI, k)]: QC(1)}
     for j in range(1, window.n_c + 1):
         if window.has_psi(k + j):
-            mono = (((_C, j), 1), ((_PSI, k + j), 1))
-            terms[mono] = QC(j + 1)
-    return PhasePoly(window, terms)
+            terms[(1 << shift[(_C, j)]) + (1 << shift[(_PSI, k + j)])] = QC(j + 1)
+    return PhasePoly._trusted(window, terms)
 
 
 def reciprocal_coefficients(n: int, window: BracketWindow) -> list:
     """Taylor coefficients a_0..a_n of z/f(z) as polynomials in the c variables.
 
-    Satisfies a_0 = 1 and a_n = -sum_{j=1}^{n} c_j a_{n-j}.
+    Satisfies a_0 = 1 and a_n = -sum_{j=1}^{n} c_j a_{n-j}; the product
+    c_j a_{n-j} shifts every key of a_{n-j} by the key of c_j.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > window.n_c:
         raise IndexOutOfWindow(f"coefficient {n} needs c indices up to {n}")
+    shift = window._keys.shift
     table = [PhasePoly.constant(1, window)]
+    raws = [[(0, 1, 0)]]
     for m in range(1, n + 1):
-        acc = PhasePoly.zero(window)
+        acc = {}
         for j in range(1, m + 1):
-            acc = acc + PhasePoly.c(j, window) * table[m - j]
-        table.append(-acc)
+            unit = 1 << shift[(_C, j)]
+            for k, re, im in raws[m - j]:
+                _add_part(acc, k + unit, -re, -im)
+        table.append(_collect(window, acc))
+        raws.append(_raw(table[m]._terms))
     return table
 
 
@@ -437,27 +575,29 @@ def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
     if window.n_c < -j:
         raise IndexOutOfWindow(f"window too small for G_{j}")
     w = window
+    shift = w._keys.shift
+    cu = [0] + [1 << shift[(_C, n)] for n in range(1, w.n_c + 1)]
     a = reciprocal_coefficients(w.n_c, w) if j == -2 else None
-    out = PhasePoly.zero(w)
+    acc = {}
     for k in range(1, w.n_psi + 1):
-        psi = PhasePoly.psibar(k, w)
+        psi = 1 << shift[(_PSI, k)]
         if j == 0:
             if w.has_c(k):
-                out = out + PhasePoly.c(k, w).scale(k) * psi
+                _add_part(acc, cu[k] + psi, k, 0)
         elif j == -1:
             if w.has_c(k + 1):
-                out = out + PhasePoly.c(k + 1, w).scale(k + 2) * psi
+                _add_part(acc, cu[k + 1] + psi, k + 2, 0)
             if w.has_c(k):
-                out = out - PhasePoly.c(1, w) * PhasePoly.c(k, w).scale(2) * psi
+                _add_part(acc, cu[1] + cu[k] + psi, -2, 0)
         else:
             if w.has_c(k + 2):
-                out = out + PhasePoly.c(k + 2, w).scale(k + 3) * psi
-                out = out - a[k + 2] * psi
+                _add_part(acc, cu[k + 2] + psi, k + 3, 0)
+                for key, q in a[k + 2]._terms.items():
+                    _add_part(acc, key + psi, -q.re, -q.im)
             if w.has_c(k):
-                c1, c2 = PhasePoly.c(1, w), PhasePoly.c(2, w)
-                quad = c1 * c1 - c2.scale(4)
-                out = out + quad * PhasePoly.c(k, w) * psi
-    return out
+                _add_part(acc, 2 * cu[1] + cu[k] + psi, 1, 0)
+                _add_part(acc, cu[2] + cu[k] + psi, -4, 0)
+    return _collect(w, acc)
 
 
 def g0(state) -> complex:
@@ -488,11 +628,14 @@ class VectorFieldOnF0:
         return self.components.get(n, PhasePoly.zero(w))
 
     def apply_to(self, poly: PhasePoly) -> PhasePoly:
-        """Derivative of a c-polynomial along the field."""
-        out = PhasePoly.zero(self.window)
+        """Derivative of a c-polynomial along the field: sum_n X_n dpoly/dc_n."""
+        shift = self.window._keys.shift
+        acc = {}
         for n, comp in self.components.items():
-            out = out + comp * poly.diff("c", n)
-        return out
+            grad = _raw_diff(poly._terms, shift[(_C, n)])
+            if grad:
+                _product_into(acc, _raw(comp._terms), grad)
+        return _collect(self.window, acc)
 
     def __add__(self, other):
         self._check(other)
@@ -541,18 +684,18 @@ def iota(p: PhasePoly) -> VectorFieldOnF0:
     The result acts on c-polynomials; the substitution turns the Poisson
     bracket of linear observables into the (matching) Lie bracket of fields.
     """
+    keys = p.window._keys
     comps = {}
-    for mono, coeff in p.terms().items():
-        psis = [(idx, e) for (kind, idx), e in mono if kind == _PSI]
-        if len(psis) != 1 or psis[0][1] != 1 or psis[0][0] < 1:
+    for key, coeff in p._terms.items():
+        idx = keys.psi_units.get(key & keys.psi_mask)
+        if idx is None:
             raise NotLinearInPsi(
                 "observable must be linear homogeneous in psibar_{k>=1}"
             )
-        idx = psis[0][0]
-        cpart = tuple(sorted((v, e) for v, e in mono if v[0] == _C))
-        poly = PhasePoly(p.window, {cpart: coeff})
-        comps[idx] = comps.get(idx, PhasePoly.zero(p.window)) + poly
-    return VectorFieldOnF0(p.window, comps)
+        comps.setdefault(idx, {})[key & ~keys.psi_mask] = coeff
+    return VectorFieldOnF0(
+        p.window, {n: PhasePoly._trusted(p.window, t) for n, t in comps.items()}
+    )
 
 
 def truncated_witt_bracket(gk: PhasePoly, gl: PhasePoly, n: int) -> PhasePoly:

@@ -150,6 +150,85 @@ def test_config_root_must_be_an_object(tmp_path, capsys, command, root):
 
 
 @pytest.mark.parametrize(
+    "command, config, label",
+    [
+        ("kp", {"f_source": {"c": [0.1]}, "n": "1", "N": "4", "t_rows": [["0.05"]]}, "n"),
+        ("kp", dict(KP_CONFIG, N="4"), "N"),
+        ("kp", dict(KP_CONFIG, t_rows=[["0.05"]]), "t_rows entry"),
+        ("kp", dict(KP_CONFIG, f_source={"snapshot_csv": "traj.csv", "at_t": "0.1"}), "at_t"),
+        ("evolve", dict(IDENTITY_CONFIG, horizon="0.01"), "horizon"),
+        ("evolve", dict(IDENTITY_CONFIG, order="8"), "order"),
+    ],
+)
+def test_config_number_given_as_string_is_refused(tmp_path, capsys, command, config, label):
+    # JSON numbers only: a string that would parse as a number is still refused
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"config error: {label} must be")
+    assert not out.exists()
+
+
+def _no_computation(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computation started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "evolve", unreachable)
+    monkeypatch.setattr(cli, "step2_graph", unreachable)
+    monkeypatch.setattr(checks, "run_suite", unreachable)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("evolve", IDENTITY_CONFIG),
+        ("check", None),
+        ("kp", KP_CONFIG),
+        ("tau", KP_CONFIG),
+        ("graph-dump", {"c": [0.3], "n": 1, "N": 4}),
+    ],
+)
+@pytest.mark.parametrize("below", [False, True])
+def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch, command, config, below):
+    # --out naming an existing file, or a path below one, ends in exit 2
+    # with one line and no report, before any computation
+    _no_computation(monkeypatch)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("keep")
+    out = blocker / "x" if below else blocker
+    argv = ["check", "witt"] if config is None else [command, "--config", write_config(tmp_path, config)]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: output directory '{out}' is unusable")
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--parallel", "2"],
+        ["check", "witt", "--config", "cfg.json"],
+        ["check", "witt", "--order", "8"],
+        ["check", "witt", "--step", "0.1"],
+        ["check", "witt", "--horizon", "1"],
+        ["check", "witt", "--parallel", "2"],
+        ["kp", "--step", "0.1"],
+        ["kp", "--horizon", "1"],
+        ["tau", "--parallel", "2"],
+        ["tau", "--step", "0.1"],
+        ["graph-dump", "--horizon", "1"],
+        ["graph-dump", "--parallel", "2"],
+    ],
+)
+def test_command_refuses_flags_it_does_not_read(capsys, monkeypatch, argv):
+    _no_computation(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "overrides, flags",
     [
         ({"horizon": 1e9, "step": 1e-12}, []),

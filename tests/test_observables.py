@@ -13,6 +13,7 @@ from shapeflow.observables import (
     NotLinearInPsi,
     PhasePoly,
     WindowMismatch,
+    ExponentOverflow,
     corrected_G,
     gbar_coefficient,
     iota,
@@ -396,3 +397,162 @@ def test_evaluate_is_exact_on_rationals():
     p = c(1) * psi(2) - PhasePoly.constant(Fraction(1, 2), W)
     val = p.evaluate(c_values={1: 2.0}, psi_values={2: 0.25})
     assert val == 2.0 * 0.25 - 0.5
+
+
+# ---------------------------------------------------------------------------
+# packed keys against a tuple-key reference
+
+# The reference keeps the public form: {sorted tuple monomial: (re, im)} with
+# int parts, and multiplies monomials by merging exponent dicts.
+
+
+def _ref_mono(exps):
+    return tuple(sorted((var, e) for var, e in exps.items() if e))
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for mono, (c, d) in q.items():
+        a, b = out.get(mono, (0, 0))
+        out[mono] = (a + sign * c, b + sign * d)
+    return {m: v for m, v in out.items() if v != (0, 0)}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, (a, b) in p.items():
+        for m2, (c, d) in q.items():
+            exps = dict(m1)
+            for var, e in m2:
+                exps[var] = exps.get(var, 0) + e
+            out = _ref_add(out, {_ref_mono(exps): (a * c - b * d, a * d + b * c)})
+    return out
+
+
+def _ref_diff(p, var):
+    out = {}
+    for mono, (a, b) in p.items():
+        exps = dict(mono)
+        e = exps.get(var, 0)
+        if e:
+            exps[var] = e - 1
+            out[_ref_mono(exps)] = (a * e, b * e)
+    return out
+
+
+def _ref_bracket(p, q, w):
+    out = {}
+    for n in range(1, min(w.n_c, w.n_psi) + 1):
+        out = _ref_add(out, _ref_mul(_ref_diff(p, (0, n)), _ref_diff(q, (1, n))))
+        out = _ref_add(out, _ref_mul(_ref_diff(p, (1, n)), _ref_diff(q, (0, n))), -1)
+    return out
+
+
+def _ref_apply(field, p):
+    out = {}
+    for n, comp in field.items():
+        out = _ref_add(out, _ref_mul(comp, _ref_diff(p, (0, n))))
+    return out
+
+
+def _ref_restricted(p, c_max, psi_max, psi_min):
+    def keep(kind, idx):
+        if kind == 0:
+            return c_max is None or idx <= c_max
+        return (psi_max is None or idx <= psi_max) and (psi_min is None or idx >= psi_min)
+
+    return {m: v for m, v in p.items() if all(keep(*var) for var, _ in m)}
+
+
+def _as_ref(poly):
+    return {m: (q.re, q.im) for m, q in poly.terms().items()}
+
+
+_WINDOWS = (BracketWindow(3, 2, 3), BracketWindow(4, 1, 2), BracketWindow(2, 3, 4))
+
+
+@st.composite
+def _ref_poly(draw, w, c_only=False):
+    variables = [(0, n) for n in range(1, w.n_c + 1)]
+    if not c_only:
+        variables += [(1, m) for m in range(-w.m_neg, w.n_psi + 1)]
+    out = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        chosen = draw(st.lists(st.sampled_from(variables), max_size=3, unique=True))
+        exps = {var: draw(st.integers(min_value=1, max_value=3)) for var in chosen}
+        coeff = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        out = _ref_add(out, {_ref_mono(exps): coeff})
+    return out
+
+
+def _poly(ref, w):
+    return PhasePoly(w, {m: QC(a, b) for m, (a, b) in ref.items()})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_kernels_match_tuple_reference(data):
+    w = data.draw(st.sampled_from(_WINDOWS))
+    p_ref, q_ref = data.draw(_ref_poly(w)), data.draw(_ref_poly(w))
+    p, q = _poly(p_ref, w), _poly(q_ref, w)
+    assert _as_ref(p) == p_ref  # terms() round-trips the public keys
+    assert _as_ref(p * q) == _ref_mul(p_ref, q_ref)
+    assert _as_ref(p - q) == _ref_add(p_ref, q_ref, -1)
+    assert _as_ref(poisson_bracket(p, q)) == _ref_bracket(p_ref, q_ref, w)
+    for kind, idx in [(0, n) for n in range(1, w.n_c + 1)] + [(1, m) for m in range(-w.m_neg, w.n_psi + 1)]:
+        got = p.diff("c" if kind == 0 else "psi", idx)
+        assert _as_ref(got) == _ref_diff(p_ref, (kind, idx))
+    bounds = [data.draw(st.one_of(st.none(), st.integers(-w.m_neg, w.n_psi))) for _ in range(3)]
+    assert _as_ref(p.restricted(*bounds)) == _ref_restricted(p_ref, *bounds)
+
+    x_ref = {n: data.draw(_ref_poly(w, c_only=True)) for n in range(1, w.n_c + 1)}
+    y_ref = {n: data.draw(_ref_poly(w, c_only=True)) for n in range(1, w.n_c + 1)}
+    x = VectorFieldOnF0(w, {n: _poly(r, w) for n, r in x_ref.items()})
+    y = VectorFieldOnF0(w, {n: _poly(r, w) for n, r in y_ref.items()})
+    c_ref = data.draw(_ref_poly(w, c_only=True))
+    assert _as_ref(x.apply_to(_poly(c_ref, w))) == _ref_apply(x_ref, c_ref)
+    field = commutator(x, y)
+    for n in range(1, w.n_c + 1):
+        want = _ref_add(_ref_apply(y_ref, x_ref[n]), _ref_apply(x_ref, y_ref[n]), -1)
+        assert _as_ref(field.component(n)) == want
+
+
+def test_terms_round_trip_through_the_constructor():
+    w = BracketWindow(5, 3, 5)
+    p = (c(1, w) * c(1, w) * psi(-3, w) - psi(5, w).scale(QC(0, 2))) * c(5, w) + PhasePoly.constant(7, w)
+    terms = p.terms()
+    assert terms == {
+        (((0, 1), 2), ((0, 5), 1), ((1, -3), 1)): QC(1),
+        (((0, 5), 1), ((1, 5), 1)): QC(0, -2),
+        (): QC(7),
+    }
+    assert PhasePoly(w, terms) == p
+    for mono, coeff in terms.items():
+        assert p.coefficient(mono) == coeff
+
+
+def test_exponent_overflow_raises_and_never_carries():
+    # each variable holds exponents below 2**15; reaching 2**15 raises
+    # instead of carrying into the field of c_2
+    p = c(1)
+    for _ in range(14):
+        p = p * p
+    assert p.terms() == {(((0, 1), 2**14),): QC(1)}
+    top = p * PhasePoly(W, {(((0, 1), 2**14 - 1),): 1})
+    assert top.terms() == {(((0, 1), 2**15 - 1),): QC(1)}
+    with pytest.raises(ExponentOverflow):
+        p * p
+    with pytest.raises(ExponentOverflow):
+        top * c(1)
+    with pytest.raises(ExponentOverflow):
+        PhasePoly(W, {(((0, 1), 2**15),): 1})
+
+
+def test_out_of_window_coefficient_and_diff_are_zero():
+    p = c(1) * psi(-3) + c(6) * psi(6)
+    for mono in [(((0, 7), 1),), (((1, -4), 1),), (((1, 7), 1),), (((0, 0), 1),)]:
+        assert p.coefficient(mono) == QC(0)
+    assert p.coefficient((((0, 1), 2**15),)) == QC(0)
+    for kind, idx in [("c", 0), ("c", 7), ("psi", -4), ("psi", 7)]:
+        assert p.diff(kind, idx).is_zero()
+    assert p.diff("c", 6) == psi(6)
