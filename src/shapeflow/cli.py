@@ -14,8 +14,9 @@ Commands
 All outputs are deterministic given the config and seed: floats are written
 with ``repr`` so re-runs produce byte-identical files.  Each command takes
 only the flags it reads.  Exit codes: 0 success, 1 check failure, 2 config
-or usage error (an unusable ``--out`` directory included, found before any
-computation), 3 numerical failure.
+or usage error (an unusable ``--out`` directory, or an output file whose
+name a directory takes, included, found before any computation), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class RunConfig:
         if "driver" not in raw:
             raise ConfigError("config needs a 'driver' object")
         try:
-            driver = HerglotzDriver.from_json(json.dumps(raw["driver"]))
+            driver = HerglotzDriver.from_dict(raw["driver"])
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"bad driver config: {exc}") from exc
         report = driver.validate()
@@ -209,8 +210,9 @@ def _complex_vector(values, label) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def _check_out_dir(path):
-    """ConfigError unless ``path`` is, or can be made, a writable directory.
+def _check_out_dir(path, filenames):
+    """ConfigError unless ``path`` is, or can be made, a writable directory
+    in which no ``filenames`` entry is taken by a directory.
 
     Checked before any computation; the directory itself is made only when
     the first output is written, so a failed run leaves nothing behind.
@@ -222,15 +224,25 @@ def _check_out_dir(path):
         raise ConfigError(f"output directory {path!r} is unusable: {probe!r} is not a directory")
     if not os.access(probe, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {path!r} is unusable: {probe!r} is not writable")
+    for name in filenames:
+        target = os.path.join(path, name)
+        if os.path.isdir(target):
+            raise ConfigError(f"output file {target!r} is unusable: it is a directory")
 
 
-def _out_path(args, filename) -> str:
+def _outputs(args) -> list:
+    """The names of the files ``args.command`` writes, from ``_COMMANDS``."""
+    return [name.format(**vars(args)) for name in _COMMANDS[args.command][3]]
+
+
+def _out_paths(args) -> list:
+    """The paths of the command's output files; their directory is made here."""
     out_dir = args.out or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir!r} is unusable: {exc}") from exc
-    return os.path.join(out_dir, filename)
+    return [os.path.join(out_dir, name) for name in _outputs(args)]
 
 
 def _fmt(value: float) -> str:
@@ -320,10 +332,9 @@ def cmd_evolve(args) -> int:
     checked = [*report["drift"].values(), report["energy_invariant_drift"]]
     _require_finite(checked + extra.get("koebe_error", []), "the conservation report")
 
-    csv_path = _out_path(args, "trajectory.csv")
+    csv_path, report_path = _out_paths(args)
     record.to_csv(csv_path, extra_columns=extra)
     report["trajectory_csv"] = os.path.basename(csv_path)
-    report_path = _out_path(args, "conservation.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -347,7 +358,7 @@ def cmd_check(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        path = _out_path(args, f"check_{args.suite}.json")
+        (path,) = _out_paths(args)
         with open(path, "w") as fh:
             fh.write(text + "\n")
     return EXIT_OK if passed else EXIT_CHECK_FAILURE
@@ -507,7 +518,7 @@ def cmd_kp(args) -> int:
     results = _run_cells(cells, args.parallel)
     _require_finite(results, "the kp sweep")
 
-    path = _out_path(args, "kp_sweep.csv")
+    (path,) = _out_paths(args)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in results:
@@ -526,7 +537,7 @@ def cmd_tau(args) -> int:
     values = [tau(op, trow, N) for trow in rows]
     _require_finite(values, "the tau sweep")
 
-    path = _out_path(args, "tau.csv")
+    (path,) = _out_paths(args)
     with open(path, "w") as fh:
         fh.write("t1,t2,t3,re_tau,im_tau\n")
         for trow, value in zip(rows, values):
@@ -550,7 +561,7 @@ def cmd_graph_dump(args) -> int:
     _require_finite(np.concatenate(values), "the graph operator")
     text = op.to_json()
     if args.out:
-        path = _out_path(args, "graph.json")
+        (path,) = _out_paths(args)
         with open(path, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {path}")
@@ -573,12 +584,39 @@ _FLAGS = {
     "out_or_stdout": ("--out", {"help": "output directory (default: print to stdout)"}),
     "parallel": ("--parallel", {"type": int, "default": 1, "help": "worker count for sweep cells"}),
 }
+# per command: handler, help text, the flags it reads, and the files it
+# writes under --out (formatted with the parsed arguments)
 _COMMANDS = {
-    "evolve": ("run a shape trajectory", ("config", "order", "step", "horizon", "out")),
-    "check": ("run an identity suite", ("out_or_stdout",)),
-    "kp": ("sweep generalized times", ("config", "order", "out", "parallel")),
-    "tau": ("tau determinant over a time grid", ("config", "order", "out")),
-    "graph-dump": ("dump a graph operator as JSON", ("config", "order", "out_or_stdout")),
+    "evolve": (
+        cmd_evolve,
+        "run a shape trajectory",
+        ("config", "order", "step", "horizon", "out"),
+        ("trajectory.csv", "conservation.json"),
+    ),
+    "check": (
+        cmd_check,
+        "run an identity suite",
+        ("out_or_stdout",),
+        ("check_{suite}.json",),
+    ),
+    "kp": (
+        cmd_kp,
+        "sweep generalized times",
+        ("config", "order", "out", "parallel"),
+        ("kp_sweep.csv",),
+    ),
+    "tau": (
+        cmd_tau,
+        "tau determinant over a time grid",
+        ("config", "order", "out"),
+        ("tau.csv",),
+    ),
+    "graph-dump": (
+        cmd_graph_dump,
+        "dump a graph operator as JSON",
+        ("config", "order", "out_or_stdout"),
+        ("graph.json",),
+    ),
 }
 
 
@@ -598,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list every identity check with its source location and exit",
     )
     sub = parser.add_subparsers(dest="command")
-    for command, (text, flags) in _COMMANDS.items():
+    for command, (_, text, flags, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=text)
         if command == "check":
             cmd.add_argument("suite", choices=checks.SUITES)
@@ -606,15 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
             name, options = _FLAGS[flag]
             cmd.add_argument(name, **options)
     return parser
-
-
-_DISPATCH = {
-    "evolve": cmd_evolve,
-    "check": cmd_check,
-    "kp": cmd_kp,
-    "tau": cmd_tau,
-    "graph-dump": cmd_graph_dump,
-}
 
 
 def main(argv=None) -> int:
@@ -631,13 +660,14 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG_ERROR
+    handler = _COMMANDS[args.command][0]
     try:
         if args.out is not None:
-            _check_out_dir(args.out or ".")
+            _check_out_dir(args.out or ".", _outputs(args))
         # overflow and NaN are caught by the finiteness checks before any
         # write, and reported once as a numerical failure
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _DISPATCH[args.command](args)
+            return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

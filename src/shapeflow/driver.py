@@ -13,6 +13,8 @@ Herglotz transform is identically 1 (the trivial driver).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,22 @@ _WEIGHT_TOL = 1e-12
 
 class InvalidMeasure(ValueError):
     """Atom weights violate the probability-measure invariants."""
+
+
+def _finite(value, label):
+    """``float(value)`` for a finite real number; anything else is a ValueError.
+
+    A string or a boolean is refused rather than converted, and so are NaN,
+    the infinities and an integer too large for a float.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"driver {label} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +58,10 @@ class DriverPiece:
     def check(self):
         """List of invariant violations (empty when valid)."""
         problems = []
-        if any(a.mu < 0 for a in self.atoms):
+        # written so that a NaN weight fails both tests
+        if not all(a.mu >= 0 for a in self.atoms):
             problems.append("negative weight")
-        if self.atoms and abs(sum(a.mu for a in self.atoms) - 1.0) > _WEIGHT_TOL:
+        if self.atoms and not abs(sum(a.mu for a in self.atoms) - 1.0) <= _WEIGHT_TOL:
             problems.append("weights do not sum to 1")
         return problems
 
@@ -61,16 +80,28 @@ class HerglotzDriver:
         return cls(pieces=(DriverPiece(0.0, (Atom(theta, 1.0),)),))
 
     @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
+    def from_dict(cls, data):
+        """The driver ``{"pieces": [{"t_start": t, "atoms": [{"theta": th, "mu": mu}]}]}``.
+
+        Each number must be a finite real (see :func:`_finite`), else a
+        ValueError; a missing key is a KeyError and a container of the wrong
+        kind a TypeError.
+        """
         pieces = tuple(
             DriverPiece(
-                float(p["t_start"]),
-                tuple(Atom(float(a["theta"]), float(a["mu"])) for a in p.get("atoms", ())),
+                _finite(p["t_start"], "t_start"),
+                tuple(
+                    Atom(_finite(a["theta"], "theta"), _finite(a["mu"], "mu"))
+                    for a in p.get("atoms", ())
+                ),
             )
             for p in data["pieces"]
         )
         return cls(pieces=pieces)
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_dict(json.loads(text))
 
     def to_json(self):
         return json.dumps(
@@ -123,7 +154,7 @@ class HerglotzDriver:
             problems.append("no pieces")
         elif starts[0] != 0.0:
             problems.append("first piece must start at t=0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
             problems.append("t_start values must be strictly increasing")
         for i, piece in enumerate(self.pieces):
             problems.extend(f"piece {i}: {msg}" for msg in piece.check())

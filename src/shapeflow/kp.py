@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmannian import GraphOperator, fprime_reciprocal
+from .grassmannian import GraphOperator, _upper_toeplitz, fprime_reciprocal
 from .observables import WindowTooSmall
 
 
@@ -329,44 +329,45 @@ class BakerAkhiezer:
     values: tuple
 
 
+def _wave_system(op: GraphOperator, t, N: int):
+    """``(a, body, shifted, T)``: the parts of the n-by-n system of Psi.
+
+    With the Schur values ``a = S(t)``, Psi has ``body @ omega`` on
+    ``z^-1..z^-n``, ``body[k, l] = a_{l-k}`` unit upper triangular, and
+    ``a + shifted @ omega`` on ``z^0, z^1, ...``, ``shifted[i, l] = a_{i+l}``.
+    The graph relation ``negative = T @ nonnegative``, with ``T`` the graph
+    matrix cut to its first ``min(N, op.N) + 1`` columns, is then the
+    system ``S omega = r`` with ``S = body - T shifted`` and ``r = T a``.
+    """
+    cols = min(N, op.N) + 1
+    graph = np.asarray(op.matrix, dtype=complex)[:, :cols]
+    a = np.asarray(schur(t, cols + op.n - 1), dtype=complex)
+    body = _upper_toeplitz(a[: op.n])
+    shifted = a[np.arange(cols)[:, None] + np.arange(1, op.n + 1)]
+    return a, body, shifted, graph
+
+
 def baker_akhiezer(op: GraphOperator, t, z_samples: Sequence = ()) -> BakerAkhiezer:
     """The wave function of a graph operator at a time vector.
 
     The pole coefficients ``omega_1..omega_n`` are fixed by requiring the
     coefficient vector of Psi to satisfy the graph relation: each negative
     coefficient equals the graph matrix applied to the nonnegative ones.
-    That gives an n-by-n linear system; a condition number above 1e12
-    raises :class:`SingularSystem`.
+    That is the n-by-n system ``S omega = r`` of :func:`_wave_system`, whose
+    determinant is :func:`tau`; a condition number above 1e12 raises
+    :class:`SingularSystem`.
     """
     times = GeneralizedTimes.of(t)
     n, N = op.n, op.N
-    graph = np.asarray(op.matrix, dtype=complex)
-    a = np.asarray(schur(times, N + n), dtype=complex)
-
-    def aval(q: int) -> complex:
-        return a[q] if 0 <= q < a.size else 0.0
-
-    shifted = np.empty((N + 1, n), dtype=complex)
-    for ell in range(1, n + 1):
-        shifted[:, ell - 1] = [aval(i + ell) for i in range(N + 1)]
-    body = np.array(
-        [[aval(ell - k) for ell in range(1, n + 1)] for k in range(1, n + 1)],
-        dtype=complex,
-    )
+    a, body, shifted, graph = _wave_system(op, times, N)
     system = body - graph @ shifted
-    rhs = graph @ a[: N + 1]
     cond = np.linalg.cond(system)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularSystem(
             f"wave-coefficient system has condition number {cond:.3e} at N={N}"
         )
-    omegas = np.linalg.solve(system, rhs)
-
-    negative = [
-        sum(omegas[ell - 1] * aval(ell - k) for ell in range(1, n + 1))
-        for k in range(n, 0, -1)
-    ]
-    laurent = np.concatenate([negative, a[: N + 1] + shifted @ omegas])
+    omegas = np.linalg.solve(system, graph @ a[: N + 1])
+    laurent = np.concatenate([(body @ omegas)[::-1], a[: N + 1] + shifted @ omegas])
 
     zs = np.atleast_1d(np.asarray(z_samples, dtype=complex)).ravel()
     values = []
@@ -383,33 +384,25 @@ def baker_akhiezer(op: GraphOperator, t, z_samples: Sequence = ()) -> BakerAkhie
 
 
 def tau(op: GraphOperator, t, N: int) -> complex:
-    """The tau determinant ``det(1 + a^{-1} b T)`` truncated to (N+1)x(N+1).
+    """The tau function ``det S`` of the Baker-Akhiezer system at window N.
 
-    ``a`` and ``b`` are the triangular and cut blocks of multiplication by
-    ``exp(-xi)`` on the coefficient window, and ``a^{-1}`` is the exact
-    triangular Toeplitz inverse (multiplication by ``exp(+xi)``).  The
-    perturbation ``a^{-1} b T`` has rank at most n, so the determinant
-    stabilizes once N covers the decay of the Schur values.
+    This is the (N+1)x(N+1) determinant ``det(1 + a^{-1} b T)``, with ``a``
+    and ``b`` the triangular and cut blocks of multiplication by
+    ``exp(-xi)``: since ``exp(xi) exp(-xi) = 1``, ``a^{-1} b`` equals
+    ``-shifted @ body^{-1}`` exactly in the truncation, and Sylvester's
+    identity gives ``det(1 + a^{-1} b T) = det(1 - T shifted body^{-1})
+    = det(S) / det(body) = det(S)`` (see :func:`_wave_system`).  The
+    determinant stabilizes once N covers the decay of the Schur values.
     """
-    times = GeneralizedTimes.of(t)
-    n = op.n
-    h = np.asarray(schur(-times, N + n), dtype=complex)
-    inv_sym = np.asarray(schur(times, N), dtype=complex)
-    # lower-triangular Toeplitz band: a_inv[i, q] = S_{i-q}(t), b[i, k-1] = S_{i+k}(-t)
-    rows = np.arange(N + 1)[:, None]
-    a_inv = np.tril(inv_sym[np.abs(rows - np.arange(N + 1))])
-    b = h[rows + np.arange(1, n + 1)]
-    graph_cols = np.zeros((n, N + 1), dtype=complex)
-    cols = min(N, op.N) + 1
-    graph_cols[:, :cols] = np.asarray(op.matrix, dtype=complex)[:, :cols]
-    return complex(np.linalg.det(np.eye(N + 1) + a_inv @ b @ graph_cols))
+    _, body, shifted, graph = _wave_system(op, t, N)
+    return complex(np.linalg.det(body - graph @ shifted))
 
 
 def sato_psi(op: GraphOperator, t, z: complex, N: int, terms: int = 24) -> complex:
     """The wave function reconstructed from two tau evaluations.
 
     Computes ``exp(xi(t, z)) * tau(t - [z^{-1}]) / tau(t)`` where
-    ``[z^{-1}]_k = 1/(k z^k)``; for an order-1 graph this must agree with
+    ``[z^{-1}]_k = 1/(k z^k)``; for a graph of any order this must agree with
     :func:`baker_akhiezer` evaluated at z.
     """
     times = GeneralizedTimes.of(t)

@@ -97,6 +97,11 @@ def test_psibar0_width_mismatch_rejected(tmp_path):
     assert cli.main(["evolve", "--config", path]) == cli.EXIT_CONFIG_ERROR
 
 
+def one_atom(theta=0.0, mu=1.0):
+    """A one-piece driver with a single atom."""
+    return {"pieces": [{"t_start": 0.0, "atoms": [{"theta": theta, "mu": mu}]}]}
+
+
 KP_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
 
 
@@ -128,6 +133,13 @@ KP_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
         ("kp", KP_CONFIG, "convergence_pair", 1),
         ("graph-dump", {"c": [0.3]}, "N", 4.5),
         ("graph-dump", {"c": [True]}, "n", 1),
+        ("evolve", IDENTITY_CONFIG, "driver", {"pieces": [{"t_start": "0", "atoms": []}]}),
+        ("evolve", IDENTITY_CONFIG, "driver", one_atom(theta="0")),
+        ("evolve", IDENTITY_CONFIG, "driver", one_atom(mu="1")),
+        ("evolve", IDENTITY_CONFIG, "driver", one_atom(theta=True)),
+        ("evolve", IDENTITY_CONFIG, "driver", one_atom(mu=math.nan)),
+        ("evolve", IDENTITY_CONFIG, "driver", one_atom(theta=1e400)),
+        ("evolve", IDENTITY_CONFIG, "driver", {"pieces": [{"t_start": 0.0}, {"t_start": math.nan}]}),
     ],
 )
 def test_malformed_config_number_is_config_error(tmp_path, capsys, command, base, key, value):
@@ -169,6 +181,16 @@ def test_config_number_given_as_string_is_refused(tmp_path, capsys, command, con
     assert not out.exists()
 
 
+# the files each command writes under --out
+OUTPUTS = {
+    "evolve": ("trajectory.csv", "conservation.json"),
+    "check": ("check_witt.json",),
+    "kp": ("kp_sweep.csv",),
+    "tau": ("tau.csv",),
+    "graph-dump": ("graph.json",),
+}
+
+
 def _no_computation(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("computation started before the output directory was checked")
@@ -188,21 +210,36 @@ def _no_computation(monkeypatch):
         ("graph-dump", {"c": [0.3], "n": 1, "N": 4}),
     ],
 )
-@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("below", [False, True, None])
 def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch, command, config, below):
-    # --out naming an existing file, or a path below one, ends in exit 2
-    # with one line and no report, before any computation
+    # --out naming an existing file (below=False) or a path below one
+    # (below=True), or any one of the command's output files being a
+    # directory (below=None), ends in exit 2 with one line and nothing
+    # written, before any computation
     _no_computation(monkeypatch)
-    blocker = tmp_path / "a_file"
-    blocker.write_text("keep")
-    out = blocker / "x" if below else blocker
     argv = ["check", "witt"] if config is None else [command, "--config", write_config(tmp_path, config)]
-    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"config error: output directory '{out}' is unusable")
-    assert blocker.read_text() == "keep"
+    if below is None:
+        cases = []
+        for name in OUTPUTS[command]:
+            out = tmp_path / f"out_{name}"
+            (out / name).mkdir(parents=True)
+            cases.append((out, f"config error: output file '{out / name}' is unusable"))
+    else:
+        blocker = tmp_path / "a_file"
+        blocker.write_text("keep")
+        out = blocker / "x" if below else blocker
+        cases = [(out, f"config error: output directory '{out}' is unusable")]
+    for out, message in cases:
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message)
+        if below is None:
+            (taken,) = os.listdir(out)
+            assert os.listdir(out / taken) == []
+    if below is not None:
+        assert blocker.read_text() == "keep"
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,11 @@ def test_bad_weights_raise():
     )
     with pytest.raises(InvalidMeasure):
         d2.moments(0.0, 4)
+    # NaN compares false both ways, so it must fail the checks, not slip past
+    nan_weight = HerglotzDriver(pieces=(DriverPiece(0.0, (Atom(0.0, float("nan")),)),))
+    assert not nan_weight.validate()["ok"]
+    with pytest.raises(InvalidMeasure):
+        nan_weight.moments(0.0, 4)
     with pytest.raises(ValueError):
         HerglotzDriver.identity().moments(-0.1, 4)
 
@@ -80,6 +85,8 @@ def test_validate_reports():
         )
     ).validate()
     assert not unordered["ok"]
+    late_nan = HerglotzDriver(pieces=(DriverPiece(0.0), DriverPiece(float("nan")))).validate()
+    assert not late_nan["ok"]
 
 
 def test_json_roundtrip():
@@ -93,6 +100,39 @@ def test_json_roundtrip():
     assert json.loads(d.to_json()) == src
     d2 = HerglotzDriver.from_json(d.to_json())
     assert d2 == d
+
+
+
+@pytest.mark.parametrize(
+    "t_start, theta, mu",
+    [
+        ("0", 0.0, 1.0),
+        (0.0, "0", 1.0),
+        (0.0, 0.0, "1"),
+        (0.0, True, 1.0),
+        (0.0, 0.0, float("nan")),
+        (0.0, float("inf"), 1.0),
+        (0.0, 10**400, 1.0),
+        (0.0, None, 1.0),
+    ],
+)
+def test_from_dict_refuses_non_numbers_and_non_finite(t_start, theta, mu):
+    data = {"pieces": [{"t_start": t_start, "atoms": [{"theta": theta, "mu": mu}]}]}
+    with pytest.raises(ValueError, match="must be a finite number"):
+        HerglotzDriver.from_dict(data)
+    with pytest.raises(ValueError, match="must be a finite number"):
+        HerglotzDriver.from_json(json.dumps(data))
+
+
+def test_from_dict_reads_integers_and_reports_bad_structure():
+    d = HerglotzDriver.from_dict({"pieces": [{"t_start": 0, "atoms": [{"theta": 0, "mu": 1}]}]})
+    assert d == HerglotzDriver.single_atom(0.0)
+    with pytest.raises(KeyError):
+        HerglotzDriver.from_dict({"pieces": [{"atoms": []}]})
+    with pytest.raises(TypeError):
+        HerglotzDriver.from_dict([])
+    with pytest.raises(ValueError, match="must be a finite number"):
+        HerglotzDriver.from_dict({"pieces": [{"t_start": 0.0, "atoms": [{"theta": 1j, "mu": 1}]}]})
 
 
 @settings(max_examples=30, deadline=None)

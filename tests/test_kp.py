@@ -555,10 +555,49 @@ def test_tau_determinant_stabilizes():
     assert abs(tau(op2, t, 16) - tau(op2, t, 32)) < 1e-8
 
 
-def test_tau_quotient_reproduces_wave_function():
+def dense_tau(op, t, N):
+    """Reference tau: the (N+1)x(N+1) determinant ``det(1 + a^{-1} b T)``.
+
+    ``a^{-1}`` is multiplication by exp(+xi), the lower-triangular Toeplitz
+    band of S(t); ``b[i, k-1] = S_{i+k}(-t)`` is the cut block of
+    multiplication by exp(-xi); ``T`` is the graph matrix cut to its first
+    ``min(N, op.N) + 1`` columns and zero-padded to N + 1.
+    """
+    times = GeneralizedTimes.of(t)
+    h = schur(-times, N + op.n)
+    inv_sym = schur(times, N)
+    rows = np.arange(N + 1)[:, None]
+    a_inv = np.tril(inv_sym[np.abs(rows - np.arange(N + 1))])
+    b = h[rows + np.arange(1, op.n + 1)]
+    graph_cols = np.zeros((op.n, N + 1), dtype=complex)
+    cols = min(N, op.N) + 1
+    graph_cols[:, :cols] = op.matrix[:, :cols]
+    return complex(np.linalg.det(np.eye(N + 1) + a_inv @ b @ graph_cols))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_matches_dense_determinant(n):
+    # det of the n-by-n wave system equals the dense (N+1)x(N+1) determinant
+    # (Sylvester), for windows below, at and above the graph's own
+    rng = np.random.default_rng(60 + n)
+    for N in (8, 16, 32):
+        k = np.arange(1, N + 1)
+        for _ in range(4):
+            c = 0.5**k / k * np.exp(2j * np.pi * rng.uniform(size=N)) * rng.uniform(0.5, 1.0, N)
+            op = gr.step2_graph(c, n, N)
+            t = 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            shifted = GeneralizedTimes.of(t).sato_shifted(3 * np.exp(1j * rng.uniform(0, 7)))
+            for times in (t, shifted):
+                for window in (N // 2, N, 2 * N):
+                    want = dense_tau(op, times, window)
+                    assert abs(tau(op, times, window) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_quotient_reproduces_wave_function(n):
     N = 32
     c = np.array([0.5**k / k for k in range(1, N + 1)])
-    op = gr.step2_graph(c, 1, N)
+    op = gr.step2_graph(c, n, N)
     t = (0.05, 0.03, 0.02)
     ba = baker_akhiezer(op, t, z_samples=(3.0 * np.exp(1j * np.pi / 7), -3.0))
     for z, psi in zip(ba.samples, ba.values):
