@@ -629,13 +629,14 @@ class VectorFieldOnF0:
 
     def apply_to(self, poly: PhasePoly) -> PhasePoly:
         """Derivative of a c-polynomial along the field: sum_n X_n dpoly/dc_n."""
-        shift = self.window._keys.shift
         acc = {}
-        for n, comp in self.components.items():
-            grad = _raw_diff(poly._terms, shift[(_C, n)])
-            if grad:
-                _product_into(acc, _raw(comp._terms), grad)
+        _apply_into(acc, self._raw_components(), poly)
         return _collect(self.window, acc)
+
+    def _raw_components(self):
+        """(shift of c_n, raw terms of X_n) for each component, in order."""
+        shift = self.window._keys.shift
+        return [(shift[(_C, n)], _raw(p._terms)) for n, p in self.components.items()]
 
     def __add__(self, other):
         self._check(other)
@@ -676,6 +677,14 @@ class VectorFieldOnF0:
 
     def __repr__(self):
         return f"VectorFieldOnF0({self.components!r})"
+
+
+def _apply_into(acc, raw_components, poly, sign=1):
+    """acc += sign * sum_n X_n dpoly/dc_n, the field given by ``_raw_components``."""
+    for shift, comp in raw_components:
+        grad = _raw_diff(poly._terms, shift, sign)
+        if grad:
+            _product_into(acc, comp, grad)
 
 
 def iota(p: PhasePoly) -> VectorFieldOnF0:

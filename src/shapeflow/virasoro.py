@@ -26,6 +26,8 @@ from .observables import (
     VectorFieldOnF0,
     WindowMismatch,
     WindowTooSmall,
+    _apply_into,
+    _collect,
     reciprocal_coefficients,
 )
 
@@ -40,6 +42,12 @@ __all__ = [
 
 class QuadratureDegenerate(RuntimeError):
     """The contour quadrature hit a (near-)singular configuration."""
+
+
+# interior evaluation points per block of the quadrature matrix: at Q = 2048
+# the two block buffers take 0.75 MiB, where one whole n_z-by-Q temporary
+# took 4 MiB or more
+_ROWS = 16
 
 
 def _c(n, window):
@@ -104,15 +112,25 @@ def commutator(x: VectorFieldOnF0, y: VectorFieldOnF0) -> VectorFieldOnF0:
     """Bracket of two fields, normalized so kirillov_L indices add:
 
     commutator(L_k, L_n) = (n - k) L_{k+n}.
+
+    Component n is ``y.apply_to(x_n) - x.apply_to(y_n)``, built as one exact
+    accumulation: both derivatives go into one dict of raw parts, with the
+    raw terms of every component listed once per call.
     """
     if x.window != y.window:
         raise WindowMismatch("fields declared over different windows")
+    w = x.window
     if x is y:
-        return VectorFieldOnF0(x.window, {})
+        return VectorFieldOnF0(w, {})
+    xs, ys = x._raw_components(), y._raw_components()
+    zero = PhasePoly.zero(w)
     comps = {}
     for n in set(x.components) | set(y.components):
-        comps[n] = y.apply_to(x.component(n)) - x.apply_to(y.component(n))
-    return VectorFieldOnF0(x.window, comps)
+        acc = {}
+        _apply_into(acc, ys, x.components.get(n, zero))
+        _apply_into(acc, xs, y.components.get(n, zero), -1)
+        comps[n] = _collect(w, acc)
+    return VectorFieldOnF0(w, comps)
 
 
 def _has_close_pair(values: np.ndarray, tol: float) -> bool:
@@ -136,8 +154,9 @@ def _has_close_pair(values: np.ndarray, tol: float) -> bool:
 def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     """Variation of f by the boundary field -i z^k, as Taylor coefficients.
 
-    ``f`` holds the Taylor coefficients f_0..f_N of the map; the result holds
-    those of the variation, of degree N + max(k, 0).
+    ``f`` holds the Taylor coefficients f_0..f_N of the map, at least two and
+    all finite; the result holds those of the variation, of degree
+    N + max(k, 0).
 
     Computes the contour integral
 
@@ -149,14 +168,28 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     above roundoff; for |z| <= 1/2 the re-evaluated series is spectrally
     accurate.
 
-    Raises QuadratureDegenerate when two boundary images f(w) lie closer than
-    1e-8 (a sort-and-sweep test, ``_has_close_pair``, O(Q log Q) unless many
-    images share a real part) or when f(w) - f(z) nearly vanishes on the grid.
+    The n_z interior points are taken ``_ROWS`` at a time: each block of
+    f(w) - f(z) is formed, tested, divided into the weights and averaged in
+    two reused (_ROWS, Q) buffers, so memory is O(_ROWS * Q) rather than
+    O(n_z * Q).  Every element and every row mean is computed exactly as on
+    the whole n_z-by-Q matrix, so the result is the same to the bit.
+
+    Raises ValueError when Q is not an int >= 1 or f has fewer than two
+    coefficients or a non-finite one.  Raises QuadratureDegenerate when two
+    boundary images f(w) lie closer than 1e-8 (a sort-and-sweep test,
+    ``_has_close_pair``, O(Q log Q) unless many images share a real part) or
+    when f(w) - f(z) nearly vanishes, or is not a number, on the grid.
     """
+    if isinstance(Q, bool) or not isinstance(Q, int) or Q < 1:
+        raise ValueError(f"Q must be an int >= 1, got {Q!r}")
+    f = np.asarray(f, dtype=complex)
+    if f.ndim != 1 or len(f) < 2:
+        raise ValueError("f must be a 1-D array of at least two Taylor coefficients")
+    if not np.isfinite(f).all():
+        raise ValueError("f has a non-finite Taylor coefficient")
     r = 0.5
     theta = 2 * np.pi * np.arange(Q) / Q
     w = np.exp(1j * theta)
-    f = np.asarray(f, dtype=complex)
     fw = taylor_values(f, w)
     fpw = taylor_values(np.arange(1, len(f)) * f[1:], w)
     if _has_close_pair(fw, 1e-8):
@@ -170,10 +203,19 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     fz = taylor_values(f, zs)
 
     weight = (w * fpw / fw) ** 2 * w**k
-    denom = fw[None, :] - fz[:, None]
-    if np.abs(denom).min() < 1e-8:
-        raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
-    vals = fz**2 * (weight[None, :] / denom).mean(axis=1)
+    denom = np.empty((_ROWS, Q), dtype=complex)
+    size = np.empty((_ROWS, Q))
+    means = np.empty(n_z, dtype=complex)
+    # n_z is a power of two >= 128, so the blocks tile it
+    for start in range(0, n_z, _ROWS):
+        rows = slice(start, start + _ROWS)
+        np.subtract(fw[None, :], fz[rows, None], out=denom)
+        np.abs(denom, out=size)
+        if not (size.min() >= 1e-8):
+            raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
+        np.divide(weight[None, :], denom, out=denom)
+        denom.mean(axis=1, out=means[rows])
+    vals = fz**2 * means
 
     lam = np.fft.fft(vals) / n_z
     return lam[: order_out + 1] / r ** np.arange(order_out + 1)

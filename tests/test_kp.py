@@ -518,6 +518,24 @@ def test_wave_function_pole_window():
         assert abs(ba.laurent[i + n] - want) < 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wave_function_negative_part_from_schur_oracle(n):
+    # the coefficient of z^-j in Psi / exp(xi) is sum_{l >= j} omega_l a_{l-j},
+    # with the Schur values a taken from the series-layer oracle
+    rng = np.random.default_rng(80 + n)
+    N = 16
+    k = np.arange(1, N + 1)
+    for _ in range(3):
+        c = 0.5**k / k * np.exp(2j * np.pi * rng.uniform(size=N))
+        op = gr.step2_graph(c, n, N)
+        t = tuple(0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+        ba = baker_akhiezer(op, t)
+        a = series_schur(t, n)
+        for j in range(1, n + 1):
+            want = sum(ba.omegas[l - 1] * a[l - j] for l in range(j, n + 1))
+            assert abs(ba.laurent[n - j] - want) < 1e-13 * max(1.0, abs(want)), (j, want)
+
+
 def test_wave_function_singular_system_raises():
     op = gr.GraphOperator(
         n=1,

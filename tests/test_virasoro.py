@@ -1,5 +1,8 @@
 """Vector-field algebra and contour-variation tests."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from shapeflow.observables import (
 from shapeflow.series import TruncatedSeries
 from shapeflow.virasoro import (
     QuadratureDegenerate,
+    VectorFieldOnF0,
     _has_close_pair,
     commutator,
     kirillov_L,
@@ -125,6 +129,25 @@ def test_recursive_field_satisfies_witt_with_closed_forms():
     assert got2 == kirillov_L(-1, w).scale(-5).restricted(5)
 
 
+def two_pass_commutator(x, y):
+    """Reference bracket: each component as two derivatives and a subtraction."""
+    keys = set(x.components) | set(y.components)
+    return VectorFieldOnF0(
+        x.window,
+        {n: y.apply_to(x.component(n)) - x.apply_to(y.component(n)) for n in keys},
+    )
+
+
+@pytest.mark.parametrize("m_neg", [0, 2])
+def test_commutator_matches_two_pass_definition(m_neg):
+    # L_{-3} and L_{-4} carry Fraction coefficients from the recursion
+    w = BracketWindow(n_c=10, m_neg=m_neg, n_psi=10)
+    fields = {a: kirillov_L(a, w) for a in range(-4, 5)}
+    for a, x in fields.items():
+        for b, y in fields.items():
+            assert repr(commutator(x, y)) == repr(two_pass_commutator(x, y)), (a, b)
+
+
 def test_fields_agree_with_observable_lift():
     w = BracketWindow(n_c=10, m_neg=2, n_psi=10)
     for k in range(1, 6):
@@ -175,6 +198,87 @@ def test_quadrature_rejects_folded_boundary():
     f = TruncatedSeries([0, 1, -1 / np.sqrt(2)])  # f(e^{i pi/4}) == f(e^{-i pi/4})
     with pytest.raises(QuadratureDegenerate):
         schaeffer_spencer(f.coeffs, 1, Q=2048)
+
+
+def whole_matrix_schaeffer_spencer(f, k, Q=2048):
+    """Reference quadrature: the n_z-by-Q matrix of f(w) - f(z) built at once."""
+    r = 0.5
+    w = np.exp(1j * 2 * np.pi * np.arange(Q) / Q)
+    f = np.asarray(f, dtype=complex)
+    fw = np.polyval(f[::-1], w)
+    fpw = np.polyval((np.arange(1, len(f)) * f[1:])[::-1], w)
+    order_out = len(f) - 1 + max(k, 0)
+    n_z = 128
+    while n_z < 2 * (order_out + 1):
+        n_z *= 2
+    fz = np.polyval(f[::-1], r * np.exp(2j * np.pi * np.arange(n_z) / n_z))
+    weight = (w * fpw / fw) ** 2 * w**k
+    vals = fz**2 * (weight[None, :] / (fw[None, :] - fz[:, None])).mean(axis=1)
+    lam = np.fft.fft(vals) / n_z
+    return lam[: order_out + 1] / r ** np.arange(order_out + 1)
+
+
+def seeded_map(rng, order):
+    j = np.arange(1, order)
+    return np.concatenate([[0.0, 1.0], 0.5**j / j * np.exp(2j * np.pi * rng.uniform(size=j.size))])
+
+
+# order 20 keeps n_z = 128 interior points for every k below; order 70 needs 256
+@pytest.mark.parametrize("order", [20, 70])
+def test_quadrature_matches_whole_matrix_bit_for_bit(order):
+    f = seeded_map(np.random.default_rng(order), order)
+    for k in (-2, -1, 0, 1, 2, 3, 5):
+        got = schaeffer_spencer(f, k)
+        assert got.tobytes() == whole_matrix_schaeffer_spencer(f, k).tobytes(), k
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_quadrature_collision_in_any_row_block(where):
+    # f = z - (2/3) z^2 has f(1) == f(1/2); rotating the map by the angle of
+    # interior point i moves that collision onto row i of the quadrature
+    n_z, Q = 128, 2048
+    i = {"first": 0, "middle": n_z // 2, "last": n_z - 1}[where]
+    f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / n_z)]
+    with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
+        schaeffer_spencer(f, 1, Q=Q)
+
+
+def test_quadrature_memory_stays_at_row_blocks():
+    f = seeded_map(np.random.default_rng(3), 40)
+    schaeffer_spencer(f, 2)
+    tracemalloc.start()
+    try:
+        schaeffer_spencer(f, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "f", [[0.0, 1.0, np.nan], [0.0, np.inf, 0.1], [0.0, 1.0, complex(0.1, np.nan)]]
+)
+def test_quadrature_refuses_non_finite_map(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            schaeffer_spencer(f, 2, Q=64)
+
+
+@pytest.mark.parametrize("Q", [0, -4, 2.5, True, "64", None])
+def test_quadrature_refuses_unusable_point_count(Q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Q must be an int"):
+            schaeffer_spencer([0.0, 1.0, 0.1], 2, Q=Q)
+
+
+@pytest.mark.parametrize("f", [[], [0.0], [[0.0, 1.0]]])
+def test_quadrature_refuses_too_few_coefficients(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least two"):
+            schaeffer_spencer(f, 2, Q=64)
 
 
 # ---------------------------------------------------------------------------
