@@ -22,8 +22,6 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import contextvars
 import csv
 import dataclasses
 import functools
@@ -35,19 +33,7 @@ import sys
 
 import numpy as np
 
-from . import checks
-from .driver import HerglotzDriver
-from .evolution import ShapeState, StepRejected, evolve
-from .grassmannian import InverseCheckFailed, step2_graph
-from .kp import (
-    ABForm,
-    NearSingularA,
-    SingularSystem,
-    kp_residual,
-    omega1_and_partials,
-    tau,
-)
-from .observables import g0
+from . import NumericalFailure
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -67,7 +53,7 @@ class ConfigError(ValueError):
     """A config file is missing, malformed, or violates an invariant."""
 
 
-class NonFiniteOutput(ArithmeticError):
+class NonFiniteOutput(NumericalFailure):
     """A value about to be written is NaN or infinite."""
 
 
@@ -79,7 +65,7 @@ class NonFiniteOutput(ArithmeticError):
 class RunConfig:
     """Validated trajectory-run configuration."""
 
-    driver: HerglotzDriver
+    driver: HerglotzDriver  # annotations stay strings: the driver layer loads on use
     horizon: float
     step: float
     order: int
@@ -90,6 +76,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw, order=None, step=None, horizon=None) -> "RunConfig":
+        from .driver import HerglotzDriver
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         if "driver" not in raw:
@@ -290,6 +277,7 @@ def _energy_drift(record, driver: HerglotzDriver) -> float:
     H + G_0 is conserved along the flow of one piece; H jumps at a switch.
     A state at a switch time belongs to the piece that starts there.
     """
+    from .evolution import g0
     energy = record.hamiltonian + np.array([g0(s) for s in record.states])
     starts = [p.t_start for p in driver.pieces]
     piece = np.searchsorted(starts, record.times, side="right")
@@ -298,16 +286,17 @@ def _energy_drift(record, driver: HerglotzDriver) -> float:
 
 
 def cmd_evolve(args) -> int:
+    from . import evolution
     config = RunConfig.from_dict(
         _load_config(args.config), order=args.order, step=args.step, horizon=args.horizon
     )
-    state0 = ShapeState(
+    state0 = evolution.ShapeState(
         0.0,
         np.zeros(config.order, dtype=complex),
         config.psibar0.copy(),
         m_neg=config.m_neg,
     )
-    record = evolve(state0, config.driver, config.horizon, config.step)
+    record = evolution.evolve(state0, config.driver, config.horizon, config.step)
 
     extra = {}
     koebe_max = None
@@ -352,6 +341,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks
     records = checks.run_suite(args.suite)
     passed = all(r["passed"] for r in records)
     payload = {"suite": args.suite, "passed": passed, "results": records}
@@ -467,21 +457,24 @@ def _graph_ints(raw, args, default_N=16) -> tuple:
 
 
 def _kp_cell(payload):
+    from . import kp
     c, op, trow, N, pair = payload
-    parts = omega1_and_partials(ABForm.build(c, trow, N))
+    parts = kp.omega1_and_partials(kp.ABForm.build(c, trow, N))
     omega1 = parts[(0, 0, 0)]
     lambda1 = -parts[(1, 0, 0)]
-    residual = kp_residual(c, trow, N)
-    tau_value = tau(op, trow, N)
+    residual = kp.kp_residual(c, trow, N)
+    tau_value = kp.tau(op, trow, N)
     row = [*trow, omega1.real, omega1.imag, lambda1.real, lambda1.imag, residual]
     row += [tau_value.real, tau_value.imag]
     if pair:
-        row.append(kp_residual(c, trow, 2 * N))
+        row.append(kp.kp_residual(c, trow, 2 * N))
     return row
 
 
 def _run_cells(cells, parallel):
     if parallel > 1:
+        import concurrent.futures
+        import contextvars
         # each cell runs in a copy of the caller's context, so the numpy error
         # state set around the dispatch holds in the worker threads too
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -491,6 +484,7 @@ def _run_cells(cells, parallel):
 
 
 def cmd_kp(args) -> int:
+    from . import grassmannian
     raw = _load_config(args.config)
     c = _shape_from_source(raw)
     n, N = _graph_ints(raw, args)
@@ -498,20 +492,9 @@ def cmd_kp(args) -> int:
     pair = raw.get("convergence_pair", False)
     if not isinstance(pair, bool):
         raise ConfigError(f"convergence_pair must be true or false, got {pair!r}")
-    op = step2_graph(c, n, N)
+    op = grassmannian.step2_graph(c, n, N)
 
-    header = [
-        "t1",
-        "t2",
-        "t3",
-        "re_omega1",
-        "im_omega1",
-        "re_lambda1",
-        "im_lambda1",
-        "residual",
-        "re_tau",
-        "im_tau",
-    ]
+    header = "t1,t2,t3,re_omega1,im_omega1,re_lambda1,im_lambda1,residual,re_tau,im_tau".split(",")
     if pair:
         header.append(f"residual_{2 * N}")
     cells = [(c, op, trow, N, pair) for trow in rows]
@@ -528,13 +511,14 @@ def cmd_kp(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    from . import grassmannian, kp
     raw = _load_config(args.config)
     c = _shape_from_source(raw)
     n, N = _graph_ints(raw, args)
     rows = _time_rows(raw)
-    op = step2_graph(c, n, N)
+    op = grassmannian.step2_graph(c, n, N)
 
-    values = [tau(op, trow, N) for trow in rows]
+    values = [kp.tau(op, trow, N) for trow in rows]
     _require_finite(values, "the tau sweep")
 
     (path,) = _out_paths(args)
@@ -551,12 +535,13 @@ def cmd_tau(args) -> int:
 
 
 def cmd_graph_dump(args) -> int:
+    from . import grassmannian
     raw = _load_config(args.config)
     if "c" not in raw:
         raise ConfigError("graph-dump config needs a 'c' list")
     c = _complex_vector(raw["c"], "c")
     n, N = _graph_ints(raw, args, default_N=len(c))
-    op = step2_graph(c, n, N)
+    op = grassmannian.step2_graph(c, n, N)
     values = [op.matrix.ravel(), op.c11[0], op.basis.ravel()]
     _require_finite(np.concatenate(values), "the graph operator")
     text = op.to_json()
@@ -620,6 +605,15 @@ _COMMANDS = {
 }
 
 
+def _suite(name):
+    """A check suite name; checked only when ``check`` is parsed, so only it loads the checks."""
+    from . import checks
+    if name not in checks.SUITES:
+        choices = ", ".join(map(repr, checks.SUITES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return name
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first ``main`` call and then reused.
@@ -639,7 +633,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, text, flags, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=text)
         if command == "check":
-            cmd.add_argument("suite", choices=checks.SUITES)
+            cmd.add_argument("suite", type=_suite, help="identity suite (see --dump-identities)")
         for flag in flags:
             name, options = _FLAGS[flag]
             cmd.add_argument(name, **options)
@@ -654,6 +648,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
     if args.dump_identities:
+        from . import checks
         for record in checks.catalogue():
             print(json.dumps(record, sort_keys=True))
         return EXIT_OK
@@ -671,12 +666,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (
-        StepRejected,
-        NearSingularA,
-        SingularSystem,
-        InverseCheckFailed,
-        NonFiniteOutput,
-    ) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

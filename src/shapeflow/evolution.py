@@ -19,8 +19,10 @@ exact for every representable index whenever Npsi - N <= -M
 Everything here works on raw ``complex128`` coefficient arrays: p(w) is
 composed by Horner on ``np.convolve`` slices, ``evolve`` computes the driver
 moments once per driver piece, and ``ShapeState.f`` evaluates the map by
-Horner's rule.  The tests keep :mod:`shapeflow.series` as the reference the
-kernel must match bit for bit.
+Horner's rule.  ``g0`` is the numeric G_0 = sum_k k c_k psibar_k, the
+conserved partner of H (H + G_0 is constant within a driver piece).  The
+tests keep :mod:`shapeflow.series` as the reference the kernel must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericalFailure
 from .driver import HerglotzDriver
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
     "rhs",
     "evolve",
     "generating_function",
+    "g0",
     "pseudo_hamiltonian",
     "taylor_values",
 ]
@@ -45,7 +49,7 @@ __all__ = [
 _DIVERGENCE_GUARD = 1e6
 
 
-class StepRejected(RuntimeError):
+class StepRejected(NumericalFailure, RuntimeError):
     """A coefficient exceeded the divergence guard during integration."""
 
 
@@ -241,6 +245,12 @@ def generating_function(state: ShapeState) -> np.ndarray:
     # terms past the window become -0.0, which leaves every sum unchanged
     terms = np.where(inside, _cmul(coef[:, None], shifted), complex(-0.0, -0.0))
     return np.add.accumulate(np.vstack([psz, terms]))[-1]
+
+
+def g0(state: ShapeState) -> complex:
+    """The value of ``corrected_G(0) = sum_k k c_k psibar_k`` at a state, k <= min(n_psi, order)."""
+    kmax = min(state.n_psi, state.order)
+    return sum(k * state.c[k - 1] * state.psi(k) for k in range(1, kmax + 1))
 
 
 def pseudo_hamiltonian(state: ShapeState, d: HerglotzDriver, pk=None) -> complex:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericalFailure
+
 __all__ = [
     "GraphOperator",
     "IndexSet",
@@ -39,7 +41,7 @@ class UnsupportedOrder(ValueError):
     """Requested more negative rows than closed-form corrections exist for."""
 
 
-class InverseCheckFailed(ArithmeticError):
+class InverseCheckFailed(NumericalFailure):
     """C11 times its Toeplitz inverse is not the identity to 1e-12 (or is not finite)."""
 
 
@@ -155,7 +157,14 @@ def c_blocks(f_coeffs, n: int, N: int):
 
 
 def _correction_rows(f_coeffs, n: int, N: int):
-    """Rows B~ that turn the raw cut rows into gradients of G_0, G_-1, G_-2."""
+    """Rows B~ that turn the raw cut rows into gradients of G_0, G_-1, G_-2.
+
+    Column q pairs with psibar_k, k = q + 1.  Row 2 holds
+    (c_1^2 - 4 c_2) c_k - a_{k+2}, with a_n the reciprocal coefficients of
+    f/z on the window 0..N: a_{k+2} is dropped when k + 2 > N, that is at
+    k = N-1..N+1, so there row 2 differs from the untruncated gradient of
+    G_-2 by exactly a_{k+2}.
+    """
     obj = _is_object(f_coeffs)
     cc = _coeff_lookup(f_coeffs)
     rows = _zeros((n, N + 1), obj)

@@ -35,15 +35,15 @@ from typing import Sequence
 
 import numpy as np
 
+from . import NumericalFailure, WindowTooSmall
 from .grassmannian import GraphOperator, _upper_toeplitz, fprime_reciprocal
-from .observables import WindowTooSmall
 
 
-class NearSingularA(ArithmeticError):
+class NearSingularA(NumericalFailure):
     """The denominator 1 - D_0 is too close to zero to divide by."""
 
 
-class SingularSystem(ArithmeticError):
+class SingularSystem(NumericalFailure):
     """The Baker-Akhiezer linear system is singular at this truncation."""
 
 

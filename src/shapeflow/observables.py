@@ -25,6 +25,9 @@ The module also houses the generating-function coefficients ``Gbar_k`` (the
 z^{k-1} coefficient of f'(z) psibar(z)), their corrected negative-index
 versions ``G_0, G_{-1}, G_{-2}``, and the substitution psibar_k -> d/dc_k
 turning a linear observable into a vector field on coefficient space.
+``corrected_G(0)`` is the exact form of G_0; its value at a trajectory
+state is the numeric ``evolution.g0``, which the flow reads without
+loading this layer.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import WindowTooSmall
+
 __all__ = [
     "QC",
     "BracketWindow",
@@ -42,7 +47,6 @@ __all__ = [
     "poisson_bracket",
     "gbar_coefficient",
     "corrected_G",
-    "g0",
     "reciprocal_coefficient",
     "reciprocal_coefficients",
     "iota",
@@ -65,10 +69,6 @@ class IndexOutOfWindow(ValueError):
 
 class NotLinearInPsi(ValueError):
     """Observable is not linear homogeneous in psibar_{k>=1}."""
-
-
-class WindowTooSmall(ValueError):
-    """Window cannot represent the requested object."""
 
 
 class ExponentOverflow(OverflowError):
@@ -598,12 +598,6 @@ def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
                 _add_part(acc, 2 * cu[1] + cu[k] + psi, 1, 0)
                 _add_part(acc, cu[2] + cu[k] + psi, -4, 0)
     return _collect(w, acc)
-
-
-def g0(state) -> complex:
-    """``corrected_G(0) = sum_k k c_k psibar_k`` at a trajectory state, k <= min(n_psi, order)."""
-    kmax = min(state.n_psi, state.order)
-    return sum(k * state.c[k - 1] * state.psi(k) for k in range(1, kmax + 1))
 
 
 class VectorFieldOnF0:

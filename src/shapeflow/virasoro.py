@@ -175,8 +175,10 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     the whole n_z-by-Q matrix, so the result is the same to the bit.
 
     Raises ValueError when Q is not an int >= 1 or f has fewer than two
-    coefficients or a non-finite one.  Raises QuadratureDegenerate when two
-    boundary images f(w) lie closer than 1e-8 (a sort-and-sweep test,
+    coefficients or a non-finite one.  Raises QuadratureDegenerate, with no
+    numpy warning, when the coefficients of f' or the values f(w), f'(w)
+    and f(z) overflow, when f(w) = 0 on the grid, when two boundary
+    images f(w) lie closer than 1e-8 (a sort-and-sweep test,
     ``_has_close_pair``, O(Q log Q) unless many images share a real part) or
     when f(w) - f(z) nearly vanishes, or is not a number, on the grid.
     """
@@ -190,17 +192,23 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     r = 0.5
     theta = 2 * np.pi * np.arange(Q) / Q
     w = np.exp(1j * theta)
-    fw = taylor_values(f, w)
-    fpw = taylor_values(np.arange(1, len(f)) * f[1:], w)
-    if _has_close_pair(fw, 1e-8):
-        raise QuadratureDegenerate("boundary images are not pairwise distinct")
-
     order_out = len(f) - 1 + max(k, 0)
     n_z = 128
     while n_z < 2 * (order_out + 1):
         n_z *= 2
     zs = r * np.exp(2j * np.pi * np.arange(n_z) / n_z)
-    fz = taylor_values(f, zs)
+    # a huge map overflows here; the test below ends that in one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        fprime = np.arange(1, len(f)) * f[1:]
+        fw = taylor_values(f, w)
+        fpw = taylor_values(fprime, w)
+        fz = taylor_values(f, zs)
+    if not all(np.isfinite(v).all() for v in (fprime, fw, fpw, fz)):
+        raise QuadratureDegenerate("f' or the values of f or f' overflow")
+    if not fw.all():
+        raise QuadratureDegenerate("f vanishes on the boundary")
+    if _has_close_pair(fw, 1e-8):
+        raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
     weight = (w * fpw / fw) ** 2 * w**k
     denom = np.empty((_ROWS, Q), dtype=complex)

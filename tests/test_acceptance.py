@@ -21,7 +21,7 @@ import numpy as np
 import sympy as sp
 
 from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
-from shapeflow.evolution import ShapeState, evolve
+from shapeflow.evolution import ShapeState, evolve, g0
 from shapeflow.grassmannian import graph_membership, step2_graph
 from shapeflow.kp import (
     ABForm,
@@ -36,7 +36,6 @@ from shapeflow.kp import (
 from shapeflow.observables import (
     BracketWindow,
     corrected_G,
-    g0,
     gbar_coefficient,
     iota,
     poisson_bracket,

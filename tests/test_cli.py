@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapeflow import checks, cli, evolution, kp
+from shapeflow import NumericalFailure, checks, cli, evolution, grassmannian, kp
 from shapeflow.grassmannian import step2_graph
 
 IDENTITY_CONFIG = {
@@ -195,8 +195,8 @@ def _no_computation(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("computation started before the output directory was checked")
 
-    monkeypatch.setattr(cli, "evolve", unreachable)
-    monkeypatch.setattr(cli, "step2_graph", unreachable)
+    monkeypatch.setattr(evolution, "evolve", unreachable)
+    monkeypatch.setattr(grassmannian, "step2_graph", unreachable)
     monkeypatch.setattr(checks, "run_suite", unreachable)
 
 
@@ -286,7 +286,7 @@ def test_divergence_maps_to_numerical_failure(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise evolution.StepRejected("blew up")
 
-    monkeypatch.setattr(cli, "evolve", explode)
+    monkeypatch.setattr(evolution, "evolve", explode)
     path = write_config(tmp_path, IDENTITY_CONFIG)
     code = cli.main(["evolve", "--config", path, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL_FAILURE
@@ -499,9 +499,20 @@ def test_check_failure_sets_exit_code(monkeypatch, capsys):
             {"name": "x", "suite": suite, "source": "s", "passed": False, "detail": "d"}
         ]
 
-    monkeypatch.setattr(cli.checks, "run_suite", fake_suite)
+    monkeypatch.setattr(checks, "run_suite", fake_suite)
     assert cli.main(["check", "basis"]) == cli.EXIT_CHECK_FAILURE
     capsys.readouterr()
+
+
+def test_unknown_suite_is_usage_error(monkeypatch, capsys):
+    def unreachable(suite):
+        raise AssertionError("a suite ran for an unknown suite name")
+
+    monkeypatch.setattr(checks, "run_suite", unreachable)
+    assert cli.main(["check", "nosuch"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    assert all(repr(suite) in err for suite in checks.SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +722,40 @@ def test_numerical_failure_is_one_line_and_no_warnings(tmp_path, capsys, command
     assert not out.exists()
 
 
+# every NumericalFailure of the package, raised inside the layer that owns it
+NUMERICAL_FAILURES = [
+    (evolution.StepRejected, "evolve", IDENTITY_CONFIG, evolution, "evolve"),
+    (kp.NearSingularA, "kp", KP_CONFIG, kp, "omega1_and_partials"),
+    (kp.SingularSystem, "tau", KP_CONFIG, kp, "tau"),
+    (grassmannian.InverseCheckFailed, "graph-dump", {"c": [0.3], "n": 1, "N": 4}, grassmannian, "step2_graph"),
+    (cli.NonFiniteOutput, "kp", KP_CONFIG, kp, "tau"),
+]
+
+
+def test_numerical_failure_list_is_complete():
+    assert {case[0] for case in NUMERICAL_FAILURES} == set(NumericalFailure.__subclasses__())
+    # each keeps the base it had before the common one
+    assert issubclass(NumericalFailure, ArithmeticError)
+    assert issubclass(evolution.StepRejected, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "failure, command, config, module, name",
+    NUMERICAL_FAILURES,
+    ids=[case[0].__name__ for case in NUMERICAL_FAILURES],
+)
+def test_each_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, failure, command, config, module, name):
+    def fail(*args, **kwargs):
+        raise failure("injected")
+
+    monkeypatch.setattr(module, name, fail)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL_FAILURE
+    assert capsys.readouterr().err.splitlines() == ["numerical failure: injected"]
+    assert not out.exists()
+
+
 TOO_WIDE = cli.MAX_WINDOW + 1
 
 
@@ -735,8 +780,8 @@ def test_window_size_is_bounded(tmp_path, capsys, monkeypatch, command, config, 
     def unreachable(*args, **kwargs):
         raise AssertionError("window arrays built for an oversized window")
 
-    monkeypatch.setattr(cli, "evolve", unreachable)
-    monkeypatch.setattr(cli, "step2_graph", unreachable)
+    monkeypatch.setattr(evolution, "evolve", unreachable)
+    monkeypatch.setattr(grassmannian, "step2_graph", unreachable)
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     code = cli.main([command, "--config", path, "--out", str(out), *flags])

@@ -9,6 +9,7 @@ from shapeflow.evolution import (
     StepRejected,
     _phi_and_u,
     evolve,
+    g0,
     generating_function,
     pseudo_hamiltonian,
     rhs,
@@ -19,7 +20,6 @@ from shapeflow.observables import (
     BracketWindow,
     PhasePoly,
     corrected_G,
-    g0,
     gbar_coefficient,
     poisson_bracket,
 )

@@ -18,7 +18,7 @@ from shapeflow.grassmannian import (
     step2_graph,
     virtual_dimension,
 )
-from shapeflow.observables import BracketWindow, corrected_G
+from shapeflow.observables import BracketWindow, corrected_G, reciprocal_coefficients
 from shapeflow.series import TruncatedSeries
 
 
@@ -151,6 +151,37 @@ def test_basis_negative_parts_match_observable_gradients():
         for k in range(N + 1):
             grad = g.diff("psi", k + 1).evaluate(cbar, {})
             assert abs(op.basis[op.n - j, k] - grad) < 1e-12, (j, k)
+
+
+def _exact_at(poly, c):
+    """A polynomial in c_1, c_2, ... at the real rational point c (zero past it), exactly."""
+    total = Fraction(0)
+    for mono, q in poly.terms().items():
+        assert q.im == 0
+        term = Fraction(q.re)
+        for (_, idx), e in mono:
+            term *= (c[idx - 1] if idx <= len(c) else 0) ** e
+        total += term
+    return total
+
+
+def test_row_two_drops_reciprocal_coefficients_past_the_window():
+    # _correction_rows row 2 is the psibar_k-gradient of G_-2 at cbar except
+    # at k = N-1..N+1, where a_{k+2} lies past the window and is dropped; the
+    # untruncated gradient comes from corrected_G(-2) on a window three wider
+    N = 16
+    rng = np.random.default_rng(5)
+    c = [Fraction(int(rng.integers(-9, 10)), 10 * n * n) for n in range(1, N + 1)]
+    row = step2_graph(c, 3, N).basis[0]  # the G_-2 row: c12 row 2 + correction row 2
+    w = BracketWindow(n_c=N + 3, m_neg=0, n_psi=N + 1)
+    g = corrected_G(-2, w)
+    a = reciprocal_coefficients(N + 3, w)
+    for k in range(1, N + 2):
+        grad = _exact_at(g.diff("psi", k), c)
+        dropped = _exact_at(a[k + 2], c) if k >= N - 1 else 0
+        assert row[k - 1] - grad == dropped, k
+        if k >= N - 1:
+            assert dropped != 0, k
 
 
 def test_identity_map_graph_is_canonical():

@@ -3,6 +3,7 @@ wave coefficients, Baker-Akhiezer functions, and tau determinants."""
 
 import csv
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -432,23 +433,57 @@ def test_recurrence_matches_symbolic_oracle_on_random_tables():
         assert abs(_kp_value(jet) - want_kp) <= 1e-12 * scale
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+EXACT_LAYER = {"shapeflow.observables", "shapeflow.virasoro", "shapeflow.checks", "shapeflow.series"}
+
+
+def _fresh_modules(code, cwd=None):
+    """The modules a fresh interpreter holds after running ``code``."""
+    src = os.path.join(ROOT, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, shapeflow.cli; "
-            "print('sympy' in sys.modules, 'shapeflow.series' in sys.modules)",
-        ],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_sympy_unloaded(tmp_path):
+    # each command loads only its layer, and the numeric runtime never
+    # loads the exact layer
+    loaded = _fresh_modules("import shapeflow.cli")
+    assert "sympy" not in loaded and "concurrent.futures" not in loaded
+    assert {m for m in loaded if m.startswith("shapeflow.")} == {"shapeflow.cli"}
+    for module in ("kp", "evolution", "grassmannian"):
+        assert not _fresh_modules(f"import shapeflow.{module}") & EXACT_LAYER, module
+
+    flow = {
+        "driver": {"pieces": [{"t_start": 0.0, "atoms": [{"theta": 0.0, "mu": 1.0}]}]},
+        "horizon": 0.01,
+        "step": 0.005,
+        "order": 4,
+        "m_neg": 2,
+        "n_psi": 2,
+    }
+    sweep = {"f_source": {"c": [0.3]}, "c": [0.3], "n": 2, "N": 4, "t_rows": [[0.05]]}
+    numeric = {"shapeflow.evolution", "shapeflow.driver"}
+    runs = [
+        ("evolve", flow, "shapeflow.evolution", {"shapeflow.kp", "shapeflow.grassmannian"}),
+        ("kp", sweep, "shapeflow.kp", numeric),
+        ("tau", sweep, "shapeflow.kp", numeric),
+        ("graph-dump", sweep, "shapeflow.grassmannian", numeric),
+    ]
+    for command, config, used, unused in runs:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        run = f"from shapeflow import cli\nassert cli.main([{command!r}, '--config', 'config.json']) == 0"
+        loaded = _fresh_modules(run, cwd=tmp_path)
+        assert used in loaded, command
+        assert not loaded & (EXACT_LAYER | unused), command
 
 
 def test_kp_residual_random_decaying_shapes():

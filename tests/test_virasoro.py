@@ -265,6 +265,20 @@ def test_quadrature_refuses_non_finite_map(f):
             schaeffer_spencer(f, 2, Q=64)
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ([0.0, 1.0, 1e308], "overflow"),  # f' has the coefficient 2e308
+        ([0.0, 1.0, -1.0], "vanishes on the boundary"),  # f(1) = 0 on the grid
+    ],
+)
+def test_quadrature_refuses_overflowing_or_vanishing_map(f, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureDegenerate, match=message):
+            schaeffer_spencer(f, 2, Q=64)
+
+
 @pytest.mark.parametrize("Q", [0, -4, 2.5, True, "64", None])
 def test_quadrature_refuses_unusable_point_count(Q):
     with warnings.catch_warnings():
