@@ -16,7 +16,10 @@ with ``repr`` so re-runs produce byte-identical files.  Each command takes
 only the flags it reads.  Exit codes: 0 success, 1 check failure, 2 config
 or usage error (an unusable ``--out`` directory, or an output file whose
 name a directory takes, included, found before any computation), 3
-numerical failure.
+numerical failure.  The CLI only parses the inputs, bounds their sizes
+(``MAX_*``) and checks ``--out``; each other input rule lives in its layer.
+Any :class:`shapeflow.InvalidInput` ends in exit 2, any
+:class:`shapeflow.NumericalFailure` in exit 3.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import NumericalFailure
+from . import InvalidInput, NumericalFailure, read_number
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -43,14 +46,13 @@ EXIT_NUMERICAL_FAILURE = 3
 # evolve keeps every state in memory, so a run may ask for at most this many
 # steps (the example configs in scripts/configs ask for 1000)
 MAX_STEPS = 100_000
-# largest truncation order or window bound a config may ask for: order, m_neg
-# and n_psi (evolve) and N (kp, tau, graph-dump); the example configs and the
+# kp and tau hold a whole sweep in memory until the finiteness check, so a
+# sweep may ask for at most this many time rows (the example config asks for 12)
+MAX_SWEEP_ROWS = 100_000
+# largest order or window a config may ask for: order, m_neg, n_psi (evolve), a
+# snapshot's order, n and N (kp, tau, graph-dump); the example configs and the
 # benchmark use at most 16, and kp's convergence pair doubles N
 MAX_WINDOW = 256
-
-
-class ConfigError(ValueError):
-    """A config file is missing, malformed, or violates an invariant."""
 
 
 class NonFiniteOutput(NumericalFailure):
@@ -77,40 +79,36 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw, order=None, step=None, horizon=None) -> "RunConfig":
         from .driver import HerglotzDriver
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
         if "driver" not in raw:
-            raise ConfigError("config needs a 'driver' object")
+            raise InvalidInput("config needs a 'driver' object")
         try:
             driver = HerglotzDriver.from_dict(raw["driver"])
         except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"bad driver config: {exc}") from exc
+            raise InvalidInput(f"bad driver config: {exc}") from exc
         report = driver.validate()
         if not report["ok"]:
-            raise ConfigError("; ".join(report["problems"]))
-        horizon = _number(
-            horizon if horizon is not None else raw.get("horizon", 1.0), "horizon"
-        )
-        step = _number(step if step is not None else raw.get("step", 1e-3), "step")
-        order = _number(order if order is not None else raw.get("order", 16), "order", int)
-        m_neg = _number(raw.get("m_neg", 8), "m_neg", int)
-        n_psi = _number(raw.get("n_psi", 8), "n_psi", int)
-        seed = _number(raw.get("seed", 0), "seed", int)
+            raise InvalidInput("; ".join(report["problems"]))
+        horizon = read_number(raw.get("horizon", 1.0) if horizon is None else horizon, "horizon")
+        step = read_number(step if step is not None else raw.get("step", 1e-3), "step")
+        order = read_number(order if order is not None else raw.get("order", 16), "order", int)
+        m_neg = read_number(raw.get("m_neg", 8), "m_neg", int)
+        n_psi = read_number(raw.get("n_psi", 8), "n_psi", int)
+        seed = read_number(raw.get("seed", 0), "seed", int)
         if horizon <= 0 or step <= 0 or order <= 0:
-            raise ConfigError("horizon, step, and order must be positive")
+            raise InvalidInput("horizon, step, and order must be positive")
         steps = horizon / step
         if not (math.isfinite(steps) and round(steps) <= MAX_STEPS):
-            raise ConfigError(
+            raise InvalidInput(
                 f"horizon/step asks for {steps:.3g} steps; at most {MAX_STEPS} are allowed"
             )
         if m_neg < 0 or n_psi < 0:
-            raise ConfigError("psibar window bounds must be nonnegative")
+            raise InvalidInput("psibar window bounds must be nonnegative")
         _check_window({"order": order, "m_neg": m_neg, "n_psi": n_psi})
         width = m_neg + n_psi + 1
         if "psibar0" in raw:
             psibar0 = _complex_vector(raw["psibar0"], "psibar0")
             if psibar0.size != width:
-                raise ConfigError(
+                raise InvalidInput(
                     f"psibar0 must have {width} entries for window "
                     f"[-{m_neg}, {n_psi}], got {psibar0.size}"
                 )
@@ -132,73 +130,52 @@ class RunConfig:
 
 def _load_config(path) -> dict:
     if not path:
-        raise ConfigError("this command requires --config <path>")
+        raise InvalidInput("this command requires --config <path>")
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InvalidInput(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise InvalidInput("config root must be a JSON object")
     return raw
 
 
-def _number(value, label, kind=float):
-    """``kind(value)`` for one config entry; malformed or non-finite is a ConfigError.
-
-    A config number must be a JSON number: a string or a boolean is refused,
-    and an ``int`` entry must be integral: 2.7 is refused rather than cut
-    to 2.
-    """
-    what = "an integer" if kind is int else "a finite number"
-    if isinstance(value, (bool, str)):
-        raise ConfigError(f"{label} must be {what}, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{label} must be {what}, got {value!r}") from None
-    if not math.isfinite(number) or (isinstance(value, float) and number != value):
-        raise ConfigError(f"{label} must be {what}, got {value!r}")
-    return number
-
-
 def _cell(text, label, kind=float):
-    """A snapshot-CSV cell, which is text, parsed as ``kind`` and checked by ``_number``."""
+    """A snapshot-CSV cell, which is text, parsed as ``kind`` and checked by ``read_number``."""
     try:
         value = kind(text)
     except ValueError:
-        raise ConfigError(f"{label} must be a number, got {text!r}") from None
-    return _number(value, label, kind)
+        raise InvalidInput(f"{label} must be a number, got {text!r}") from None
+    return read_number(value, label, kind)
 
 
 def _check_window(sizes):
-    """ConfigError when a window size passes MAX_WINDOW; checked before allocating."""
+    """InvalidInput when a window size passes MAX_WINDOW; checked before allocating."""
     for label, size in sizes.items():
         if size > MAX_WINDOW:
-            raise ConfigError(f"{label} = {size} exceeds the largest window, {MAX_WINDOW}")
+            raise InvalidInput(f"{label} = {size} exceeds the largest window, {MAX_WINDOW}")
 
 
 def _complex_vector(values, label) -> np.ndarray:
     """Accept [x, ...] or [[re, im], ...] JSON lists."""
     out = []
     if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{label} must be a JSON list")
+        raise InvalidInput(f"{label} must be a JSON list")
     for v in values:
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise ConfigError(f"{label} entries must be numbers or [re, im]")
-            out.append(complex(_number(v[0], label), _number(v[1], label)))
-        elif isinstance(v, (int, float)):
-            out.append(complex(_number(v, label)))
+        if not isinstance(v, (list, tuple)):
+            out.append(complex(read_number(v, label)))
+        elif len(v) == 2:
+            out.append(complex(read_number(v[0], label), read_number(v[1], label)))
         else:
-            raise ConfigError(f"{label} entries must be numbers or [re, im]")
+            raise InvalidInput(f"{label} entries must be numbers or [re, im]")
     return np.asarray(out, dtype=complex)
 
 
 def _check_out_dir(path, filenames):
-    """ConfigError unless ``path`` is, or can be made, a writable directory
+    """InvalidInput unless ``path`` is, or can be made, a writable directory
     in which no ``filenames`` entry is taken by a directory.
 
     Checked before any computation; the directory itself is made only when
@@ -208,13 +185,13 @@ def _check_out_dir(path, filenames):
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
-        raise ConfigError(f"output directory {path!r} is unusable: {probe!r} is not a directory")
+        raise InvalidInput(f"output directory {path!r} is unusable: {probe!r} is not a directory")
     if not os.access(probe, os.W_OK | os.X_OK):
-        raise ConfigError(f"output directory {path!r} is unusable: {probe!r} is not writable")
+        raise InvalidInput(f"output directory {path!r} is unusable: {probe!r} is not writable")
     for name in filenames:
         target = os.path.join(path, name)
         if os.path.isdir(target):
-            raise ConfigError(f"output file {target!r} is unusable: it is a directory")
+            raise InvalidInput(f"output file {target!r} is unusable: it is a directory")
 
 
 def _outputs(args) -> list:
@@ -228,7 +205,7 @@ def _out_paths(args) -> list:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output directory {out_dir!r} is unusable: {exc}") from exc
+        raise InvalidInput(f"output directory {out_dir!r} is unusable: {exc}") from exc
     return [os.path.join(out_dir, name) for name in _outputs(args)]
 
 
@@ -244,17 +221,6 @@ def _require_finite(values, what):
 
 # ---------------------------------------------------------------------------
 # evolve
-
-
-def _koebe_applicable(driver: HerglotzDriver) -> bool:
-    """True for the single-piece unit atom at angle zero (closed form known)."""
-    if len(driver.pieces) != 1:
-        return False
-    piece = driver.pieces[0]
-    if piece.t_start != 0.0 or len(piece.atoms) != 1:
-        return False
-    atom = piece.atoms[0]
-    return atom.theta == 0.0 and atom.mu == 1.0
 
 
 def _koebe_errors(record) -> list:
@@ -287,6 +253,7 @@ def _energy_drift(record, driver: HerglotzDriver) -> float:
 
 def cmd_evolve(args) -> int:
     from . import evolution
+    from .driver import HerglotzDriver
     config = RunConfig.from_dict(
         _load_config(args.config), order=args.order, step=args.step, horizon=args.horizon
     )
@@ -300,7 +267,8 @@ def cmd_evolve(args) -> int:
 
     extra = {}
     koebe_max = None
-    if _koebe_applicable(config.driver):
+    # the closed form is known for one unit atom at angle zero from t = 0
+    if config.driver == HerglotzDriver.single_atom():
         errs = _koebe_errors(record)
         extra["koebe_error"] = errs
         koebe_max = max(errs)
@@ -330,7 +298,7 @@ def cmd_evolve(args) -> int:
 
     worst = max(report["drift"].values()) if report["drift"] else 0.0
     print(
-        f"evolved {len(record.states)} steps to t={config.horizon}; "
+        f"evolved {len(record.states) - 1} steps to t={float(record.times[-1])}; "
         f"max generating-coefficient drift {worst:.3e}; wrote {csv_path}, {report_path}"
     )
     return EXIT_OK
@@ -364,22 +332,23 @@ def _read_snapshot(path, at_t) -> np.ndarray:
         with open(path) as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise ConfigError(f"cannot read snapshot CSV: {exc}") from exc
+        raise InvalidInput(f"cannot read snapshot CSV: {exc}") from exc
     if len(rows) < 2:
-        raise ConfigError("snapshot CSV has no data rows")
+        raise InvalidInput("snapshot CSV has no data rows")
     header = rows[0]
     try:
         t_col = header.index("t")
     except ValueError:
-        raise ConfigError("snapshot CSV lacks a 't' column")
+        raise InvalidInput("snapshot CSV lacks a 't' column")
     orders = [
         _cell(name[len("re_c_") :], "snapshot column", int)
         for name in header
         if name.startswith("re_c_")
     ]
     if not orders:
-        raise ConfigError("snapshot CSV lacks re_c_*/im_c_* columns")
+        raise InvalidInput("snapshot CSV lacks re_c_*/im_c_* columns")
     order = max(orders)
+    _check_window({"snapshot order": order})
     missing = [
         f"{p}_c_{n}"
         for n in range(1, order + 1)
@@ -387,11 +356,11 @@ def _read_snapshot(path, at_t) -> np.ndarray:
         if f"{p}_c_{n}" not in header
     ]
     if missing:
-        raise ConfigError(f"snapshot CSV lacks the column(s) {', '.join(missing)}")
+        raise InvalidInput(f"snapshot CSV lacks the column(s) {', '.join(missing)}")
     data = rows[1:]
     for line, r in enumerate(data, start=2):
         if len(r) < len(header):
-            raise ConfigError(
+            raise InvalidInput(
                 f"snapshot CSV line {line} has {len(r)} fields, its header has {len(header)}"
             )
     times = np.array([_cell(r[t_col], "snapshot t") for r in data])
@@ -407,51 +376,55 @@ def _read_snapshot(path, at_t) -> np.ndarray:
 def _shape_from_source(raw) -> np.ndarray:
     source = raw.get("f_source")
     if not isinstance(source, dict):
-        raise ConfigError("config needs an 'f_source' object")
+        raise InvalidInput("config needs an 'f_source' object")
     if "c" in source:
         return _complex_vector(source["c"], "f_source.c")
     if "snapshot_csv" in source:
         if "at_t" not in source:
-            raise ConfigError("snapshot f_source needs 'at_t'")
-        return _read_snapshot(source["snapshot_csv"], _number(source["at_t"], "at_t"))
-    raise ConfigError("f_source must supply 'c' or 'snapshot_csv'")
+            raise InvalidInput("snapshot f_source needs 'at_t'")
+        return _read_snapshot(source["snapshot_csv"], read_number(source["at_t"], "at_t"))
+    raise InvalidInput("f_source must supply 'c' or 'snapshot_csv'")
+
+
+def _check_rows(count):
+    """InvalidInput when a sweep asks for more than MAX_SWEEP_ROWS rows, before they are built."""
+    if count > MAX_SWEEP_ROWS:
+        raise InvalidInput(f"the sweep asks for {count} rows; at most {MAX_SWEEP_ROWS} are allowed")
 
 
 def _time_rows(raw) -> list:
     if "t_rows" in raw:
         rows = raw["t_rows"]
         if not isinstance(rows, list) or not rows:
-            raise ConfigError("t_rows must be a nonempty list of [t1, t2, t3] rows")
+            raise InvalidInput("t_rows must be a nonempty list of [t1, t2, t3] rows")
+        _check_rows(len(rows))
         out = []
         for row in rows:
             if not isinstance(row, list) or not (1 <= len(row) <= 3):
-                raise ConfigError("each t_rows entry must list 1 to 3 times")
-            vals = tuple(_number(v, "t_rows entry") for v in row)
+                raise InvalidInput("each t_rows entry must list 1 to 3 times")
+            vals = tuple(read_number(v, "t_rows entry") for v in row)
             out.append(vals + (0.0,) * (3 - len(vals)))
         return out
     if "t_grid" in raw:
         grid = raw["t_grid"]
         if not isinstance(grid, dict):
-            raise ConfigError("t_grid must be an object with t1/t2/t3 lists")
-        axes = []
-        for key in ("t1", "t2", "t3"):
-            vals = grid.get(key, [0.0])
+            raise InvalidInput("t_grid must be an object with t1/t2/t3 lists")
+        axes = {key: grid.get(key, [0.0]) for key in ("t1", "t2", "t3")}
+        for key, vals in axes.items():
             if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"t_grid.{key} must be a nonempty list")
-            axes.append([_number(v, f"t_grid.{key} entry") for v in vals])
-        return [row for row in itertools.product(*axes)]
-    raise ConfigError("config needs 't_rows' or 't_grid'")
+                raise InvalidInput(f"t_grid.{key} must be a nonempty list")
+        _check_rows(math.prod(len(vals) for vals in axes.values()))
+        times = [[read_number(v, f"t_grid.{k} entry") for v in vals] for k, vals in axes.items()]
+        return list(itertools.product(*times))
+    raise InvalidInput("config needs 't_rows' or 't_grid'")
 
 
 def _graph_ints(raw, args, default_N=16) -> tuple:
-    """Graph order n and window N; N defaults to max(default_N, n)."""
-    n = _number(raw.get("n", 1), "n", int)
+    """Graph order n and window N, N by default max(default_N, n); their rules are step2_graph's."""
+    n = read_number(raw.get("n", 1), "n", int)
+    _check_window({"n": n})
     N = args.order if args.order is not None else raw.get("N", max(default_N, n))
-    N = _number(N, "N", int)
-    if not 1 <= n <= 3:
-        raise ConfigError("graph order n must be 1, 2, or 3")
-    if N < n:
-        raise ConfigError("truncation N must be at least n")
+    N = read_number(N, "N", int)
     _check_window({"N": N})
     return n, N
 
@@ -483,51 +456,46 @@ def _run_cells(cells, parallel):
     return [_kp_cell(cell) for cell in cells]
 
 
-def cmd_kp(args) -> int:
+def _sweep_input(raw, args) -> tuple:
+    """The shape c, the window N, the time rows and the graph of a kp or tau config."""
     from . import grassmannian
-    raw = _load_config(args.config)
     c = _shape_from_source(raw)
     n, N = _graph_ints(raw, args)
     rows = _time_rows(raw)
-    pair = raw.get("convergence_pair", False)
-    if not isinstance(pair, bool):
-        raise ConfigError(f"convergence_pair must be true or false, got {pair!r}")
-    op = grassmannian.step2_graph(c, n, N)
+    return c, N, rows, grassmannian.step2_graph(c, n, N)
 
-    header = "t1,t2,t3,re_omega1,im_omega1,re_lambda1,im_lambda1,residual,re_tau,im_tau".split(",")
-    if pair:
-        header.append(f"residual_{2 * N}")
-    cells = [(c, op, trow, N, pair) for trow in rows]
-    results = _run_cells(cells, args.parallel)
-    _require_finite(results, "the kp sweep")
 
+def _write_sweep(args, header, rows, what) -> int:
+    """The rows under their CSV header, once every value is finite."""
+    _require_finite(rows, what)
     (path,) = _out_paths(args)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in results:
+        fh.write(header + "\n")
+        for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-    print(f"wrote {len(results)} rows to {path}")
+    print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
+
+
+def cmd_kp(args) -> int:
+    raw = _load_config(args.config)
+    pair = raw.get("convergence_pair", False)
+    if not isinstance(pair, bool):
+        raise InvalidInput(f"convergence_pair must be true or false, got {pair!r}")
+    c, N, rows, op = _sweep_input(raw, args)
+    header = "t1,t2,t3,re_omega1,im_omega1,re_lambda1,im_lambda1,residual,re_tau,im_tau"
+    if pair:
+        header += f",residual_{2 * N}"
+    results = _run_cells([(c, op, trow, N, pair) for trow in rows], args.parallel)
+    return _write_sweep(args, header, results, "the kp sweep")
 
 
 def cmd_tau(args) -> int:
-    from . import grassmannian, kp
-    raw = _load_config(args.config)
-    c = _shape_from_source(raw)
-    n, N = _graph_ints(raw, args)
-    rows = _time_rows(raw)
-    op = grassmannian.step2_graph(c, n, N)
-
+    from . import kp
+    _, N, rows, op = _sweep_input(_load_config(args.config), args)
     values = [kp.tau(op, trow, N) for trow in rows]
-    _require_finite(values, "the tau sweep")
-
-    (path,) = _out_paths(args)
-    with open(path, "w") as fh:
-        fh.write("t1,t2,t3,re_tau,im_tau\n")
-        for trow, value in zip(rows, values):
-            fh.write(",".join(_fmt(x) for x in (*trow, value.real, value.imag)) + "\n")
-    print(f"wrote {len(rows)} rows to {path}")
-    return EXIT_OK
+    table = [(*trow, value.real, value.imag) for trow, value in zip(rows, values)]
+    return _write_sweep(args, "t1,t2,t3,re_tau,im_tau", table, "the tau sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +506,7 @@ def cmd_graph_dump(args) -> int:
     from . import grassmannian
     raw = _load_config(args.config)
     if "c" not in raw:
-        raise ConfigError("graph-dump config needs a 'c' list")
+        raise InvalidInput("graph-dump config needs a 'c' list")
     c = _complex_vector(raw["c"], "c")
     n, N = _graph_ints(raw, args, default_N=len(c))
     op = grassmannian.step2_graph(c, n, N)
@@ -663,7 +631,7 @@ def main(argv=None) -> int:
         # write, and reported once as a numerical failure
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return handler(args)
-    except ConfigError as exc:
+    except InvalidInput as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except NumericalFailure as exc:

@@ -13,35 +13,19 @@ Herglotz transform is identically 1 (the trivial driver).
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import InvalidInput, read_number
 
 __all__ = ["Atom", "DriverPiece", "HerglotzDriver", "InvalidMeasure"]
 
 _WEIGHT_TOL = 1e-12
 
 
-class InvalidMeasure(ValueError):
+class InvalidMeasure(InvalidInput):
     """Atom weights violate the probability-measure invariants."""
-
-
-def _finite(value, label):
-    """``float(value)`` for a finite real number; anything else is a ValueError.
-
-    A string or a boolean is refused rather than converted, and so are NaN,
-    the infinities and an integer too large for a float.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValueError(f"driver {label} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +67,15 @@ class HerglotzDriver:
     def from_dict(cls, data):
         """The driver ``{"pieces": [{"t_start": t, "atoms": [{"theta": th, "mu": mu}]}]}``.
 
-        Each number must be a finite real (see :func:`_finite`), else a
-        ValueError; a missing key is a KeyError and a container of the wrong
-        kind a TypeError.
+        Each number must be a finite real (see :func:`shapeflow.read_number`),
+        else an InvalidInput; a missing key is a KeyError and a container of
+        the wrong kind a TypeError.
         """
         pieces = tuple(
             DriverPiece(
-                _finite(p["t_start"], "t_start"),
+                read_number(p["t_start"], "driver t_start"),
                 tuple(
-                    Atom(_finite(a["theta"], "theta"), _finite(a["mu"], "mu"))
+                    Atom(read_number(a["theta"], "driver theta"), read_number(a["mu"], "driver mu"))
                     for a in p.get("atoms", ())
                 ),
             )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalFailure
+from . import InvalidInput, NumericalFailure
 from .driver import HerglotzDriver
 
 __all__ = [
@@ -283,13 +283,20 @@ def evolve(
 ) -> TrajectoryRecord:
     """Classical fixed-step RK4 trajectory with a snapshot at every step.
 
-    Raises StepRejected when a state leaves the divergence guard (|c| above
-    1e6, or |psibar| above 1e6 times its starting peak) or when a state, a
-    Gbar coefficient or H is not finite.
+    The horizon must be a whole number of steps, to 1e-9 relative, so the
+    last state sits at the horizon; else InvalidInput, as for step <= 0,
+    horizon < 0 or an infinite step count.  Raises StepRejected when a state
+    leaves the divergence guard (|c| above 1e6, or |psibar| above 1e6 times
+    its starting peak) or when a state, a Gbar coefficient or H is not finite.
     """
-    if step <= 0 or horizon < 0:
-        raise ValueError("need step > 0 and horizon >= 0")
-    n_steps = int(round(horizon / step))
+    if not (step > 0 and 0 <= horizon / step < np.inf):
+        raise InvalidInput("need step > 0 and a finite horizon / step >= 0")
+    steps = horizon / step
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * steps:
+        raise InvalidInput(
+            f"horizon {horizon} is not a whole number of steps of {step} ({steps:.6g} steps)"
+        )
     moments = {}  # id(piece) -> p_1..p_{N+1}, computed once per driver piece
 
     def moments_at(t):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalFailure
+from . import InvalidInput, NumericalFailure, WindowTooSmall
 
 __all__ = [
     "GraphOperator",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class UnsupportedOrder(ValueError):
+class UnsupportedOrder(InvalidInput):
     """Requested more negative rows than closed-form corrections exist for."""
 
 
@@ -141,9 +141,10 @@ def c_blocks(f_coeffs, n: int, N: int):
     pairs with psibar_{q+1}); C11inv is the Toeplitz band of the reciprocal
     of the derivative symbol, which inverts C11 exactly in this truncation.
     Numeric and exact coefficients share this code; exact entries stay exact.
+    Raises WindowTooSmall unless N >= n.
     """
     if N < n:
-        raise ValueError("window N must be at least n")
+        raise WindowTooSmall(f"window N = {N} must be at least n = {n}")
     obj = _is_object(f_coeffs)
     cc = _coeff_lookup(f_coeffs)
     d = np.array([(j + 1) * cc(j) for j in range(N + 1)], dtype=object if obj else complex)
@@ -265,9 +266,13 @@ class GraphOperator:
 
 
 def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
-    """Corrected graph operator; n in {1, 2, 3} (closed forms through G_{-2})."""
+    """Corrected graph operator; n in {1, 2, 3} (closed forms through G_{-2}).
+
+    Raises UnsupportedOrder for any other n and WindowTooSmall unless N >= n,
+    both before any computation.
+    """
     if not 1 <= n <= 3:
-        raise UnsupportedOrder("graphs are constructed for 1 <= n <= 3")
+        raise UnsupportedOrder(f"graphs are constructed for 1 <= n <= 3, got n = {n}")
     cbar = _conjugate_all(f_coeffs)
     c11, c12, c11inv = c_blocks(cbar, n, N)
     gamma = c12 + _correction_rows(cbar, n, N)

@@ -179,8 +179,9 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     numpy warning, when the coefficients of f' or the values f(w), f'(w)
     and f(z) overflow, when f(w) = 0 on the grid, when two boundary
     images f(w) lie closer than 1e-8 (a sort-and-sweep test,
-    ``_has_close_pair``, O(Q log Q) unless many images share a real part) or
-    when f(w) - f(z) nearly vanishes, or is not a number, on the grid.
+    ``_has_close_pair``, O(Q log Q) unless many images share a real part),
+    when f(w) - f(z) nearly vanishes, or is not a number, on the grid, or
+    when the quadrature itself overflows.
     """
     if isinstance(Q, bool) or not isinstance(Q, int) or Q < 1:
         raise ValueError(f"Q must be an int >= 1, got {Q!r}")
@@ -210,20 +211,23 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     if _has_close_pair(fw, 1e-8):
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
-    weight = (w * fpw / fw) ** 2 * w**k
     denom = np.empty((_ROWS, Q), dtype=complex)
     size = np.empty((_ROWS, Q))
     means = np.empty(n_z, dtype=complex)
-    # n_z is a power of two >= 128, so the blocks tile it
-    for start in range(0, n_z, _ROWS):
-        rows = slice(start, start + _ROWS)
-        np.subtract(fw[None, :], fz[rows, None], out=denom)
-        np.abs(denom, out=size)
-        if not (size.min() >= 1e-8):
-            raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
-        np.divide(weight[None, :], denom, out=denom)
-        denom.mean(axis=1, out=means[rows])
-    vals = fz**2 * means
-
-    lam = np.fft.fft(vals) / n_z
-    return lam[: order_out + 1] / r ** np.arange(order_out + 1)
+    # finite values can still overflow below; the test after ends that in one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = (w * fpw / fw) ** 2 * w**k
+        # n_z is a power of two >= 128, so the blocks tile it
+        for start in range(0, n_z, _ROWS):
+            rows = slice(start, start + _ROWS)
+            np.subtract(fw[None, :], fz[rows, None], out=denom)
+            np.abs(denom, out=size)
+            if not (size.min() >= 1e-8):
+                raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
+            np.divide(weight[None, :], denom, out=denom)
+            denom.mean(axis=1, out=means[rows])
+        lam = np.fft.fft(fz**2 * means) / n_z
+        taylor = lam[: order_out + 1] / r ** np.arange(order_out + 1)
+    if not np.isfinite(taylor).all():
+        raise QuadratureDegenerate("the quadrature overflows")
+    return taylor

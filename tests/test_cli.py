@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapeflow import NumericalFailure, checks, cli, evolution, grassmannian, kp
+from shapeflow import (
+    InvalidInput,
+    NumericalFailure,
+    WindowTooSmall,
+    checks,
+    cli,
+    driver,
+    evolution,
+    grassmannian,
+    kp,
+)
 from shapeflow.grassmannian import step2_graph
 
 IDENTITY_CONFIG = {
@@ -280,6 +291,29 @@ def test_step_count_is_bounded(tmp_path, overrides, flags):
     out = tmp_path / "out"
     assert cli.main(["evolve", "--config", path, "--out", str(out), *flags]) == cli.EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon, step", [(1.0, 0.3), (1e-4, 1e-3)])
+def test_horizon_must_be_a_whole_number_of_steps(tmp_path, capsys, horizon, step):
+    # else the last row misses the reported horizon: t = 0.9 for 1.0 / 0.3,
+    # and no step at all for 1e-4 / 1e-3
+    path = write_config(tmp_path, dict(IDENTITY_CONFIG, horizon=horizon, step=step))
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: horizon {horizon} is not a whole number of steps")
+    assert not out.exists()
+
+
+def test_evolve_reports_the_steps_taken_and_the_last_time(tmp_path, capsys):
+    path = write_config(tmp_path, IDENTITY_CONFIG)  # 0.2 / 0.01: 20 steps, 21 rows
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("evolved 20 steps to t=0.2;")
+    _, rows = read_rows(out / "trajectory.csv")
+    assert float(rows[-1][0]) == 0.2
+    # conservation.json counts trajectory rows, the start included
+    assert json.loads((out / "conservation.json").read_text())["steps"] == len(rows) == 21
 
 
 def test_divergence_maps_to_numerical_failure(tmp_path, monkeypatch):
@@ -612,13 +646,22 @@ def test_kp_snapshot_roundtrip(tmp_path):
     assert float(record["im_omega1"]) == parts[(0, 0, 0)].imag
 
 
+def _snapshot_text(order):
+    """A one-row snapshot CSV with every column up to ``order``."""
+    names = [f"{p}_c_{n}" for n in range(1, order + 1) for p in ("re", "im")]
+    return ",".join(["t", *names]) + "\n" + ",".join(["0.1"] + ["0.0"] * len(names)) + "\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("t,re_c_1,im_c_1,re_c_3,im_c_3\n0.1,0.5,0.0,0.1,0.0\n", "re_c_2"),
         ("t,re_c_1,im_c_1\n0.0,0.5,0.0\n0.1,0.5\n", "line 3 has 2 fields"),
+        # the order is bounded before the missing columns are listed
+        ("t,re_c_1000000000,im_c_1000000000\n0.1,0.5,0.0\n", "snapshot order = 1000000000 exceeds"),
+        (_snapshot_text(cli.MAX_WINDOW + 1), "exceeds the largest window"),
     ],
-    ids=["missing-column", "short-row"],
+    ids=["missing-column", "short-row", "huge-order", "order-above-window"],
 )
 @pytest.mark.parametrize("command", ["kp", "tau"])
 def test_malformed_snapshot_csv_is_config_error(tmp_path, capsys, command, text, message):
@@ -630,6 +673,33 @@ def test_malformed_snapshot_csv_is_config_error(tmp_path, capsys, command, text,
     assert code == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("times", ["t_rows", "t_grid"])
+@pytest.mark.parametrize("command", ["kp", "tau"])
+def test_sweep_row_count_is_bounded(tmp_path, capsys, monkeypatch, command, times):
+    # refused from the list lengths alone: neither the grid nor the graph is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sweep rows built past the bound")
+
+    monkeypatch.setattr(itertools, "product", unreachable)
+    monkeypatch.setattr(grassmannian, "step2_graph", unreachable)
+    side = int(cli.MAX_SWEEP_ROWS ** (1 / 3)) + 1
+    if times == "t_grid":
+        config = {"f_source": {"c": [0.3]}, "n": 1, "N": 4}
+        config["t_grid"] = {key: [0.01] * side for key in ("t1", "t2", "t3")}
+        count = side**3
+    else:
+        count = cli.MAX_SWEEP_ROWS + 1
+        config = dict(KP_CONFIG, t_rows=[[0.01]] * count)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: the sweep asks for {count} rows; at most {cli.MAX_SWEEP_ROWS} are allowed"
+    ]
+    assert not out.exists()
 
 
 def test_kp_grid_parallel_matches_serial(tmp_path):
@@ -753,6 +823,49 @@ def test_each_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, failure, 
     code = cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
     assert code == cli.EXIT_NUMERICAL_FAILURE
     assert capsys.readouterr().err.splitlines() == ["numerical failure: injected"]
+    assert not out.exists()
+
+
+# every InvalidInput subclass of the package, raised inside the layer that owns it
+INVALID_INPUTS = [
+    (WindowTooSmall, "graph-dump", {"c": [0.3], "n": 1, "N": 4}, grassmannian, "c_blocks"),
+    (grassmannian.UnsupportedOrder, "tau", KP_CONFIG, grassmannian, "step2_graph"),
+    (driver.InvalidMeasure, "evolve", IDENTITY_CONFIG, driver.HerglotzDriver, "moments"),
+]
+
+
+def test_invalid_input_list_is_complete():
+    assert {case[0] for case in INVALID_INPUTS} == set(InvalidInput.__subclasses__())
+    # each keeps the base it had before the common one
+    assert issubclass(InvalidInput, ValueError)
+
+
+@pytest.mark.parametrize(
+    "failure, command, config, owner, name",
+    INVALID_INPUTS,
+    ids=[case[0].__name__ for case in INVALID_INPUTS],
+)
+def test_each_invalid_input_exits_2(tmp_path, capsys, monkeypatch, failure, command, config, owner, name):
+    def fail(*args, **kwargs):
+        raise failure("injected")
+
+    monkeypatch.setattr(owner, name, fail)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == ["config error: injected"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, N", [(0, 4), (4, 8), (3, 2)], ids=["n=0", "n=4", "N<n"])
+@pytest.mark.parametrize("command", ["kp", "tau", "graph-dump"])
+def test_graph_order_and_window_rules_exit_2(tmp_path, capsys, command, n, N):
+    base = {"c": [0.3]} if command == "graph-dump" else KP_CONFIG
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, dict(base, n=n, N=N)), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:")
     assert not out.exists()
 
 

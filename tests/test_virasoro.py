@@ -270,6 +270,7 @@ def test_quadrature_refuses_non_finite_map(f):
     [
         ([0.0, 1.0, 1e308], "overflow"),  # f' has the coefficient 2e308
         ([0.0, 1.0, -1.0], "vanishes on the boundary"),  # f(1) = 0 on the grid
+        ([0.0, 1e308], "the quadrature overflows"),  # f, f' finite; f(w) - f(z) overflows
     ],
 )
 def test_quadrature_refuses_overflowing_or_vanishing_map(f, message):
