@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every file a fixed set of CLI runs writes.
+
+The runs go through ``shapeflow.cli.main`` into one output directory:
+``evolve`` on configs/single_atom.json and configs/three_atoms.json, ``kp``
+and ``tau`` on configs/kp_sweep.json at graph orders n = 1, 2 and 3,
+``graph-dump`` for n = 1..3 at N = 4, 16 and 32 on a fixed shape, ``check``
+for every suite, and ``--dump-identities``.  Each file gets one line,
+``sha256  relative/path``, sorted by path, so two trees compare with one
+diff:
+
+    PYTHONPATH=src python3 scripts/output_digests.py > after.txt
+    PYTHONPATH=../before/src python3 scripts/output_digests.py > before.txt
+    diff before.txt after.txt
+
+Usage: python3 scripts/output_digests.py  (the files go to a temporary
+directory that is removed afterwards)
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+from shapeflow import checks
+from shapeflow.cli import main as cli_main
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
+# the fixed shape of every graph-dump run: c_k = 0.4^k e^{ik}, k = 1..8
+GRAPH_SHAPE = [[0.4**k * math.cos(k), 0.4**k * math.sin(k)] for k in range(1, 9)]
+
+
+def _write(path, config):
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return path
+
+
+def _runs(cfg_dir):
+    """(output directory relative to the root, argv) of every run but --dump-identities."""
+    for name in ("single_atom", "three_atoms"):
+        yield f"evolve/{name}", ["evolve", "--config", os.path.join(CONFIGS, f"{name}.json")]
+    with open(os.path.join(CONFIGS, "kp_sweep.json")) as fh:
+        sweep = json.load(fh)
+    for n in (1, 2, 3):
+        config = _write(os.path.join(cfg_dir, f"sweep_n{n}.json"), dict(sweep, n=n))
+        for command in ("kp", "tau"):
+            yield f"sweep/n{n}", [command, "--config", config]
+    for n in (1, 2, 3):
+        for N in (4, 16, 32):
+            config = _write(os.path.join(cfg_dir, f"graph_n{n}_N{N}.json"), {"c": GRAPH_SHAPE, "n": n, "N": N})
+            yield f"graph/n{n}_N{N}", ["graph-dump", "--config", config]
+    for suite in checks.SUITES:
+        yield "check", ["check", suite]
+
+
+def run(out, cfg_dir):
+    """Write every output under ``out``; the exit code of the first failing run, else 0."""
+    for rel, argv in _runs(cfg_dir):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([*argv, "--out", os.path.join(out, rel)])
+        if code != 0:
+            print(f"{' '.join(argv)} exited {code}", file=sys.stderr)
+            return code
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        code = cli_main(["--dump-identities"])
+    with open(os.path.join(out, "identities.jsonl"), "w") as fh:
+        fh.write(listing.getvalue())
+    return code
+
+
+def digests(out):
+    """``sha256  relative/path`` lines for every output file under ``out``, sorted by path."""
+    lines = []
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{digest}  {os.path.relpath(path, out)}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main():
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as cfg_dir:
+        code = run(out, cfg_dir)
+        if code == 0:
+            print("\n".join(digests(out)))
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

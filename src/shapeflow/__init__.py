@@ -36,3 +36,22 @@ def read_number(value, label, kind=float):
         except (ValueError, OverflowError):
             pass
     raise InvalidInput(f"{label} must be {what}, got {value!r}")
+
+
+def check_keys(raw, label, known, exclusive=()):
+    """InvalidInput when the config object ``raw`` has a key outside ``known``
+    or gives more than one of the alternatives ``exclusive``.
+
+    A misspelt key would otherwise leave its default in place, and a second
+    alternative would be ignored.  A ``raw`` that is not a dict is a
+    TypeError, the error of a container of the wrong kind.
+    """
+    if not isinstance(raw, dict):
+        raise TypeError(f"{label} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(known), key=str)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise InvalidInput(f"{label} has the unknown key(s) {names}; it reads {', '.join(known)}")
+    given = [key for key in exclusive if key in raw]
+    if len(given) > 1:
+        raise InvalidInput(f"{label} gives both {given[0]!r} and {given[1]!r}; give one")

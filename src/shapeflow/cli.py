@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import InvalidInput, NumericalFailure, read_number
+from . import InvalidInput, NumericalFailure, check_keys, read_number
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -49,6 +49,9 @@ MAX_STEPS = 100_000
 # kp and tau hold a whole sweep in memory until the finiteness check, so a
 # sweep may ask for at most this many time rows (the example config asks for 12)
 MAX_SWEEP_ROWS = 100_000
+# kp runs its sweep on at most this many worker threads (--parallel); the
+# benchmark and the tests ask for 2
+MAX_PARALLEL = 64
 # largest order or window a config may ask for: order, m_neg, n_psi (evolve), a
 # snapshot's order, n and N (kp, tau, graph-dump); the example configs and the
 # benchmark use at most 16, and kp's convergence pair doubles N
@@ -79,6 +82,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw, order=None, step=None, horizon=None) -> "RunConfig":
         from .driver import HerglotzDriver
+        check_keys(raw, "config", ("driver", "horizon", "step", "order", "m_neg", "n_psi", "seed", "psibar0"))
         if "driver" not in raw:
             raise InvalidInput("config needs a 'driver' object")
         try:
@@ -377,6 +381,7 @@ def _shape_from_source(raw) -> np.ndarray:
     source = raw.get("f_source")
     if not isinstance(source, dict):
         raise InvalidInput("config needs an 'f_source' object")
+    check_keys(source, "f_source", ("c", "snapshot_csv", "at_t"), exclusive=("c", "snapshot_csv"))
     if "c" in source:
         return _complex_vector(source["c"], "f_source.c")
     if "snapshot_csv" in source:
@@ -409,6 +414,7 @@ def _time_rows(raw) -> list:
         grid = raw["t_grid"]
         if not isinstance(grid, dict):
             raise InvalidInput("t_grid must be an object with t1/t2/t3 lists")
+        check_keys(grid, "t_grid", ("t1", "t2", "t3"))
         axes = {key: grid.get(key, [0.0]) for key in ("t1", "t2", "t3")}
         for key, vals in axes.items():
             if not isinstance(vals, list) or not vals:
@@ -459,6 +465,8 @@ def _run_cells(cells, parallel):
 def _sweep_input(raw, args) -> tuple:
     """The shape c, the window N, the time rows and the graph of a kp or tau config."""
     from . import grassmannian
+    keys = ("f_source", "n", "N", "t_rows", "t_grid", "convergence_pair")
+    check_keys(raw, "config", keys, exclusive=("t_rows", "t_grid"))
     c = _shape_from_source(raw)
     n, N = _graph_ints(raw, args)
     rows = _time_rows(raw)
@@ -505,6 +513,7 @@ def cmd_tau(args) -> int:
 def cmd_graph_dump(args) -> int:
     from . import grassmannian
     raw = _load_config(args.config)
+    check_keys(raw, "config", ("c", "n", "N"))
     if "c" not in raw:
         raise InvalidInput("graph-dump config needs a 'c' list")
     c = _complex_vector(raw["c"], "c")
@@ -527,6 +536,17 @@ def cmd_graph_dump(args) -> int:
 # parser / dispatch
 
 
+def _workers(text):
+    """A ``--parallel`` count, an integer from 1 to MAX_PARALLEL; else a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= count <= MAX_PARALLEL:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {MAX_PARALLEL}, got {count}")
+    return count
+
+
 # the flags each command reads; any other flag is a usage error
 _FLAGS = {
     "config": ("--config", {"help": "path to a JSON config file"}),
@@ -535,7 +555,7 @@ _FLAGS = {
     "horizon": ("--horizon", {"type": float, "help": "time horizon override"}),
     "out": ("--out", {"default": ".", "help": "output directory (default: current)"}),
     "out_or_stdout": ("--out", {"help": "output directory (default: print to stdout)"}),
-    "parallel": ("--parallel", {"type": int, "default": 1, "help": "worker count for sweep cells"}),
+    "parallel": ("--parallel", {"type": _workers, "default": 1, "help": "worker count for sweep cells"}),
 }
 # per command: handler, help text, the flags it reads, and the files it
 # writes under --out (formatted with the parsed arguments)

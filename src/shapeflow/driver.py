@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InvalidInput, read_number
+from . import InvalidInput, check_keys, read_number
 
 __all__ = ["Atom", "DriverPiece", "HerglotzDriver", "InvalidMeasure"]
 
@@ -69,19 +69,19 @@ class HerglotzDriver:
 
         Each number must be a finite real (see :func:`shapeflow.read_number`),
         else an InvalidInput; a missing key is a KeyError and a container of
-        the wrong kind a TypeError.
+        the wrong kind a TypeError; an unknown key is an InvalidInput.
         """
-        pieces = tuple(
-            DriverPiece(
-                read_number(p["t_start"], "driver t_start"),
-                tuple(
-                    Atom(read_number(a["theta"], "driver theta"), read_number(a["mu"], "driver mu"))
-                    for a in p.get("atoms", ())
-                ),
-            )
-            for p in data["pieces"]
-        )
-        return cls(pieces=pieces)
+        check_keys(data, "driver", ("pieces",))
+        pieces = []
+        for p in data["pieces"]:
+            check_keys(p, "driver piece", ("t_start", "atoms"))
+            t_start = read_number(p["t_start"], "driver t_start")
+            atoms = []
+            for a in p.get("atoms", ()):
+                check_keys(a, "driver atom", ("theta", "mu"))
+                atoms.append(Atom(read_number(a["theta"], "driver theta"), read_number(a["mu"], "driver mu")))
+            pieces.append(DriverPiece(t_start, tuple(atoms)))
+        return cls(pieces=tuple(pieces))
 
     @classmethod
     def from_json(cls, text):

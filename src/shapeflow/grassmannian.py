@@ -5,8 +5,9 @@ G(z) = sum_k G_{k+1} z^k whose positive part is governed by the
 unit-triangular Toeplitz block C11 (multiplication by the derivative of the
 conjugated map) and whose finitely many negative coefficients are linear in
 the positive ones.  Step 1 removes the raw psi-dependence (operator T~_n);
-Step 2 replaces the raw negative rows with the corrected observables G_0,
-G_{-1}, G_{-2}, producing an operator T_n whose graph
+Step 2 replaces the n raw negative rows with Kirillov's fields L_0, ...,
+L_{-(n-1)} of the map, one closed form for every order n, producing an
+operator T_n whose graph
 
     W_{T_n} = span{e_0, e_1, ...}
 
@@ -38,7 +39,7 @@ __all__ = [
 
 
 class UnsupportedOrder(InvalidInput):
-    """Requested more negative rows than closed-form corrections exist for."""
+    """Requested a graph order n below 1."""
 
 
 class InverseCheckFailed(NumericalFailure):
@@ -67,33 +68,26 @@ def virtual_dimension(s: IndexSet) -> int:
     return len(s.added) - len(s.removed)
 
 
-def _coeff_lookup(f_coeffs):
-    arr = list(f_coeffs)
-
-    def cc(i):
-        if i == 0:
-            return 1
-        if 1 <= i <= len(arr):
-            return arr[i - 1]
-        return 0
-
-    return cc
-
-
-def _is_object(f_coeffs):
-    return any(
-        not isinstance(v, (int, float, complex, np.number)) for v in f_coeffs
-    )
-
-
 def _conjugate_all(f_coeffs):
     return [v.conjugate() if hasattr(v, "conjugate") else np.conj(v) for v in f_coeffs]
 
 
-def _zeros(shape, obj):
-    if obj:
-        return np.zeros(shape, dtype=object)
-    return np.zeros(shape, dtype=complex)
+def _band(f_coeffs, N):
+    """(b, d, exact), the coefficient bands every block reads.
+
+    b = [1, c_1, ..., c_{N+1}] (zero past the input) holds f/z and
+    d_j = (j+1) b_j for j <= N (zero past N) the f' band of C11; both have
+    length 2N + 2, so shifted rows read zeros past the window.  Exact input
+    gives object arrays of the exact values, numeric input complex128.
+    """
+    exact = any(not isinstance(v, (int, float, complex, np.number)) for v in f_coeffs)
+    b = np.zeros(2 * N + 2, dtype=object if exact else complex)
+    b[0] = 1
+    tail = list(f_coeffs)[: N + 1]
+    b[1 : len(tail) + 1] = tail
+    d = np.arange(1, 2 * N + 3) * b
+    d[N + 1 :] = 0
+    return b, d, exact
 
 
 def _unit_reciprocal(a, obj):
@@ -123,8 +117,8 @@ def fprime_reciprocal(f_coeffs, N: int):
     A ``complex128`` array for numeric coefficients, an object array of the
     exact values otherwise (see :func:`_unit_reciprocal`).
     """
-    cc = _coeff_lookup(f_coeffs)
-    return _unit_reciprocal([(j + 1) * cc(j) for j in range(N + 1)], _is_object(f_coeffs))
+    _, d, exact = _band(f_coeffs, N)
+    return _unit_reciprocal(d[: N + 1], exact)
 
 
 def _upper_toeplitz(band):
@@ -145,43 +139,36 @@ def c_blocks(f_coeffs, n: int, N: int):
     """
     if N < n:
         raise WindowTooSmall(f"window N = {N} must be at least n = {n}")
-    obj = _is_object(f_coeffs)
-    cc = _coeff_lookup(f_coeffs)
-    d = np.array([(j + 1) * cc(j) for j in range(N + 1)], dtype=object if obj else complex)
-    c11 = _upper_toeplitz(d)
-    c11inv = _upper_toeplitz(fprime_reciprocal(f_coeffs, N))
+    _, d, exact = _band(f_coeffs, N)
     # row j, column q carries (q+1+j) c_{q+j} = d[q+j], zero past the window
-    c12 = _zeros((n, N + 1), obj)
-    for j in range(1, n + 1):
-        c12[j - 1, : N + 1 - j] = d[j:]
-    return c11, c12, c11inv
+    c12 = d[np.arange(1, n + 1)[:, None] + np.arange(N + 1)]
+    fprime = d[: N + 1]
+    return _upper_toeplitz(fprime), c12, _upper_toeplitz(_unit_reciprocal(fprime, exact))
 
 
-def _correction_rows(f_coeffs, n: int, N: int):
-    """Rows B~ that turn the raw cut rows into gradients of G_0, G_-1, G_-2.
-
-    Column q pairs with psibar_k, k = q + 1.  Row 2 holds
-    (c_1^2 - 4 c_2) c_k - a_{k+2}, with a_n the reciprocal coefficients of
-    f/z on the window 0..N: a_{k+2} is dropped when k + 2 > N, that is at
-    k = N-1..N+1, so there row 2 differs from the untruncated gradient of
-    G_-2 by exactly a_{k+2}.
-    """
-    obj = _is_object(f_coeffs)
-    cc = _coeff_lookup(f_coeffs)
-    rows = _zeros((n, N + 1), obj)
-    if n >= 3:
-        a = _unit_reciprocal([cc(j) for j in range(N + 1)], obj)
-    for q in range(N + 1):
-        k = q + 1  # the psibar index this column pairs with
-        ck = cc(k)
-        rows[0, q] = -ck
-        if n >= 2:
-            rows[1, q] = -2 * cc(1) * ck
-        if n >= 3:
-            rows[2, q] = (cc(1) * cc(1) - 4 * cc(2)) * ck
-            if k + 2 <= N:
-                rows[2, q] = rows[2, q] - a[k + 2]
-    return rows
+def _graph_rows(f_coeffs, n: int, N: int):
+    """Gamma, the n x (N+1) block of negative rows; the rule is step2_graph's."""
+    b, d, exact = _band(f_coeffs, N)
+    # Python scalar arithmetic on numbers too: numpy's complex vector loops
+    # fuse multiply-adds, which would move the last bits of the rows
+    b, d = b.astype(object), d.astype(object)
+    u = _unit_reciprocal(b[: N + 1], obj=True)
+    powers = [None, u]  # powers[p] = u^p on powers 0..N
+    for _ in range(2, n - 1):
+        powers.append(np.convolve(powers[-1], u)[: N + 1])
+    gamma = d[np.arange(1, n + 1)[:, None] + np.arange(N + 1)]  # d_{k+r}
+    for r in range(n):
+        q = {r - 1: 1}
+        for p in range(r - 2, -2, -1):
+            lower = range(max(p + 1, 1), r)
+            q[p] = d[r - 1 - p] - sum(q[s] * powers[s][s - p] for s in lower)
+        # summed negated, then added to d: rows 0 and 1 round as -c_k and
+        # -2 c_1 c_k do, bit for bit
+        terms = -q[-1] * b[1 : N + 2]
+        for p in range(1, r):
+            terms[: N - 1 - p] -= q[p] * powers[p][p + 2 :]
+        gamma[r] += terms
+    return gamma if exact else gamma.astype(complex)
 
 
 def step1_ttilde(f_coeffs, n: int, N: int):
@@ -266,18 +253,28 @@ class GraphOperator:
 
 
 def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
-    """Corrected graph operator; n in {1, 2, 3} (closed forms through G_{-2}).
+    """Corrected graph operator of any order n >= 1: T_n = Gamma C11inv.
 
-    Raises UnsupportedOrder for any other n and WindowTooSmall unless N >= n,
-    both before any computation.
+    Row r < n of Gamma is Kirillov's field L_{-r} f at the conjugated shape;
+    column k - 1 holds its coefficient of z^{k+1}, the psibar_k component:
+
+        L_{-r} f = z^{1-r} f' - sum_{p=-1}^{r-1} Q_p f^{-p},
+
+    with Q_{r-1} = 1 and, with u = z/f and from p = r-2 down to -1, the Q_p
+    that cancel z^{-p}: Q_p = d_{r-1-p} - sum_{s=max(p+1,1)}^{r-1} Q_s [u^s]_{s-p}.
+    So Gamma[r, k-1] = d_{k+r} - Q_{-1} b_k - sum_{p=1}^{r-1} Q_p [u^p]_{k+1+p}
+    (b, d from :func:`_band`).  f' and u are known on powers 0..N only, so
+    terms past N are dropped: row r differs from the untruncated field
+    exactly at k > N - r.  Exact input stays exact.  Raises UnsupportedOrder
+    for n < 1 and WindowTooSmall unless N >= n, both before any computation.
     """
-    if not 1 <= n <= 3:
-        raise UnsupportedOrder(f"graphs are constructed for 1 <= n <= 3, got n = {n}")
+    if n < 1:
+        raise UnsupportedOrder(f"graphs are constructed for n >= 1, got n = {n}")
     cbar = _conjugate_all(f_coeffs)
-    c11, c12, c11inv = c_blocks(cbar, n, N)
-    gamma = c12 + _correction_rows(cbar, n, N)
+    c11, _, c11inv = c_blocks(cbar, n, N)
+    gamma = _graph_rows(cbar, n, N)
     t_n = gamma @ c11inv
-    if not _is_object(cbar):
+    if c11.dtype != object:
         scale = max(1.0, float(np.abs(c11inv).max()))
         resid = np.abs(c11 @ c11inv - np.eye(N + 1)).max() / scale
         if not resid <= 1e-12:

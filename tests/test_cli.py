@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import concurrent.futures
 import csv
 import itertools
 import json
@@ -190,6 +191,44 @@ def test_config_number_given_as_string_is_refused(tmp_path, capsys, command, con
     assert cli.main([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
     assert capsys.readouterr().err.startswith(f"config error: {label} must be")
     assert not out.exists()
+
+
+KP_GRID_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_grid": {"t1": [0.05]}}
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("evolve", dict(IDENTITY_CONFIG, horizn=0.01), "config has the unknown key(s) 'horizn'"),
+        ("evolve", dict(IDENTITY_CONFIG, driver=dict(one_atom(), piece=[])), "driver has the unknown key(s) 'piece'"),
+        ("evolve", dict(IDENTITY_CONFIG, driver={"pieces": [{"t_start": 0.0, "atom": []}]}), "driver piece has the unknown key(s) 'atom'"),
+        ("evolve", dict(IDENTITY_CONFIG, driver={"pieces": [{"t_start": 0.0, "atoms": [{"theta": 0.0, "mu": 1.0, "weight": 1.0}]}]}), "driver atom has the unknown key(s) 'weight'"),
+        ("kp", dict(KP_CONFIG, convergence_par=True), "config has the unknown key(s) 'convergence_par'"),
+        ("tau", dict(KP_CONFIG, NN=8), "config has the unknown key(s) 'NN'"),
+        ("kp", dict(KP_CONFIG, f_source={"c": [0.3], "at": 0.5}), "f_source has the unknown key(s) 'at'"),
+        ("tau", dict(KP_GRID_CONFIG, t_grid={"t1": [0.05], "t_2": [0.02]}), "t_grid has the unknown key(s) 't_2'"),
+        ("graph-dump", {"c": [0.3], "n": 1, "M": 4}, "config has the unknown key(s) 'M'"),
+        ("kp", dict(KP_CONFIG, f_source={"c": [0.3], "snapshot_csv": "traj.csv", "at_t": 0.0}), "f_source gives both 'c' and 'snapshot_csv'"),
+        ("kp", dict(KP_GRID_CONFIG, t_rows=[[0.05]]), "config gives both 't_rows' and 't_grid'"),
+        ("tau", dict(KP_GRID_CONFIG, t_rows=[[0.05]]), "config gives both 't_rows' and 't_grid'"),
+    ],
+    ids=["evolve", "driver", "piece", "atom", "kp", "tau", "f_source", "t_grid", "graph-dump",
+         "c+snapshot_csv", "kp-t_rows+t_grid", "tau-t_rows+t_grid"],
+)
+def test_unknown_config_key_or_both_alternatives_is_config_error(tmp_path, capsys, monkeypatch, command, config, named):
+    # a misspelt key would leave its default in place, and a second
+    # alternative would be ignored
+    _no_computation(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and named in line
+    assert not out.exists()
+
+
+def test_tau_reads_a_kp_config(tmp_path):
+    path = write_config(tmp_path, dict(KP_CONFIG, convergence_pair=True))
+    assert cli.main(["tau", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
 
 # the files each command writes under --out
@@ -702,6 +741,30 @@ def test_sweep_row_count_is_bounded(tmp_path, capsys, monkeypatch, command, time
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3", str(cli.MAX_PARALLEL + 1)])
+def test_parallel_count_is_bounded(tmp_path, capsys, monkeypatch, count):
+    # a usage error while parsing: no pool is built and nothing is computed
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", unbuilt)
+    _no_computation(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["kp", "--config", write_config(tmp_path, KP_CONFIG), "--out", str(out), "--parallel", count]
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    assert f"must be from 1 to {cli.MAX_PARALLEL}, got {int(count)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_parallel_count_runs(tmp_path):
+    # KP_CONFIG has one time row, so the pool starts one worker thread
+    out = tmp_path / "out"
+    argv = ["kp", "--config", write_config(tmp_path, KP_CONFIG), "--out", str(out)]
+    assert cli.main([*argv, "--parallel", str(cli.MAX_PARALLEL)]) == cli.EXIT_OK
+    _, rows = read_rows(out / "kp_sweep.csv")
+    assert len(rows) == 1
+
+
 def test_kp_grid_parallel_matches_serial(tmp_path):
     config = {
         "f_source": {"c": [0.3, 0.09]},
@@ -857,7 +920,7 @@ def test_each_invalid_input_exits_2(tmp_path, capsys, monkeypatch, failure, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n, N", [(0, 4), (4, 8), (3, 2)], ids=["n=0", "n=4", "N<n"])
+@pytest.mark.parametrize("n, N", [(0, 4), (3, 2)], ids=["n=0", "N<n"])
 @pytest.mark.parametrize("command", ["kp", "tau", "graph-dump"])
 def test_graph_order_and_window_rules_exit_2(tmp_path, capsys, command, n, N):
     base = {"c": [0.3]} if command == "graph-dump" else KP_CONFIG
@@ -867,6 +930,27 @@ def test_graph_order_and_window_rules_exit_2(tmp_path, capsys, command, n, N):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kp", "tau", "graph-dump"])
+def test_graph_orders_above_three_run(tmp_path, command):
+    # every order n >= 1 builds a graph; each output is finite and reruns
+    # byte-identical
+    base = {"c": [0.3, [0.0, -0.1], 0.02]} if command == "graph-dump" else dict(KP_CONFIG, t_rows=[[0.05, 0.01, 0.02]])
+    for n in (4, 5, 6):
+        path = write_config(tmp_path, dict(base, n=n, N=8), name=f"n{n}.json")
+        outs = [tmp_path / f"{command}-n{n}-{run}" for run in (1, 2)]
+        for out in outs:
+            assert cli.main([command, "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        (name,) = os.listdir(outs[0])
+        text = (outs[0] / name).read_text()
+        assert text == (outs[1] / name).read_text()
+        if command == "graph-dump":
+            values = np.array(json.loads(text)["T"], dtype=float)
+            assert values.shape == (n, 9, 2)
+        else:
+            values = np.array(read_rows(outs[0] / name)[1], dtype=float)
+        assert np.isfinite(values).all()
 
 
 TOO_WIDE = cli.MAX_WINDOW + 1
@@ -1026,3 +1110,25 @@ def test_trajectory_demo_script_runs(tmp_path):
         if "implicit-solution error:" in line
     ]
     assert len(errors) == 1 and errors[0] < 1e-8
+
+
+def test_output_digests_script_lists_every_output():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "output_digests.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = [f"check/check_{suite}.json" for suite in sorted(checks.SUITES)]
+    want += [f"evolve/{name}/{file}" for name in ("single_atom", "three_atoms")
+             for file in ("conservation.json", "trajectory.csv")]
+    want += [f"graph/n{n}_N{N}/graph.json" for n in (1, 2, 3) for N in (16, 32, 4)]
+    want += ["identities.jsonl"]
+    want += [f"sweep/n{n}/{file}" for n in (1, 2, 3) for file in ("kp_sweep.csv", "tau.csv")]
+    digests, paths = zip(*(line.split("  ") for line in proc.stdout.splitlines()))
+    assert list(paths) == want
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)

@@ -20,6 +20,7 @@ from shapeflow.grassmannian import (
 )
 from shapeflow.observables import BracketWindow, corrected_G, reciprocal_coefficients
 from shapeflow.series import TruncatedSeries
+from shapeflow.virasoro import kirillov_L
 
 
 def test_virtual_dimension_examples():
@@ -184,6 +185,23 @@ def test_row_two_drops_reciprocal_coefficients_past_the_window():
             assert dropped != 0, k
 
 
+def test_rows_three_to_five_are_kirillov_fields_inside_the_window():
+    # row r of Gamma is L_{-r} at cbar where no term lies past the window,
+    # k <= N - r, and differs from it at every k > N - r; the exact field
+    # comes from the recursion of kirillov_L on a window n + 2 wider
+    N, n = 12, 6
+    rng = np.random.default_rng(8)
+    c = [Fraction(int(rng.integers(-9, 10)), 10 * m * m) for m in range(1, N + 3)]
+    basis = step2_graph(c, n, N).basis
+    w = BracketWindow(n_c=N + n + 2, m_neg=0, n_psi=N + 1)
+    for r in (3, 4, 5):
+        field = kirillov_L(-r, w)
+        row = basis[n - 1 - r]
+        for k in range(1, N + 2):
+            diff = row[k - 1] - _exact_at(field.component(k), c)
+            assert (diff == 0) == (k <= N - r), (r, k)
+
+
 def test_identity_map_graph_is_canonical():
     op = step2_graph([], 2, 6)
     assert np.abs(op.matrix).max() == 0
@@ -194,10 +212,10 @@ def test_identity_map_graph_is_canonical():
 
 
 def test_unsupported_order():
-    with pytest.raises(UnsupportedOrder):
-        step2_graph([0.1], 4, 8)
-    with pytest.raises(UnsupportedOrder):
-        step2_graph([0.1], 0, 8)
+    for n in (0, -1):
+        with pytest.raises(UnsupportedOrder):
+            step2_graph([0.1], n, 8)
+    assert step2_graph([0.1], 4, 8).virtual_dimension() == 0
 
 
 def test_membership_unit_vector_is_e0():

@@ -470,13 +470,14 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
         "m_neg": 2,
         "n_psi": 2,
     }
-    sweep = {"f_source": {"c": [0.3]}, "c": [0.3], "n": 2, "N": 4, "t_rows": [[0.05]]}
+    sweep = {"f_source": {"c": [0.3]}, "n": 2, "N": 4, "t_rows": [[0.05]]}
+    graph = {"c": [0.3], "n": 2, "N": 4}
     numeric = {"shapeflow.evolution", "shapeflow.driver"}
     runs = [
         ("evolve", flow, "shapeflow.evolution", {"shapeflow.kp", "shapeflow.grassmannian"}),
         ("kp", sweep, "shapeflow.kp", numeric),
         ("tau", sweep, "shapeflow.kp", numeric),
-        ("graph-dump", sweep, "shapeflow.grassmannian", numeric),
+        ("graph-dump", graph, "shapeflow.grassmannian", numeric),
     ]
     for command, config, used, unused in runs:
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -553,7 +554,7 @@ def test_wave_function_pole_window():
         assert abs(ba.laurent[i + n] - want) < 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_wave_function_negative_part_from_schur_oracle(n):
     # the coefficient of z^-j in Psi / exp(xi) is sum_{l >= j} omega_l a_{l-j},
     # with the Schur values a taken from the series-layer oracle
@@ -628,7 +629,7 @@ def dense_tau(op, t, N):
     return complex(np.linalg.det(np.eye(N + 1) + a_inv @ b @ graph_cols))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_tau_matches_dense_determinant(n):
     # det of the n-by-n wave system equals the dense (N+1)x(N+1) determinant
     # (Sylvester), for windows below, at and above the graph's own
@@ -646,7 +647,7 @@ def test_tau_matches_dense_determinant(n):
                     assert abs(tau(op, times, window) - want) <= 1e-14 * abs(want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_tau_quotient_reproduces_wave_function(n):
     N = 32
     c = np.array([0.5**k / k for k in range(1, N + 1)])
