@@ -3,7 +3,8 @@
 
 The runs go through ``shapeflow.cli.main`` into one output directory:
 ``evolve`` on configs/single_atom.json and configs/three_atoms.json, ``kp``
-and ``tau`` on configs/kp_sweep.json at graph orders n = 1, 2 and 3,
+and ``tau`` on configs/kp_sweep.json at graph orders n = 1, 2 and 3, ``kp``
+once more at each n without the sweep's ``convergence_pair``,
 ``graph-dump`` for n = 1..3 at N = 4, 16 and 32 on a fixed shape, ``check``
 for every suite, and ``--dump-identities``.  Each file gets one line,
 ``sha256  relative/path``, sorted by path, so two trees compare with one
@@ -50,6 +51,8 @@ def _runs(cfg_dir):
         config = _write(os.path.join(cfg_dir, f"sweep_n{n}.json"), dict(sweep, n=n))
         for command in ("kp", "tau"):
             yield f"sweep/n{n}", [command, "--config", config]
+        config = _write(os.path.join(cfg_dir, f"nopair_n{n}.json"), dict(sweep, n=n, convergence_pair=False))
+        yield f"sweep/n{n}_nopair", ["kp", "--config", config]
     for n in (1, 2, 3):
         for N in (4, 16, 32):
             config = _write(os.path.join(cfg_dir, f"graph_n{n}_N{N}.json"), {"c": GRAPH_SHAPE, "n": n, "N": N})

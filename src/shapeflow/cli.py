@@ -107,6 +107,8 @@ class RunConfig:
             )
         if m_neg < 0 or n_psi < 0:
             raise InvalidInput("psibar window bounds must be nonnegative")
+        if seed < 0:
+            raise InvalidInput(f"seed must be nonnegative, got {seed}")
         _check_window({"order": order, "m_neg": m_neg, "n_psi": n_psi})
         width = m_neg + n_psi + 1
         if "psibar0" in raw:
@@ -385,9 +387,12 @@ def _shape_from_source(raw) -> np.ndarray:
     if "c" in source:
         return _complex_vector(source["c"], "f_source.c")
     if "snapshot_csv" in source:
+        path = source["snapshot_csv"]
+        if not isinstance(path, str):
+            raise InvalidInput(f"f_source.snapshot_csv must be a path string, got {path!r}")
         if "at_t" not in source:
             raise InvalidInput("snapshot f_source needs 'at_t'")
-        return _read_snapshot(source["snapshot_csv"], read_number(source["at_t"], "at_t"))
+        return _read_snapshot(path, read_number(source["at_t"], "at_t"))
     raise InvalidInput("f_source must supply 'c' or 'snapshot_csv'")
 
 
@@ -441,7 +446,7 @@ def _kp_cell(payload):
     parts = kp.omega1_and_partials(kp.ABForm.build(c, trow, N))
     omega1 = parts[(0, 0, 0)]
     lambda1 = -parts[(1, 0, 0)]
-    residual = kp.kp_residual(c, trow, N)
+    residual = float(abs(kp.kp_value(parts)))
     tau_value = kp.tau(op, trow, N)
     row = [*trow, omega1.real, omega1.imag, lambda1.real, lambda1.imag, residual]
     row += [tau_value.real, tau_value.imag]

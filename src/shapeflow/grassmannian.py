@@ -209,31 +209,38 @@ class GraphOperator:
         """sum_k psi[k] e_k over the basis."""
         return self.basis @ self._check_psi(psi)
 
-    def index_set(self, tol: float = 1e-9) -> IndexSet:
-        """Pivot powers of the basis under column reduction, relative to Z+.
+    def index_set(self) -> IndexSet:
+        """The orders of the basis under column reduction, relative to Z+.
 
-        The basis matrix is reduced left to right; each independent column
-        contributes the power of its largest remaining entry.  Powers in 0..N
-        that never appear are `removed`; negative pivot powers are `added`.
+        This is Segal & Wilson's S_W.  A column's order is its highest power
+        with a nonzero coefficient; while that order is already a pivot, the
+        multiple of the pivot column that cancels it is subtracted and the
+        search goes on below it, so each independent column contributes a
+        new order.  In a graph basis the
+        positive part of e_k is unit upper triangular, so e_k has order k
+        exactly.  Powers in 0..N that never appear are `removed`; negative
+        orders are `added`.
         """
-        work = np.array(self.basis, dtype=complex)
+
+        def order(v, below):
+            nonzero = np.flatnonzero(v[:below])
+            return int(nonzero[-1]) if nonzero.size else -1
+
         pivots = {}
-        for col in range(work.shape[1]):
-            v = work[:, col]
-            for prow, pcol in pivots.items():
-                v = v - v[prow] * work[:, pcol]
-            r = int(np.abs(v).argmax())
-            if abs(v[r]) < tol:
-                continue
-            work[:, col] = v / v[r]
-            pivots[r] = col
+        for v in np.array(self.basis, dtype=complex).T:
+            r = order(v, len(v))
+            while r in pivots:
+                v = v - v[r] * pivots[r]
+                r = order(v, r)
+            if r >= 0:
+                pivots[r] = v / v[r]
         powers = {r - self.n for r in pivots}
         added = frozenset(p for p in powers if p < 0)
         removed = frozenset(set(range(self.N + 1)) - powers)
         return IndexSet(added, removed)
 
-    def virtual_dimension(self, tol: float = 1e-9) -> int:
-        return virtual_dimension(self.index_set(tol))
+    def virtual_dimension(self) -> int:
+        return virtual_dimension(self.index_set())
 
     def to_json(self) -> str:
         def ri(x):

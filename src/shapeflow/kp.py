@@ -18,10 +18,10 @@ the central scalar is the bilinear pairing
 where ``r`` is the reciprocal series of ``conj(f)'`` and ``a``-indices
 below zero vanish.  Derivatives act by a pure index shift,
 ``d/dt_k D_s = D_{s+k}``, which is exact for the truncated sums because the
-index set does not move.  Everything downstream (``omega_1 = D_1/(1-D_0)``,
-its partials, the KP residual) follows from the tabulated values by the
-Leibniz rule applied to ``omega_1 (1 - D_0) = D_1``, so no finite
-differences enter the computation.
+index set does not move.  :func:`omega1_and_partials` fills the whole jet
+of ``omega_1 = D_1/(1-D_0)`` from one table by the Leibniz rule applied to
+``omega_1 (1 - D_0) = D_1``, and :func:`kp_value` reads the KP residual off
+that jet, so no finite differences enter and one table serves a sweep row.
 """
 
 from __future__ import annotations
@@ -176,70 +176,29 @@ class ABForm:
 
     ``table[s]`` holds ``D_s`` for ``s = 0.._TABLE_DEPTH``; every partial
     derivative of the base value ``A = D_0`` with respect to the times is
-    another table slot, ``d^alpha A = D_{alpha_1 + 2 alpha_2 + 3 alpha_3}``,
+    another table slot, ``d^alpha A = D_{w(alpha)}`` (see :func:`_weight`),
     because each ``d/dt_k`` shifts the Schur index by ``k``.
     """
 
-    f_coeffs: tuple
-    t: GeneralizedTimes
-    N: int
     table: tuple
 
     @classmethod
     def build(cls, f_coeffs, t, N: int) -> "ABForm":
-        times = GeneralizedTimes.of(t)
         if N < 1:
             raise WindowTooSmall(f"bilinear form needs N >= 1, got {N}")
-        supplied = np.asarray(tuple(f_coeffs), dtype=complex).ravel()
+        supplied = np.asarray(f_coeffs, dtype=complex).ravel()
         v = _shape_weights(supplied[:N].tobytes(), int(N))
         # a[q - s + depth] = S_{q-s}, zero below q = s
-        a = np.concatenate([np.zeros(_TABLE_DEPTH), schur(times, N + 1)])
+        a = np.concatenate([np.zeros(_TABLE_DEPTH), schur(t, N + 1)])
         lags = np.arange(N + 2) - np.arange(_TABLE_DEPTH + 1)[:, None] + _TABLE_DEPTH
-        table = a[lags] @ v
-        return cls(
-            f_coeffs=tuple(complex(x) for x in supplied),
-            t=times,
-            N=int(N),
-            table=tuple(complex(x) for x in table),
-        )
-
-    @staticmethod
-    def _slot(alpha) -> int:
-        alpha = tuple(int(x) for x in alpha)
-        if len(alpha) > 3:
-            raise ValueError("derivative multi-index runs over (t_1, t_2, t_3)")
-        alpha = alpha + (0,) * (3 - len(alpha))
-        if any(x < 0 for x in alpha):
-            raise ValueError(f"negative derivative order in {alpha}")
-        if sum(alpha) > 4:
-            raise ValueError(f"total derivative order above 4 is not tabulated: {alpha}")
-        return _weight(alpha)
-
-    def partial(self, alpha=(0, 0, 0)) -> complex:
-        """The exact partial ``d^alpha A`` as a table lookup."""
-        return self.table[self._slot(alpha)]
-
-    @property
-    def a(self) -> complex:
-        """The base value A = D_0."""
-        return self.table[0]
-
-    @property
-    def b(self) -> complex:
-        """B = dA/dt_1 = D_1."""
-        return self.table[1]
-
-
-def a_form(f_coeffs, t, alpha, N: int) -> complex:
-    """One exact partial derivative ``d^alpha A`` of the bilinear form."""
-    return ABForm.build(f_coeffs, t, N).partial(alpha)
+        return cls(table=tuple((a[lags] @ v).tolist()))
 
 
 # omega_1's partials of total order <= 3, then the two higher t_1 orders the
 # KP combination needs; sorted by total order, so that every alpha - gamma
 # in the recurrence comes before alpha.
-_PARTIALS = tuple(a for a in itertools.product(range(4), repeat=3) if sum(a) <= 3)
-_JET = tuple(sorted(_PARTIALS + ((4, 0, 0), (5, 0, 0)), key=sum))
+_ORDER3 = [a for a in itertools.product(range(4), repeat=3) if sum(a) <= 3]
+_JET = tuple(sorted(_ORDER3 + [(4, 0, 0), (5, 0, 0)], key=sum))
 
 
 def _leibniz_terms(alpha) -> tuple:
@@ -255,10 +214,13 @@ def _leibniz_terms(alpha) -> tuple:
 _PLAN = tuple((alpha, _weight(alpha) + 1, _leibniz_terms(alpha)) for alpha in _JET)
 
 
-def _omega_jet(ab: ABForm) -> dict:
-    """Exact partials ``d^alpha omega_1`` for every alpha in ``_JET``.
+def omega1_and_partials(ab: ABForm) -> dict:
+    """omega_1 = D_1/(1 - D_0) and its exact time-partials: the whole jet.
 
-    Differentiating ``omega_1 (1 - D_0) = D_1`` by Leibniz, with
+    Returns a dict keyed by the multi-index ``(alpha_1, alpha_2, alpha_3)``
+    with the 20 partials of total order <= 3 plus ``d_1^4`` and ``d_1^5``,
+    the orders :func:`kp_value` reads.  Differentiating
+    ``omega_1 (1 - D_0) = D_1`` by Leibniz, with
     ``d^gamma D_s = D_{s + w(gamma)}``, gives the Taylor-division recurrence
 
         (1 - D_0) d^alpha omega_1 = D_{w(alpha)+1}
@@ -279,7 +241,7 @@ def _omega_jet(ab: ABForm) -> dict:
     return jet
 
 
-def _kp_value(jet: dict) -> complex:
+def kp_value(jet: dict) -> complex:
     """``3 d2^2 lam - d1(4 d3 lam - 12 lam d1 lam - d1^3 lam)`` with lam = -d1 omega_1."""
     return (
         -3 * jet[(1, 2, 0)]
@@ -287,17 +249,6 @@ def _kp_value(jet: dict) -> complex:
         + 12 * (jet[(2, 0, 0)] ** 2 + jet[(1, 0, 0)] * jet[(3, 0, 0)])
         - jet[(5, 0, 0)]
     )
-
-
-def omega1_and_partials(ab: ABForm) -> dict:
-    """omega_1 = B/(1-A) and all its time-partials of total order <= 3.
-
-    Returns a dict keyed by the multi-index ``(alpha_1, alpha_2, alpha_3)``.
-    Derivatives are exact: each is the Leibniz recurrence of
-    :func:`_omega_jet` filled with the tabulated values.
-    """
-    jet = _omega_jet(ab)
-    return {alpha: jet[alpha] for alpha in _PARTIALS}
 
 
 def kp_residual(f_coeffs, t, N: int) -> float:
@@ -308,9 +259,10 @@ def kp_residual(f_coeffs, t, N: int) -> float:
     taken exactly through the shift rule.  The combination is an algebraic
     identity in the table slots, so the returned value measures only the
     floating-point noise of the recurrence: it sits at roundoff level
-    (~1e-15) for every window size N rather than decaying with N.
+    (~1e-15) for every window size N rather than decaying with N.  It equals
+    ``abs(kp_value(jet))`` of the jet at the same arguments.
     """
-    return float(abs(_kp_value(_omega_jet(ABForm.build(f_coeffs, t, N)))))
+    return float(abs(kp_value(omega1_and_partials(ABForm.build(f_coeffs, t, N)))))
 
 
 @dataclasses.dataclass(frozen=True)

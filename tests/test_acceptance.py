@@ -251,14 +251,15 @@ def test_10_schur_polynomial_displays():
 def test_11_wave_coefficient_derivative_identity():
     ab = ABForm.build(ACCEPT_C[:16], ACCEPT_T, 16)
     parts = omega1_and_partials(ab)
-    denom = 1.0 - ab.a
-    rhs = ab.partial((2, 0, 0)) / denom + (ab.partial((1, 0, 0)) / denom) ** 2
+    A, dA, ddA = ab.table[:3]  # d^alpha A = D_{w(alpha)}: alpha = 0, (1,0,0), (2,0,0)
+    denom = 1.0 - A
+    rhs = ddA / denom + (dA / denom) ** 2
     gap = abs(parts[(1, 0, 0)] - rhs)
 
     # finite differences in the first time confirm the same derivative
     def omega_at(t1):
         shifted = ABForm.build(ACCEPT_C[:16], (t1, ACCEPT_T[1], ACCEPT_T[2]), 16)
-        return shifted.b / (1.0 - shifted.a)
+        return shifted.table[1] / (1.0 - shifted.table[0])
 
     errs = []
     for h in (1e-2, 5e-3):

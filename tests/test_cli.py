@@ -102,6 +102,20 @@ def test_invalid_driver_weights_rejected(tmp_path):
     assert cli.main(["evolve", "--config", path]) == cli.EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize(
+    "seed, code", [(-1, cli.EXIT_CONFIG_ERROR), (-2**70, cli.EXIT_CONFIG_ERROR), (2**70, cli.EXIT_OK)]
+)
+def test_seed_must_be_nonnegative(tmp_path, capsys, seed, code):
+    # the generator takes any nonnegative integer, a huge one included
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(IDENTITY_CONFIG, seed=seed))
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == code
+    if code == cli.EXIT_CONFIG_ERROR:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"config error: seed must be nonnegative, got {seed}"
+        assert not out.exists()
+
+
 def test_psibar0_width_mismatch_rejected(tmp_path):
     bad = dict(IDENTITY_CONFIG)
     bad["psibar0"] = [1.0, 2.0]  # window [-2, 2] needs five entries
@@ -658,6 +672,26 @@ def test_kp_matches_library_route(tmp_path):
     assert float(record["residual_24"]) == kp.kp_residual(c, trow, 24)
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("pair", [False, True])
+def test_kp_builds_one_table_per_row_and_window(tmp_path, monkeypatch, pair, parallel):
+    # omega_1, lambda_1 and the window-N residual come from one table and one
+    # jet; the convergence pair adds one table at 2N
+    windows = []
+    build = kp.ABForm.build.__func__
+
+    def counting(cls, f_coeffs, t, N):
+        windows.append(N)
+        return build(cls, f_coeffs, t, N)
+
+    monkeypatch.setattr(kp.ABForm, "build", classmethod(counting))
+    rows = [[0.05], [0.1, 0.02], [0.0, 0.0, 0.01]]
+    path = write_config(tmp_path, dict(KP_CONFIG, t_rows=rows, convergence_pair=pair))
+    argv = ["kp", "--config", path, "--out", str(tmp_path / "out"), "--parallel", str(parallel)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sorted(windows) == [4] * 3 + ([8] * 3 if pair else [])
+
+
 def test_kp_snapshot_roundtrip(tmp_path):
     config = dict(ATOM_CONFIG, horizon=0.2, step=0.01, order=10, m_neg=2, n_psi=2)
     evolve_path = write_config(tmp_path, config, "evolve.json")
@@ -683,6 +717,29 @@ def test_kp_snapshot_roundtrip(tmp_path):
     parts = kp.omega1_and_partials(kp.ABForm.build(c, (0.02, 0.01, 0.005), 10))
     assert float(record["re_omega1"]) == parts[(0, 0, 0)].real
     assert float(record["im_omega1"]) == parts[(0, 0, 0)].imag
+
+
+@pytest.mark.parametrize("value", [0, 2, True, 5], ids=["fd0", "fd2", "true", "fd5"])
+def test_snapshot_csv_that_is_not_a_string_is_config_error(tmp_path, value):
+    # open() would take an int or a bool as a file descriptor: 0 reads stdin,
+    # 1 and 2 are the output streams and are closed when the read ends.  A
+    # fresh interpreter keeps this process's streams out of reach.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    config = write_config(tmp_path, dict(KP_CONFIG, f_source={"snapshot_csv": value, "at_t": 0.1}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapeflow", "kp", "--config", config, "--out", str(out)],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == cli.EXIT_CONFIG_ERROR
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: f_source.snapshot_csv must be a path string")
+    assert not out.exists()
 
 
 def _snapshot_text(order):
@@ -1128,7 +1185,8 @@ def test_output_digests_script_lists_every_output():
              for file in ("conservation.json", "trajectory.csv")]
     want += [f"graph/n{n}_N{N}/graph.json" for n in (1, 2, 3) for N in (16, 32, 4)]
     want += ["identities.jsonl"]
-    want += [f"sweep/n{n}/{file}" for n in (1, 2, 3) for file in ("kp_sweep.csv", "tau.csv")]
+    want += [f"sweep/n{n}{part}" for n in (1, 2, 3)
+             for part in ("/kp_sweep.csv", "/tau.csv", "_nopair/kp_sweep.csv")]
     digests, paths = zip(*(line.split("  ") for line in proc.stdout.splitlines()))
     assert list(paths) == want
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)

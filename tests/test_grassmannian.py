@@ -33,6 +33,39 @@ def test_virtual_dimension_examples():
         IndexSet(frozenset(), frozenset({-2}))
 
 
+def _basis_operator(n, N, columns):
+    """A GraphOperator around a hand-built basis; columns list {power: coefficient}."""
+    basis = np.zeros((n + N + 1, len(columns)), dtype=complex)
+    for k, column in enumerate(columns):
+        for power, value in column.items():
+            basis[power + n, k] = value
+    empty = np.zeros((0, 0))
+    return GraphOperator(n=n, N=N, matrix=empty, c11=empty, c11_inv=empty, basis=basis)
+
+
+def test_index_set_reads_each_column_at_its_order():
+    # a z^-1 column and no z^0 column: S = {-1, 1, 2}
+    op = _basis_operator(1, 2, [{-1: 1.0}, {1: 1.0}, {2: 1.0}])
+    assert op.index_set() == IndexSet(frozenset({-1}), frozenset({0}))
+    assert op.virtual_dimension() == 0
+    # the order is the highest power, however small its coefficient against
+    # the others; a repeated order is reduced below, a dependent column dropped
+    op = _basis_operator(1, 2, [{-1: 1e40, 1: 1e-3}, {-1: 2.0, 0: 5.0, 1: 3.0}, {-1: 2e40, 1: 2e-3}])
+    assert op.index_set() == IndexSet(frozenset(), frozenset({2}))
+    assert op.virtual_dimension() == -1
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_index_set_of_a_graph_with_large_rows_is_z_plus(n):
+    # c_k = 0.8^k e^{ik}: the Gamma rows reach 1e18 at n = N = 48, far above
+    # the unit C11 part; pivoting on the largest entry read dimension -10 there,
+    # and 8 added with 8 removed at n = N = 16
+    c = [0.8**k * np.exp(1j * k) for k in range(1, 9)]
+    op = step2_graph(c, n, n)
+    assert op.index_set() == IndexSet(frozenset(), frozenset())
+    assert op.virtual_dimension() == 0
+
+
 def test_c_blocks_identity_map():
     c11, c12, c11inv = c_blocks([], 2, 6)
     np.testing.assert_array_equal(c11, np.eye(7))

@@ -2,6 +2,7 @@
 wave coefficients, Baker-Akhiezer functions, and tau determinants."""
 
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -24,15 +25,14 @@ from shapeflow.kp import (
     GeneralizedTimes,
     NearSingularA,
     SingularSystem,
-    a_form,
     baker_akhiezer,
     kp_residual,
+    kp_value,
     omega1_and_partials,
     sato_psi,
     schur,
     tau,
-    _kp_value,
-    _omega_jet,
+    _weight,
 )
 from shapeflow.observables import WindowTooSmall
 from shapeflow.series import TruncatedSeries, exp_series
@@ -184,6 +184,11 @@ def decaying_c(N, scale=0.4, phase=0.3):
     return scale**k * np.exp(1j * phase * k)
 
 
+def d_alpha_a(c, t, alpha, N):
+    """The exact partial d^alpha A, read off the table by the shift rule."""
+    return ABForm.build(c, t, N).table[_weight(alpha)]
+
+
 def test_a_form_matches_matrix_assembly():
     N = 10
     c = decaying_c(N)
@@ -198,7 +203,7 @@ def test_a_form_matches_matrix_assembly():
         s = alpha[0] + 2 * alpha[1] + 3 * alpha[2]
         col = np.array([a[i + 1 - s] if i + 1 - s >= 0 else 0.0 for i in range(N + 1)])
         want = row @ inv @ col
-        got = a_form(c, t, alpha, N)
+        got = d_alpha_a(c, t, alpha, N)
         assert abs(got - want) < 1e-12
 
 
@@ -245,18 +250,17 @@ def test_shape_weights_are_cached_per_shape_and_window():
 
 def test_a_form_trivials_and_validation():
     N = 8
-    zeros = np.zeros(N)
-    for alpha in [(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 1)]:
-        assert a_form(zeros, (0.1, 0.2, 0.3), alpha, N) == 0.0
+    zeros = ABForm.build(np.zeros(N), (0.1, 0.2, 0.3), N)
+    assert zeros.table == (0j,) * (kp._TABLE_DEPTH + 1)
     c = decaying_c(N)
-    assert abs(a_form(c, (0.0, 0.0, 0.0), (0, 0, 0), N)) == 0.0
+    assert abs(d_alpha_a(c, (0.0, 0.0, 0.0), (0, 0, 0), N)) == 0.0
     ab = ABForm.build(c, (0.05, 0.02, 0.01), N)
-    assert a_form(c, (0.05, 0.02, 0.01), (1, 0, 0), N) == ab.b
-    assert ab.partial((0, 0, 0)) == ab.a
-    with pytest.raises(ValueError):
-        ab.partial((3, 1, 1))  # total order 5
-    with pytest.raises(ValueError):
-        ab.partial((-1, 0, 0))
+    assert [f.name for f in dataclasses.fields(ab)] == ["table"]
+    assert len(ab.table) == kp._TABLE_DEPTH + 1
+    assert all(type(x) is complex for x in ab.table)
+    # a list, a tuple and an array of the same coefficients give the same table
+    assert ABForm.build(list(c), (0.05, 0.02, 0.01), N) == ab
+    assert ABForm.build(tuple(c), (0.05, 0.02, 0.01), N) == ab
     with pytest.raises(WindowTooSmall):
         ABForm.build(c, (0.1, 0.0, 0.0), 0)
 
@@ -269,13 +273,13 @@ def test_shift_rule_matches_finite_differences():
         for alpha in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]:
             bumped = list(alpha)
             bumped[k] += 1
-            exact = a_form(c, t, tuple(bumped), N)
+            exact = d_alpha_a(c, t, tuple(bumped), N)
             errs = []
             for h in (1e-3, 5e-4):
                 tp, tm = t.copy(), t.copy()
                 tp[k] += h
                 tm[k] -= h
-                fd = (a_form(c, tp, alpha, N) - a_form(c, tm, alpha, N)) / (2 * h)
+                fd = (d_alpha_a(c, tp, alpha, N) - d_alpha_a(c, tm, alpha, N)) / (2 * h)
                 errs.append(abs(fd - exact))
             # second-order accuracy: halving h divides the error by ~4
             assert errs[1] < 1e-9 or 3.5 < errs[0] / errs[1] < 4.5
@@ -296,7 +300,7 @@ def test_omega_base_value_at_zero_times():
 def test_omega_partials_all_zero_for_trivial_shape():
     ab = ABForm.build(np.zeros(6), (0.1, 0.05, 0.02), 6)
     parts = omega1_and_partials(ab)
-    assert len(parts) == 20  # all multi-indices of total order <= 3
+    assert len(parts) == 22  # all multi-indices of total order <= 3, plus d_1^4, d_1^5
     assert all(v == 0.0 for v in parts.values())
 
 
@@ -305,9 +309,7 @@ def test_quotient_rule_identity_for_first_derivative():
     c = decaying_c(N)
     ab = ABForm.build(c, (0.06, 0.03, 0.02), N)
     parts = omega1_and_partials(ab)
-    A = ab.partial((0, 0, 0))
-    dA = ab.partial((1, 0, 0))
-    ddA = ab.partial((2, 0, 0))
+    A, dA, ddA = ab.table[:3]
     want = ddA / (1 - A) + (dA / (1 - A)) ** 2
     assert abs(parts[(1, 0, 0)] - want) < 1e-12
 
@@ -329,12 +331,7 @@ def test_omega_partial_matches_finite_differences():
 
 
 def test_near_singular_denominator_raises():
-    ab = ABForm(
-        f_coeffs=(),
-        t=GeneralizedTimes((0.0, 0.0, 0.0)),
-        N=1,
-        table=(1.0,) * 13,
-    )
+    ab = ABForm(table=(1.0,) * 13)
     with pytest.raises(NearSingularA):
         omega1_and_partials(ab)
 
@@ -396,7 +393,7 @@ def _kp_expr():
 def table_form(values):
     """An ABForm holding the given D_0, D_1, ... (zero-padded), for slot-level tests."""
     table = tuple(values) + (0.0,) * (13 - len(values))
-    return ABForm(f_coeffs=(), t=GeneralizedTimes((0.0, 0.0, 0.0)), N=1, table=table)
+    return ABForm(table=table)
 
 
 def test_kp_combination_is_algebraic_identity():
@@ -405,13 +402,14 @@ def test_kp_combination_is_algebraic_identity():
     assert sp.simplify(_kp_expr()) == 0
     # and the numeric recurrence does not collapse it symbolically: it
     # returns honest floating-point noise, not literal zero, on a generic table
-    jet = _omega_jet(table_form([0.1 / (s + 2) for s in range(11)]))
-    assert abs(_kp_value(jet)) < 1e-14
+    jet = omega1_and_partials(table_form([0.1 / (s + 2) for s in range(11)]))
+    assert abs(kp_value(jet)) < 1e-14
 
 
 def test_recurrence_matches_symbolic_oracle_on_random_tables():
-    alphas = sorted(_omega_jet(table_form([0.0] * 11)))
-    assert len(alphas) == 22  # the 20 partials of order <= 3, plus d_1^4, d_1^5
+    alphas = sorted(omega1_and_partials(table_form([0.0] * 11)))
+    order3 = [a for a in np.ndindex(4, 4, 4) if sum(a) <= 3]
+    assert alphas == sorted(order3 + [(4, 0, 0), (5, 0, 0)])  # 20 + d_1^4, d_1^5
     exprs = [_omega_expr(alpha) for alpha in alphas]
     oracle = sp.lambdify(D_SYMS, exprs + [_kp_expr()], "numpy")
     rng = np.random.default_rng(2024)
@@ -419,18 +417,14 @@ def test_recurrence_matches_symbolic_oracle_on_random_tables():
         vals = 0.4 * (rng.standard_normal(11) + 1j * rng.standard_normal(11))
         ab = table_form(list(vals))
         *want, want_kp = oracle(*vals)
-        jet = _omega_jet(ab)
-        parts = omega1_and_partials(ab)
-        assert sorted(parts) == [a for a in alphas if sum(a) <= 3]
+        jet = omega1_and_partials(ab)
         for alpha, w in zip(alphas, want):
             assert abs(jet[alpha] - w) <= 1e-12 * abs(w)
-            if alpha in parts:
-                assert parts[alpha] == jet[alpha]
         # the KP value is roundoff on both sides: compare on the scale of its terms
         terms = (jet[(1, 2, 0)], jet[(2, 0, 1)], jet[(2, 0, 0)] ** 2,
                  jet[(1, 0, 0)] * jet[(3, 0, 0)], jet[(5, 0, 0)])
         scale = 12 * max(abs(x) for x in terms)
-        assert abs(_kp_value(jet) - want_kp) <= 1e-12 * scale
+        assert abs(kp_value(jet) - want_kp) <= 1e-12 * scale
 
 
 EXACT_LAYER = {"shapeflow.observables", "shapeflow.virasoro", "shapeflow.checks", "shapeflow.series"}
@@ -507,7 +501,7 @@ def test_wave_function_order_one_matches_closed_form():
     t = (0.05, 0.03, 0.02)
     ba = baker_akhiezer(op, t)
     ab = ABForm.build(c, t, N)
-    closed = ab.b / (1 - ab.a)
+    closed = ab.table[1] / (1 - ab.table[0])
     assert abs(ba.omegas[0] - closed) < 1e-10
 
 
