@@ -68,11 +68,11 @@ def _field_closed_form(f, k: int):
 def _check_structure_constants() -> Tuple[bool, str]:
     window = BracketWindow(n_c=16, m_neg=0, n_psi=16)
     pairs = [(1, 2), (1, 3), (2, 3), (0, 2), (-1, 1), (-1, 2), (-2, 3)]
-    fields = {k: kirillov_L(k, window) for k in sorted({x for p in pairs for x in p})}
-    sums = {k + n: kirillov_L(k + n, window) for k, n in pairs}
+    degrees = sorted({j for k, n in pairs for j in (k, n, k + n)})
+    fields = {j: kirillov_L(j, window) for j in degrees}
     for k, n in pairs:
         got = commutator(fields[k], fields[n]).restricted(12, c_max=12)
-        want = sums[k + n].scale(n - k).restricted(12, c_max=12)
+        want = fields[k + n].scale(n - k).restricted(12, c_max=12)
         if got != want:
             return False, f"[L_{k}, L_{n}] != ({n}-{k}) L_{k + n} on window 12"
     return True, f"{len(pairs)} bracket pairs exact on window 12"
@@ -178,16 +178,14 @@ def _check_basis_gradients() -> Tuple[bool, str]:
 
 def _check_quadrature_identity_map() -> Tuple[bool, str]:
     f = np.concatenate([[0.0, 1.0], np.zeros(7)])
-    for k in (1, 2, 3):
-        out = schaeffer_spencer(f, k)
+    ks = (1, 2, 3, 0, -1)
+    for k, out in zip(ks, schaeffer_spencer(f, ks)):
         want = np.zeros(len(out))
-        want[k + 1] = 1.0
+        if k >= 1:
+            want[k + 1] = 1.0
         if np.abs(out - want).max() > 1e-12:
-            return False, f"identity map at k={k} is not z^{k + 1}"
-    for k in (0, -1):
-        out = schaeffer_spencer(f, k)
-        if np.abs(out).max() > 1e-12:
-            return False, f"identity map at k={k} is not zero"
+            image = f"z^{k + 1}" if k >= 1 else "zero"
+            return False, f"identity map at k={k} is not {image}"
     return True, "monomial images of the identity map reproduced exactly"
 
 
@@ -199,8 +197,9 @@ def _check_quadrature_sample_map() -> Tuple[bool, str]:
     f = TruncatedSeries(np.asarray(coeffs, dtype=complex))
     z = 0.5 * np.exp(2j * np.pi * np.arange(129) / 129)
     worst = 0.0
-    for k in (-1, 0, 1, 2, 3):
-        got = TruncatedSeries(schaeffer_spencer(f.coeffs, k))
+    ks = (-1, 0, 1, 2, 3)
+    for k, taylor in zip(ks, schaeffer_spencer(f.coeffs, ks)):
+        got = TruncatedSeries(taylor)
         want = _field_closed_form(f, k)
         worst = max(worst, np.abs(got.evaluate(z) - want.evaluate(z)).max())
     if worst > 1e-10:

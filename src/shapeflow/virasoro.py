@@ -15,6 +15,7 @@ the numerical cross-check for the closed forms.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +46,8 @@ class QuadratureDegenerate(RuntimeError):
 
 
 # interior evaluation points per block of the quadrature matrix: at Q = 2048
-# the two block buffers take 0.75 MiB, where one whole n_z-by-Q temporary
-# took 4 MiB or more
+# the two complex block buffers take 1 MiB, where one whole n_z-by-Q
+# temporary takes 4 MiB or more
 _ROWS = 16
 
 
@@ -151,12 +152,28 @@ def _has_close_pair(values: np.ndarray, tol: float) -> bool:
     return False
 
 
-def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
+def _field_degrees(k) -> list:
+    """The k of ``schaeffer_spencer``, one or a sequence, as a list of ints."""
+    try:
+        ks = list(k)
+    except TypeError:
+        ks = None
+    if not ks or any(
+        isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in ks
+    ):
+        raise ValueError(f"k must be an int or a non-empty sequence of ints, got {k!r}")
+    return [int(j) for j in ks]
+
+
+def schaeffer_spencer(
+    f, k: int | Sequence[int], Q: int = 2048
+) -> np.ndarray | list[np.ndarray]:
     """Variation of f by the boundary field -i z^k, as Taylor coefficients.
 
     ``f`` holds the Taylor coefficients f_0..f_N of the map, at least two and
     all finite; the result holds those of the variation, of degree
-    N + max(k, 0).
+    N + max(k, 0).  ``k`` is an int, which gives one array, or a non-empty
+    sequence of ints, which gives a list of arrays in the order of ``k``.
 
     Computes the contour integral
 
@@ -168,21 +185,27 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     above roundoff; for |z| <= 1/2 the re-evaluated series is spectrally
     accurate.
 
-    The n_z interior points are taken ``_ROWS`` at a time: each block of
-    f(w) - f(z) is formed, tested, divided into the weights and averaged in
-    two reused (_ROWS, Q) buffers, so memory is O(_ROWS * Q) rather than
-    O(n_z * Q).  Every element and every row mean is computed exactly as on
-    the whole n_z-by-Q matrix, so the result is the same to the bit.
+    The grid, f(w), f'(w) and the boundary test are computed once for all k,
+    and the k that need the same number n_z of interior points share one
+    pass over them.  The pass takes the points ``_ROWS`` at a time: each
+    block of f(w) - f(z) is formed and tested once, then divided into each
+    k's weights and averaged in two reused (_ROWS, Q) buffers, so memory is
+    O(_ROWS * Q) rather than O(n_z * Q) whatever the number of k.  Every
+    element, row mean and transform is computed exactly as on the whole
+    n_z-by-Q matrix for one k, so each result is the same to the bit.
 
-    Raises ValueError when Q is not an int >= 1 or f has fewer than two
-    coefficients or a non-finite one.  Raises QuadratureDegenerate, with no
-    numpy warning, when the coefficients of f' or the values f(w), f'(w)
-    and f(z) overflow, when f(w) = 0 on the grid, when two boundary
-    images f(w) lie closer than 1e-8 (a sort-and-sweep test,
-    ``_has_close_pair``, O(Q log Q) unless many images share a real part),
-    when f(w) - f(z) nearly vanishes, or is not a number, on the grid, or
-    when the quadrature itself overflows.
+    Raises ValueError when k is a bool, not integral or an empty sequence,
+    when Q is not an int >= 1, or when f has fewer than two coefficients or
+    a non-finite one.  Raises QuadratureDegenerate, with no numpy warning,
+    when the coefficients of f' or the values f(w), f'(w) and f(z) overflow,
+    when f(w) = 0 on the grid, when two boundary images f(w) lie closer than
+    1e-8 (a sort-and-sweep test, ``_has_close_pair``, O(Q log Q) unless many
+    images share a real part), when f(w) - f(z) nearly vanishes, or is not a
+    number, on the grid, or when the quadrature itself overflows, which an
+    output degree above 1074 always does.
     """
+    single = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    ks = _field_degrees([k] if single else k)
     if isinstance(Q, bool) or not isinstance(Q, int) or Q < 1:
         raise ValueError(f"Q must be an int >= 1, got {Q!r}")
     f = np.asarray(f, dtype=complex)
@@ -191,20 +214,28 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
     if not np.isfinite(f).all():
         raise ValueError("f has a non-finite Taylor coefficient")
     r = 0.5
+    orders = [len(f) - 1 + max(j, 0) for j in ks]
+    # the rescale below divides by r^j, which is 0 past the subnormals
+    if r ** max(orders) == 0:
+        raise QuadratureDegenerate("the quadrature overflows")
+    passes = {}  # n_z -> positions in ks, in order of first use
+    for i, order_out in enumerate(orders):
+        n_z = 128
+        while n_z < 2 * (order_out + 1):
+            n_z *= 2
+        passes.setdefault(n_z, []).append(i)
     theta = 2 * np.pi * np.arange(Q) / Q
     w = np.exp(1j * theta)
-    order_out = len(f) - 1 + max(k, 0)
-    n_z = 128
-    while n_z < 2 * (order_out + 1):
-        n_z *= 2
-    zs = r * np.exp(2j * np.pi * np.arange(n_z) / n_z)
     # a huge map overflows here; the test below ends that in one error
     with np.errstate(over="ignore", invalid="ignore"):
         fprime = np.arange(1, len(f)) * f[1:]
         fw = taylor_values(f, w)
         fpw = taylor_values(fprime, w)
-        fz = taylor_values(f, zs)
-    if not all(np.isfinite(v).all() for v in (fprime, fw, fpw, fz)):
+        fzs = {
+            n_z: taylor_values(f, r * np.exp(2j * np.pi * np.arange(n_z) / n_z))
+            for n_z in passes
+        }
+    if not all(np.isfinite(v).all() for v in (fprime, fw, fpw, *fzs.values())):
         raise QuadratureDegenerate("f' or the values of f or f' overflow")
     if not fw.all():
         raise QuadratureDegenerate("f vanishes on the boundary")
@@ -212,22 +243,32 @@ def schaeffer_spencer(f, k: int, Q: int = 2048) -> np.ndarray:
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
     denom = np.empty((_ROWS, Q), dtype=complex)
-    size = np.empty((_ROWS, Q))
-    means = np.empty(n_z, dtype=complex)
+    quot = np.empty((_ROWS, Q), dtype=complex)
+    # |f(w) - f(z)| takes the first half of each quotient row until the
+    # division overwrites it
+    size = quot.view(float)[:, :Q]
+    out = [None] * len(ks)
     # finite values can still overflow below; the test after ends that in one error
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = (w * fpw / fw) ** 2 * w**k
-        # n_z is a power of two >= 128, so the blocks tile it
-        for start in range(0, n_z, _ROWS):
-            rows = slice(start, start + _ROWS)
-            np.subtract(fw[None, :], fz[rows, None], out=denom)
-            np.abs(denom, out=size)
-            if not (size.min() >= 1e-8):
-                raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
-            np.divide(weight[None, :], denom, out=denom)
-            denom.mean(axis=1, out=means[rows])
-        lam = np.fft.fft(fz**2 * means) / n_z
-        taylor = lam[: order_out + 1] / r ** np.arange(order_out + 1)
-    if not np.isfinite(taylor).all():
+        squared = (w * fpw / fw) ** 2
+        for n_z, members in passes.items():
+            fz = fzs[n_z]
+            weights = [squared * w ** ks[i] for i in members]
+            means = np.empty((len(members), n_z), dtype=complex)
+            # n_z is a power of two >= 128, so the blocks tile it
+            for start in range(0, n_z, _ROWS):
+                rows = slice(start, start + _ROWS)
+                np.subtract(fw[None, :], fz[rows, None], out=denom)
+                np.abs(denom, out=size)
+                if not (size.min() >= 1e-8):
+                    raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
+                for weight, mean in zip(weights, means):
+                    np.divide(weight[None, :], denom, out=quot)
+                    quot.mean(axis=1, out=mean[rows])
+            fz2 = fz**2
+            for i, mean in zip(members, means):
+                lam = np.fft.fft(fz2 * mean) / n_z
+                out[i] = lam[: orders[i] + 1] / r ** np.arange(orders[i] + 1)
+    if not all(np.isfinite(taylor).all() for taylor in out):
         raise QuadratureDegenerate("the quadrature overflows")
-    return taylor
+    return out[0] if single else out

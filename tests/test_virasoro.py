@@ -223,13 +223,20 @@ def seeded_map(rng, order):
     return np.concatenate([[0.0, 1.0], 0.5**j / j * np.exp(2j * np.pi * rng.uniform(size=j.size))])
 
 
-# order 20 keeps n_z = 128 interior points for every k below; order 70 needs 256
-@pytest.mark.parametrize("order", [20, 70])
+# order 20 keeps n_z = 128 interior points for every k below and order 70
+# needs 256; order 60 takes 128 for k <= 3 and 256 for k = 5, so one call
+# on all of them makes two passes
+@pytest.mark.parametrize("order", [20, 60, 70])
 def test_quadrature_matches_whole_matrix_bit_for_bit(order):
     f = seeded_map(np.random.default_rng(order), order)
-    for k in (-2, -1, 0, 1, 2, 3, 5):
+    ks = (-2, -1, 0, 1, 2, 3, 5)
+    # an array of numpy integers is a sequence of ints too
+    together = schaeffer_spencer(f, np.array(ks))
+    assert len(together) == len(ks)
+    for k, shared in zip(ks, together):
         got = schaeffer_spencer(f, k)
         assert got.tobytes() == whole_matrix_schaeffer_spencer(f, k).tobytes(), k
+        assert shared.tobytes() == got.tobytes(), k
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -241,18 +248,21 @@ def test_quadrature_collision_in_any_row_block(where):
     f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / n_z)]
     with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
         schaeffer_spencer(f, 1, Q=Q)
+    with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
+        schaeffer_spencer(f, [-1, 0, 1, 2, 3], Q=Q)
 
 
 def test_quadrature_memory_stays_at_row_blocks():
     f = seeded_map(np.random.default_rng(3), 40)
-    schaeffer_spencer(f, 2)
-    tracemalloc.start()
-    try:
-        schaeffer_spencer(f, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    for k in (2, [-1, 0, 1, 2, 3]):
+        schaeffer_spencer(f, k)
+        tracemalloc.start()
+        try:
+            schaeffer_spencer(f, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (k, peak)
 
 
 @pytest.mark.parametrize(
@@ -286,6 +296,24 @@ def test_quadrature_refuses_unusable_point_count(Q):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Q must be an int"):
             schaeffer_spencer([0.0, 1.0, 0.1], 2, Q=Q)
+
+
+def test_quadrature_past_the_subnormals_overflows_without_warning():
+    # output degree 1102: the rescale by 2^j divides by 0.5^1102 == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureDegenerate, match="the quadrature overflows"):
+            schaeffer_spencer([0.0, 1.0, 0.1], 1100, Q=64)
+
+
+@pytest.mark.parametrize(
+    "k", [1.5, True, np.bool_(True), [], (), [1, 2.5], [0, False], "2", None, np.array(2)]
+)
+def test_quadrature_refuses_unusable_field_degree(k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k must be an int"):
+            schaeffer_spencer([0.0, 1.0, 0.1], k, Q=64)
 
 
 @pytest.mark.parametrize("f", [[], [0.0], [[0.0, 1.0]]])
