@@ -1,15 +1,14 @@
 """Runnable identity checks behind the command-line ``check`` command.
 
-Each entry re-verifies one algebraic identity of the library at runtime and
-produces a machine-readable record.  The ``source`` string points at the
-code that implements the identity being exercised, so a failing record can
-be traced straight to the responsible function.
+Each check re-verifies one algebraic identity of the library at runtime and
+produces a machine-readable record.  A check is declared once, by
+``@_declare`` on its function, with its name, its suite and the library
+function it exercises; the record's ``source`` is that function's import
+path, so a failing record can be traced straight to the responsible code.
+The suites, ``run_suite`` and the ``catalogue`` all read the declarations.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from typing import Callable, Tuple
 
 import numpy as np
 
@@ -23,15 +22,23 @@ from .observables import (
 )
 from .virasoro import commutator, kirillov_L, schaeffer_spencer
 
-SUITES = ("witt", "bracket", "basis", "quadrature")
+# name -> (suite, exercised library function, check), in declaration order;
+# filled by @_declare as the module loads and only read afterwards
+CHECKS = {}
 
 
-@dataclasses.dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    suite: str
-    source: str
-    run: Callable[[], Tuple[bool, str]]
+def _declare(name: str, suite: str, exercises):
+    """Declare the decorated function as the identity check ``name`` of ``suite``.
+
+    The function takes no arguments and returns ``(passed, detail)``;
+    ``exercises`` is the library function whose identity it verifies.
+    """
+
+    def register(run):
+        CHECKS[name] = (suite, exercises, run)
+        return run
+
+    return register
 
 
 def _field_closed_form(f, k: int):
@@ -65,27 +72,54 @@ def _field_closed_form(f, k: int):
 # witt suite
 
 
-def _check_structure_constants() -> Tuple[bool, str]:
-    window = BracketWindow(n_c=16, m_neg=0, n_psi=16)
-    pairs = [(1, 2), (1, 3), (2, 3), (0, 2), (-1, 1), (-1, 2), (-2, 3)]
+def _witt_window(pairs, w: int) -> int:
+    """The n_c that decides [L_k, L_n] = (n - k) L_{k+n} restricted to window w.
+
+    A restriction keeps components and c indices up to w.  By the truncation
+    rule of :func:`kirillov_L`, components n <= n_c + j of L_j are exact, so
+    with -m the most negative degree of the pairs, n_c = w + m decides them.
+    """
+    return w + max(0, -min(j for pair in pairs for j in pair))
+
+
+def _witt_sides(pairs, w: int, n_c: int) -> list:
+    """Both sides of [L_k, L_n] = (n - k) L_{k+n} per pair, restricted to window w.
+
+    The fields are built on c-window n_c; the checks take the one
+    :func:`_witt_window` derives.
+    """
+    window = BracketWindow(n_c=n_c, m_neg=0, n_psi=n_c)
     degrees = sorted({j for k, n in pairs for j in (k, n, k + n)})
     fields = {j: kirillov_L(j, window) for j in degrees}
-    for k, n in pairs:
-        got = commutator(fields[k], fields[n]).restricted(12, c_max=12)
-        want = fields[k + n].scale(n - k).restricted(12, c_max=12)
+    return [
+        (
+            commutator(fields[k], fields[n]).restricted(w, c_max=w),
+            fields[k + n].scale(n - k).restricted(w, c_max=w),
+        )
+        for k, n in pairs
+    ]
+
+
+# (pairs (k, n), compared window) of the two witt checks
+_STRUCTURE_CONSTANTS = ((1, 2), (1, 3), (2, 3), (0, 2), (-1, 1), (-1, 2), (-2, 3)), 12
+_RECURSIVE_FIELD = ((-3, 3),), 4
+
+
+@_declare("witt_structure_constants", "witt", commutator)
+def _check_structure_constants() -> tuple[bool, str]:
+    pairs, w = _STRUCTURE_CONSTANTS
+    for (k, n), (got, want) in zip(pairs, _witt_sides(pairs, w, _witt_window(pairs, w))):
         if got != want:
-            return False, f"[L_{k}, L_{n}] != ({n}-{k}) L_{k + n} on window 12"
-    return True, f"{len(pairs)} bracket pairs exact on window 12"
+            return False, f"[L_{k}, L_{n}] != ({n}-{k}) L_{k + n} on window {w}"
+    return True, f"{len(pairs)} bracket pairs exact on window {w}"
 
 
-def _check_recursive_fields() -> Tuple[bool, str]:
-    window = BracketWindow(n_c=16, m_neg=0, n_psi=16)
-    lm3 = kirillov_L(-3, window)
-    l3 = kirillov_L(3, window)
-    got = commutator(lm3, l3).restricted(4, c_max=4)
-    want = kirillov_L(0, window).scale(6).restricted(4, c_max=4)
+@_declare("witt_recursive_fields", "witt", kirillov_L)
+def _check_recursive_fields() -> tuple[bool, str]:
+    pairs, w = _RECURSIVE_FIELD
+    [(got, want)] = _witt_sides(pairs, w, _witt_window(pairs, w))
     if got != want:
-        return False, "[L_-3, L_3] != 6 L_0 on window 4"
+        return False, f"[L_-3, L_3] != 6 L_0 on window {w}"
     return True, "recursively built L_-3 satisfies its bracket with L_3"
 
 
@@ -93,7 +127,8 @@ def _check_recursive_fields() -> Tuple[bool, str]:
 # bracket suite
 
 
-def _check_gbar_brackets() -> Tuple[bool, str]:
+@_declare("bracket_generating_coefficients", "bracket", poisson_bracket)
+def _check_gbar_brackets() -> tuple[bool, str]:
     window = BracketWindow(n_c=12, m_neg=0, n_psi=12)
     gs = {m: gbar_coefficient(m, window) for m in range(1, 9)}
     count = 0
@@ -107,7 +142,8 @@ def _check_gbar_brackets() -> Tuple[bool, str]:
     return True, f"{count} generating-coefficient brackets exact at window 12"
 
 
-def _check_observable_lift() -> Tuple[bool, str]:
+@_declare("bracket_observable_lift", "bracket", iota)
+def _check_observable_lift() -> tuple[bool, str]:
     window = BracketWindow(n_c=10, m_neg=2, n_psi=10)
     for k in (1, 2, 3):
         if iota(gbar_coefficient(k, window)) != kirillov_L(k, window):
@@ -128,7 +164,8 @@ def _basis_fixture():
     return c, step2_graph(c, 3, N)
 
 
-def _check_basis_displays() -> Tuple[bool, str]:
+@_declare("basis_displayed_coefficients", "basis", step2_graph)
+def _check_basis_displays() -> tuple[bool, str]:
     c, op = _basis_fixture()
     b = np.conj(np.concatenate([[0.0], c]))  # b[k] = conj(c_k)
     display = {
@@ -156,7 +193,8 @@ def _check_basis_displays() -> Tuple[bool, str]:
     return True, f"e_0..e_2 match their closed forms, worst |error| = {worst:.3e}"
 
 
-def _check_basis_gradients() -> Tuple[bool, str]:
+@_declare("basis_observable_gradients", "basis", step2_graph)
+def _check_basis_gradients() -> tuple[bool, str]:
     c, op = _basis_fixture()
     N = len(c)
     window = BracketWindow(n_c=N, m_neg=0, n_psi=N + 1)
@@ -176,7 +214,8 @@ def _check_basis_gradients() -> Tuple[bool, str]:
 # quadrature suite
 
 
-def _check_quadrature_identity_map() -> Tuple[bool, str]:
+@_declare("quadrature_identity_map", "quadrature", schaeffer_spencer)
+def _check_quadrature_identity_map() -> tuple[bool, str]:
     f = np.concatenate([[0.0, 1.0], np.zeros(7)])
     ks = (1, 2, 3, 0, -1)
     for k, out in zip(ks, schaeffer_spencer(f, ks)):
@@ -189,7 +228,8 @@ def _check_quadrature_identity_map() -> Tuple[bool, str]:
     return True, "monomial images of the identity map reproduced exactly"
 
 
-def _check_quadrature_sample_map() -> Tuple[bool, str]:
+@_declare("quadrature_sample_map", "quadrature", schaeffer_spencer)
+def _check_quadrature_sample_map() -> tuple[bool, str]:
     # the reference layer is loaded only here: importing the CLI leaves it out
     from .series import TruncatedSeries
 
@@ -207,57 +247,14 @@ def _check_quadrature_sample_map() -> Tuple[bool, str]:
     return True, f"quadrature matches closed forms, sup-error {worst:.3e}"
 
 
-def registry() -> list:
-    """All identity checks, grouped by suite, in a stable order."""
+def catalogue() -> list:
+    """Name/suite/source listing of every identity check, without running.
+
+    The source is the ``module:function`` import path of the exercised function.
+    """
     return [
-        IdentityCheck(
-            name="witt_structure_constants",
-            suite="witt",
-            source="shapeflow.virasoro:commutator",
-            run=_check_structure_constants,
-        ),
-        IdentityCheck(
-            name="witt_recursive_fields",
-            suite="witt",
-            source="shapeflow.virasoro:kirillov_L",
-            run=_check_recursive_fields,
-        ),
-        IdentityCheck(
-            name="bracket_generating_coefficients",
-            suite="bracket",
-            source="shapeflow.observables:poisson_bracket",
-            run=_check_gbar_brackets,
-        ),
-        IdentityCheck(
-            name="bracket_observable_lift",
-            suite="bracket",
-            source="shapeflow.observables:iota",
-            run=_check_observable_lift,
-        ),
-        IdentityCheck(
-            name="basis_displayed_coefficients",
-            suite="basis",
-            source="shapeflow.grassmannian:step2_graph",
-            run=_check_basis_displays,
-        ),
-        IdentityCheck(
-            name="basis_observable_gradients",
-            suite="basis",
-            source="shapeflow.grassmannian:step2_graph",
-            run=_check_basis_gradients,
-        ),
-        IdentityCheck(
-            name="quadrature_identity_map",
-            suite="quadrature",
-            source="shapeflow.virasoro:schaeffer_spencer",
-            run=_check_quadrature_identity_map,
-        ),
-        IdentityCheck(
-            name="quadrature_sample_map",
-            suite="quadrature",
-            source="shapeflow.virasoro:schaeffer_spencer",
-            run=_check_quadrature_sample_map,
-        ),
+        {"name": name, "suite": suite, "source": f"{fn.__module__}:{fn.__name__}"}
+        for name, (suite, fn, _) in CHECKS.items()
     ]
 
 
@@ -266,24 +263,12 @@ def run_suite(suite: str) -> list:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     records = []
-    for check in registry():
-        if check.suite != suite:
-            continue
-        passed, detail = check.run()
-        records.append(
-            {
-                "name": check.name,
-                "suite": check.suite,
-                "source": check.source,
-                "passed": bool(passed),
-                "detail": detail,
-            }
-        )
+    for record, (_, _, run) in zip(catalogue(), CHECKS.values()):
+        if record["suite"] == suite:
+            passed, detail = run()
+            records.append({**record, "passed": bool(passed), "detail": detail})
     return records
 
 
-def catalogue() -> list:
-    """Name/suite/source listing of every identity check, without running."""
-    return [
-        {"name": c.name, "suite": c.suite, "source": c.source} for c in registry()
-    ]
+# the suites in the order their first check is declared
+SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS.values()))

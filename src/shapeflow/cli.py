@@ -243,18 +243,18 @@ def _koebe_errors(record) -> list:
     return errs
 
 
-def _energy_drift(record, driver: HerglotzDriver) -> float:
+def _energy_drift(record, driver: HerglotzDriver, step: float) -> float:
     """Largest drift of H + G_0 within one driver piece.
 
     H + G_0 is conserved along the flow of one piece; H jumps at a switch.
-    A state at a switch time belongs to the piece that starts there.
+    A state belongs to the piece ``evolve`` takes at its time,
+    ``driver.piece_on_grid(t, step)``.
     """
     from .evolution import g0
     energy = record.hamiltonian + np.array([g0(s) for s in record.states])
-    starts = [p.t_start for p in driver.pieces]
-    piece = np.searchsorted(starts, record.times, side="right")
-    runs = np.split(energy, np.flatnonzero(np.diff(piece)) + 1)
-    return float(np.max([np.abs(e - e[0]).max() for e in runs]))
+    piece = [id(driver.piece_on_grid(t, step)) for t in record.times]
+    switches = [i for i in range(1, len(piece)) if piece[i] != piece[i - 1]]
+    return float(np.max([np.abs(e - e[0]).max() for e in np.split(energy, switches)]))
 
 
 def cmd_evolve(args) -> int:
@@ -281,7 +281,7 @@ def cmd_evolve(args) -> int:
 
     report = {
         "drift": record.drift_report(),
-        "energy_invariant_drift": _energy_drift(record, config.driver),
+        "energy_invariant_drift": _energy_drift(record, config.driver, config.step),
         "horizon": config.horizon,
         "step": config.step,
         "order": config.order,

@@ -22,6 +22,11 @@ from . import InvalidInput, check_keys, read_number
 __all__ = ["Atom", "DriverPiece", "HerglotzDriver", "InvalidMeasure"]
 
 _WEIGHT_TOL = 1e-12
+# a switch within this fraction of a step of a grid time counts as at that time
+SWITCH_SLACK = 1e-9
+# validate probes Re p at this many points of the circle |z| = _PROBE_RADIUS
+_PROBE_GRID = 1024
+_PROBE_RADIUS = 0.99
 
 
 class InvalidMeasure(InvalidInput):
@@ -113,6 +118,14 @@ class HerglotzDriver:
                 current = p
         return current
 
+    def piece_on_grid(self, t, step):
+        """The piece for grid time t, and the step from it, of a run with this step.
+
+        A switch within SWITCH_SLACK * step after t counts as at t, so the
+        state at t and the step from it belong to the piece starting there.
+        """
+        return self.piece_at(t + SWITCH_SLACK * step)
+
     def moments(self, t, N):
         """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}."""
         piece = self.piece_at(t)
@@ -126,11 +139,11 @@ class HerglotzDriver:
         k = np.arange(1, N + 1)
         return 2.0 * (mus[None, :] * np.exp(-1j * np.outer(k, thetas))).sum(axis=1)
 
-    def validate(self, grid=1024, radius=0.99):
+    def validate(self):
         """Invariant report; never raises.
 
-        Checks weights and ordering, and probes min Re p on |z| = radius for
-        every piece (positive for any genuine Herglotz transform).
+        Checks weights and ordering, and probes min Re p on |z| = _PROBE_RADIUS
+        for every piece (positive for any genuine Herglotz transform).
         """
         problems = []
         starts = [p.t_start for p in self.pieces]
@@ -142,7 +155,7 @@ class HerglotzDriver:
             problems.append("t_start values must be strictly increasing")
         for i, piece in enumerate(self.pieces):
             problems.extend(f"piece {i}: {msg}" for msg in piece.check())
-        z = radius * np.exp(2j * np.pi * np.arange(grid) / grid)
+        z = _PROBE_RADIUS * np.exp(2j * np.pi * np.arange(_PROBE_GRID) / _PROBE_GRID)
         min_re = np.inf
         for piece in self.pieces:
             if piece.check():

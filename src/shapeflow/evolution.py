@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import InvalidInput, NumericalFailure
-from .driver import HerglotzDriver
+from .driver import SWITCH_SLACK, HerglotzDriver
 
 __all__ = [
     "ShapeState",
@@ -288,6 +288,12 @@ def evolve(
     horizon < 0 or an infinite step count.  Raises StepRejected when a state
     leaves the divergence guard (|c| above 1e6, or |psibar| above 1e6 times
     its starting peak) or when a state, a Gbar coefficient or H is not finite.
+
+    Each RK4 step runs on one driver piece.  A switch strictly inside a step
+    splits it into a step to the switch on the old piece and one from the
+    switch on the new piece; a switch within ``SWITCH_SLACK * step`` of a
+    grid time counts as at that time (``HerglotzDriver.piece_on_grid``), and
+    the state there, its H and the step from it belong to the new piece.
     """
     if not (step > 0 and 0 <= horizon / step < np.inf):
         raise InvalidInput("need step > 0 and a finite horizon / step >= 0")
@@ -300,11 +306,13 @@ def evolve(
     moments = {}  # id(piece) -> p_1..p_{N+1}, computed once per driver piece
 
     def moments_at(t):
-        piece = d.piece_at(t)
+        piece = d.piece_on_grid(t, step)
         if id(piece) not in moments:
-            moments[id(piece)] = d.moments(t, state0.order + 1)
+            moments[id(piece)] = d.moments(piece.t_start, state0.order + 1)
         return moments[id(piece)]
 
+    starts = [p.t_start for p in d.pieces]
+    slack = SWITCH_SLACK * step
     state = ShapeState(state0.t, state0.c.copy(), state0.psibar.copy(), state0.m_neg)
     # psibar is linear in its start, so its guard scales with it; the cap keeps
     # an infinite |psibar| outside the guard
@@ -314,10 +322,16 @@ def evolve(
     states = [state]
     times = [state.t]
     for k in range(n_steps):
-        # all four stages use the piece covering the step's start: a step that
-        # ends on a switch must not evaluate its last stage with the next piece
-        state = _rk4_step(state, d, moments_at(state.t), step)
-        state.t = state0.t + (k + 1) * step  # avoid additive time drift
+        t_end = state0.t + (k + 1) * step  # avoid additive time drift
+        # each RK4 step runs on one piece: the piece in force at its start
+        # (piece_on_grid), and a switch strictly inside the step splits it
+        # into an RK4 step to the switch and one on from it
+        cuts = [s for s in starts if state.t + slack < s < t_end - slack]
+        for cut in cuts:
+            state = _rk4_step(state, d, moments_at(state.t), cut - state.t)
+            state.t = cut
+        state = _rk4_step(state, d, moments_at(state.t), t_end - state.t if cuts else step)
+        state.t = t_end
         _check_state(state, psi_bound)
         states.append(state)
         times.append(state.t)

@@ -61,7 +61,9 @@ def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
     Components with indices beyond the window are dropped, and component
     polynomials lose the terms whose c-index does not fit; for k <= -1 the
     component polynomials clip termwise, so only components n <= n_c + k of
-    the result agree with the untruncated field.
+    the result agree with the untruncated field.  Hence a bracket of such
+    fields restricted to components and c indices up to w, with -m the most
+    negative degree involved, is decided on the window n_c = w + m.
     """
     w = window
     n_max = w.n_c

@@ -198,6 +198,43 @@ def test_generating_function_conserved_across_driver_switch():
     assert max(drift.values()) < 1e-7, drift
 
 
+def _switched(t_start):
+    """One atom at 0.7, then atoms (2.4, 0.6) and (4.9, 0.4) from t_start."""
+    return HerglotzDriver(
+        pieces=(
+            DriverPiece(0.0, (Atom(0.7, 1.0),)),
+            DriverPiece(t_start, (Atom(2.4, 0.6), Atom(4.9, 0.4))),
+        )
+    )
+
+
+def _switch_start():
+    rng = np.random.default_rng(3)
+    return ShapeState.initial(16, m_neg=8, n_psi=8, psibar=rng.normal(size=17) + 1j * rng.normal(size=17))
+
+
+def test_off_grid_switch_converges_at_fourth_order():
+    # 0.0505 lies inside a step at each h, so each run splits that step at it;
+    # running the whole step on the first piece would be first order
+    s0, d = _switch_start(), _switched(0.0505)
+    c = {h: evolve(s0, d, horizon=0.2, step=h).states[-1].c for h in (4e-3, 2e-3, 1e-3)}
+    ratio = np.abs(c[4e-3] - c[2e-3]).max() / np.abs(c[2e-3] - c[1e-3]).max()
+    assert 11 < ratio < 24, ratio
+
+
+def test_switch_one_ulp_after_its_grid_time_counts_as_on_it():
+    # the grid time 10 * 3e-4 is one ulp below 0.003: the step from it still
+    # runs on the new piece, as when the switch sits at that float time
+    grid_time = 10 * 3e-4
+    assert grid_time < 0.003
+    s0 = _switch_start()
+    late, on = (evolve(s0, _switched(t), horizon=0.0099, step=3e-4) for t in (0.003, grid_time))
+    assert np.array_equal(late.times, on.times)
+    for a, b in zip(late.states, on.states):
+        assert np.abs(a.c - b.c).max() <= 1e-14 and np.abs(a.psibar - b.psibar).max() <= 1e-13
+    assert np.abs(late.hamiltonian - on.hamiltonian).max() <= 1e-13
+
+
 def test_generating_function_matches_observables():
     rng = np.random.default_rng(3)
     c = 0.2 * (rng.normal(size=6) + 1j * rng.normal(size=6))
