@@ -5,11 +5,12 @@ The runs go through ``shapeflow.cli.main`` into one output directory:
 ``evolve`` on configs/single_atom.json and configs/three_atoms.json and on
 a two-piece driver switching on the step grid and off it, ``kp``
 and ``tau`` on configs/kp_sweep.json at graph orders n = 1, 2 and 3, ``kp``
-once more at each n without the sweep's ``convergence_pair``,
-``graph-dump`` for n = 1..3 at N = 4, 16 and 32 on a fixed shape, ``check``
-for every suite, and ``--dump-identities``.  Each file gets one line,
-``sha256  relative/path``, sorted by path, so two trees compare with one
-diff:
+once more at each n without the sweep's ``convergence_pair``, ``kp`` and
+``tau`` on the sweep with its shape read from the three_atoms trajectory
+at t = 0.5, ``graph-dump`` for n = 1..3 at N = 4, 16 and 32 on a fixed
+shape, ``check`` for every suite, and ``--dump-identities``.  Each file
+gets one line, ``sha256  relative/path``, sorted by path, so two trees
+compare with one diff:
 
     PYTHONPATH=src python3 scripts/output_digests.py > after.txt
     PYTHONPATH=../before/src python3 scripts/output_digests.py > before.txt
@@ -44,8 +45,11 @@ def _write(path, config):
     return path
 
 
-def _runs(cfg_dir):
-    """(output directory relative to the root, argv) of every run but --dump-identities."""
+def _runs(out, cfg_dir):
+    """(output directory relative to ``out``, argv) of every run but --dump-identities.
+
+    The runs go in this order, so a run may read what an earlier one wrote.
+    """
     for name in ("single_atom", "three_atoms"):
         yield f"evolve/{name}", ["evolve", "--config", os.path.join(CONFIGS, f"{name}.json")]
     for name, t_start in SWITCHES.items():
@@ -63,6 +67,10 @@ def _runs(cfg_dir):
             yield f"sweep/n{n}", [command, "--config", config]
         config = _write(os.path.join(cfg_dir, f"nopair_n{n}.json"), dict(sweep, n=n, convergence_pair=False))
         yield f"sweep/n{n}_nopair", ["kp", "--config", config]
+    snapshot = {"snapshot_csv": os.path.join(out, "evolve", "three_atoms", "trajectory.csv"), "at_t": 0.5}
+    config = _write(os.path.join(cfg_dir, "snapshot.json"), dict(sweep, f_source=snapshot))
+    for command in ("kp", "tau"):
+        yield "sweep/snapshot", [command, "--config", config]
     for n in (1, 2, 3):
         for N in (4, 16, 32):
             config = _write(os.path.join(cfg_dir, f"graph_n{n}_N{N}.json"), {"c": GRAPH_SHAPE, "n": n, "N": N})
@@ -73,7 +81,7 @@ def _runs(cfg_dir):
 
 def run(out, cfg_dir):
     """Write every output under ``out``; the exit code of the first failing run, else 0."""
-    for rel, argv in _runs(cfg_dir):
+    for rel, argv in _runs(out, cfg_dir):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main([*argv, "--out", os.path.join(out, rel)])
         if code != 0:

@@ -80,7 +80,7 @@ class RunConfig:
     psibar0: np.ndarray
 
     @classmethod
-    def from_dict(cls, raw, order=None, step=None, horizon=None) -> "RunConfig":
+    def from_dict(cls, raw) -> "RunConfig":
         from .driver import HerglotzDriver
         check_keys(raw, "config", ("driver", "horizon", "step", "order", "m_neg", "n_psi", "seed", "psibar0"))
         if "driver" not in raw:
@@ -92,9 +92,9 @@ class RunConfig:
         report = driver.validate()
         if not report["ok"]:
             raise InvalidInput("; ".join(report["problems"]))
-        horizon = read_number(raw.get("horizon", 1.0) if horizon is None else horizon, "horizon")
-        step = read_number(step if step is not None else raw.get("step", 1e-3), "step")
-        order = read_number(order if order is not None else raw.get("order", 16), "order", int)
+        horizon = read_number(raw.get("horizon", 1.0), "horizon")
+        step = read_number(raw.get("step", 1e-3), "step")
+        order = read_number(raw.get("order", 16), "order", int)
         m_neg = read_number(raw.get("m_neg", 8), "m_neg", int)
         n_psi = read_number(raw.get("n_psi", 8), "n_psi", int)
         seed = read_number(raw.get("seed", 0), "seed", int)
@@ -243,26 +243,22 @@ def _koebe_errors(record) -> list:
     return errs
 
 
-def _energy_drift(record, driver: HerglotzDriver, step: float) -> float:
+def _energy_drift(record) -> float:
     """Largest drift of H + G_0 within one driver piece.
 
     H + G_0 is conserved along the flow of one piece; H jumps at a switch.
-    A state belongs to the piece ``evolve`` takes at its time,
-    ``driver.piece_on_grid(t, step)``.
+    Each state's piece is the one ``evolve`` recorded, ``record.pieces``.
     """
     from .evolution import g0
     energy = record.hamiltonian + np.array([g0(s) for s in record.states])
-    piece = [id(driver.piece_on_grid(t, step)) for t in record.times]
-    switches = [i for i in range(1, len(piece)) if piece[i] != piece[i - 1]]
+    switches = np.flatnonzero(np.diff(record.pieces)) + 1
     return float(np.max([np.abs(e - e[0]).max() for e in np.split(energy, switches)]))
 
 
 def cmd_evolve(args) -> int:
     from . import evolution
     from .driver import HerglotzDriver
-    config = RunConfig.from_dict(
-        _load_config(args.config), order=args.order, step=args.step, horizon=args.horizon
-    )
+    config = RunConfig.from_dict(_load_config(args.config))
     state0 = evolution.ShapeState(
         0.0,
         np.zeros(config.order, dtype=complex),
@@ -281,7 +277,7 @@ def cmd_evolve(args) -> int:
 
     report = {
         "drift": record.drift_report(),
-        "energy_invariant_drift": _energy_drift(record, config.driver, config.step),
+        "energy_invariant_drift": _energy_drift(record),
         "horizon": config.horizon,
         "step": config.step,
         "order": config.order,
@@ -346,14 +342,16 @@ def _read_snapshot(path, at_t) -> np.ndarray:
         t_col = header.index("t")
     except ValueError:
         raise InvalidInput("snapshot CSV lacks a 't' column")
-    orders = [
+    indices = [
         _cell(name[len("re_c_") :], "snapshot column", int)
         for name in header
-        if name.startswith("re_c_")
+        if name.startswith(("re_c_", "im_c_"))
     ]
-    if not orders:
+    if not indices:
         raise InvalidInput("snapshot CSV lacks re_c_*/im_c_* columns")
-    order = max(orders)
+    if min(indices) < 1:
+        raise InvalidInput(f"snapshot CSV has a column for c_{min(indices)}; c_n starts at n = 1")
+    order = max(indices)
     _check_window({"snapshot order": order})
     missing = [
         f"{p}_c_{n}"
@@ -430,12 +428,11 @@ def _time_rows(raw) -> list:
     raise InvalidInput("config needs 't_rows' or 't_grid'")
 
 
-def _graph_ints(raw, args, default_N=16) -> tuple:
+def _graph_ints(raw, default_N=16) -> tuple:
     """Graph order n and window N, N by default max(default_N, n); their rules are step2_graph's."""
     n = read_number(raw.get("n", 1), "n", int)
     _check_window({"n": n})
-    N = args.order if args.order is not None else raw.get("N", max(default_N, n))
-    N = read_number(N, "N", int)
+    N = read_number(raw.get("N", max(default_N, n)), "N", int)
     _check_window({"N": N})
     return n, N
 
@@ -467,13 +464,13 @@ def _run_cells(cells, parallel):
     return [_kp_cell(cell) for cell in cells]
 
 
-def _sweep_input(raw, args) -> tuple:
+def _sweep_input(raw) -> tuple:
     """The shape c, the window N, the time rows and the graph of a kp or tau config."""
     from . import grassmannian
     keys = ("f_source", "n", "N", "t_rows", "t_grid", "convergence_pair")
     check_keys(raw, "config", keys, exclusive=("t_rows", "t_grid"))
     c = _shape_from_source(raw)
-    n, N = _graph_ints(raw, args)
+    n, N = _graph_ints(raw)
     rows = _time_rows(raw)
     return c, N, rows, grassmannian.step2_graph(c, n, N)
 
@@ -495,7 +492,7 @@ def cmd_kp(args) -> int:
     pair = raw.get("convergence_pair", False)
     if not isinstance(pair, bool):
         raise InvalidInput(f"convergence_pair must be true or false, got {pair!r}")
-    c, N, rows, op = _sweep_input(raw, args)
+    c, N, rows, op = _sweep_input(raw)
     header = "t1,t2,t3,re_omega1,im_omega1,re_lambda1,im_lambda1,residual,re_tau,im_tau"
     if pair:
         header += f",residual_{2 * N}"
@@ -505,7 +502,7 @@ def cmd_kp(args) -> int:
 
 def cmd_tau(args) -> int:
     from . import kp
-    _, N, rows, op = _sweep_input(_load_config(args.config), args)
+    _, N, rows, op = _sweep_input(_load_config(args.config))
     values = [kp.tau(op, trow, N) for trow in rows]
     table = [(*trow, value.real, value.imag) for trow, value in zip(rows, values)]
     return _write_sweep(args, "t1,t2,t3,re_tau,im_tau", table, "the tau sweep")
@@ -522,7 +519,7 @@ def cmd_graph_dump(args) -> int:
     if "c" not in raw:
         raise InvalidInput("graph-dump config needs a 'c' list")
     c = _complex_vector(raw["c"], "c")
-    n, N = _graph_ints(raw, args, default_N=len(c))
+    n, N = _graph_ints(raw, default_N=len(c))
     op = grassmannian.step2_graph(c, n, N)
     values = [op.matrix.ravel(), op.c11[0], op.basis.ravel()]
     _require_finite(np.concatenate(values), "the graph operator")
@@ -555,9 +552,6 @@ def _workers(text):
 # the flags each command reads; any other flag is a usage error
 _FLAGS = {
     "config": ("--config", {"help": "path to a JSON config file"}),
-    "order": ("--order", {"type": int, "help": "series truncation order override"}),
-    "step": ("--step", {"type": float, "help": "time step override"}),
-    "horizon": ("--horizon", {"type": float, "help": "time horizon override"}),
     "out": ("--out", {"default": ".", "help": "output directory (default: current)"}),
     "out_or_stdout": ("--out", {"help": "output directory (default: print to stdout)"}),
     "parallel": ("--parallel", {"type": _workers, "default": 1, "help": "worker count for sweep cells"}),
@@ -568,7 +562,7 @@ _COMMANDS = {
     "evolve": (
         cmd_evolve,
         "run a shape trajectory",
-        ("config", "order", "step", "horizon", "out"),
+        ("config", "out"),
         ("trajectory.csv", "conservation.json"),
     ),
     "check": (
@@ -580,19 +574,19 @@ _COMMANDS = {
     "kp": (
         cmd_kp,
         "sweep generalized times",
-        ("config", "order", "out", "parallel"),
+        ("config", "out", "parallel"),
         ("kp_sweep.csv",),
     ),
     "tau": (
         cmd_tau,
         "tau determinant over a time grid",
-        ("config", "order", "out"),
+        ("config", "out"),
         ("tau.csv",),
     ),
     "graph-dump": (
         cmd_graph_dump,
         "dump a graph operator as JSON",
-        ("config", "order", "out_or_stdout"),
+        ("config", "out_or_stdout"),
         ("graph.json",),
     ),
 }

@@ -22,8 +22,6 @@ from . import InvalidInput, check_keys, read_number
 __all__ = ["Atom", "DriverPiece", "HerglotzDriver", "InvalidMeasure"]
 
 _WEIGHT_TOL = 1e-12
-# a switch within this fraction of a step of a grid time counts as at that time
-SWITCH_SLACK = 1e-9
 # validate probes Re p at this many points of the circle |z| = _PROBE_RADIUS
 _PROBE_GRID = 1024
 _PROBE_RADIUS = 0.99
@@ -106,9 +104,6 @@ class HerglotzDriver:
             sort_keys=True,
         )
 
-    def is_autonomous(self):
-        return len(self.pieces) == 1
-
     def piece_at(self, t):
         if not self.pieces or self.pieces[0].t_start > t:
             raise InvalidMeasure(f"no driver piece covers t={t}")
@@ -117,14 +112,6 @@ class HerglotzDriver:
             if p.t_start <= t:
                 current = p
         return current
-
-    def piece_on_grid(self, t, step):
-        """The piece for grid time t, and the step from it, of a run with this step.
-
-        A switch within SWITCH_SLACK * step after t counts as at t, so the
-        state at t and the step from it belong to the piece starting there.
-        """
-        return self.piece_at(t + SWITCH_SLACK * step)
 
     def moments(self, t, N):
         """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}."""

@@ -18,11 +18,11 @@ exact for every representable index whenever Npsi - N <= -M
 
 Everything here works on raw ``complex128`` coefficient arrays: p(w) is
 composed by Horner on ``np.convolve`` slices, ``evolve`` computes the driver
-moments once per driver piece, and ``ShapeState.f`` evaluates the map by
-Horner's rule.  ``g0`` is the numeric G_0 = sum_k k c_k psibar_k, the
-conserved partner of H (H + G_0 is constant within a driver piece).  The
-tests keep :mod:`shapeflow.series` as the reference the kernel must match
-bit for bit.
+moments once per driver piece and records each state's piece, and
+``ShapeState.f`` evaluates the map by Horner's rule.  ``g0`` is the numeric
+G_0 = sum_k k c_k psibar_k, the conserved partner of H (H + G_0 is constant
+within a driver piece).  The tests keep :mod:`shapeflow.series` as the
+reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import InvalidInput, NumericalFailure
-from .driver import SWITCH_SLACK, HerglotzDriver
+from .driver import HerglotzDriver, InvalidMeasure
 
 __all__ = [
     "ShapeState",
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _DIVERGENCE_GUARD = 1e6
+# a switch within this fraction of a step of a grid time counts as at that time
+SWITCH_SLACK = 1e-9
 
 
 class StepRejected(NumericalFailure, RuntimeError):
@@ -173,10 +175,7 @@ class TrajectoryRecord:
     states: list
     gbar: np.ndarray  # [step, k + m_neg] -> Gbar_k at that step
     hamiltonian: np.ndarray
-
-    @property
-    def m_neg(self):
-        return self.states[0].m_neg
+    pieces: np.ndarray  # [step] -> index of the driver piece that state is on
 
     def gbar_indices(self):
         s = self.states[0]
@@ -292,8 +291,9 @@ def evolve(
     Each RK4 step runs on one driver piece.  A switch strictly inside a step
     splits it into a step to the switch on the old piece and one from the
     switch on the new piece; a switch within ``SWITCH_SLACK * step`` of a
-    grid time counts as at that time (``HerglotzDriver.piece_on_grid``), and
-    the state there, its H and the step from it belong to the new piece.
+    grid time counts as at that time, and the state there, its H and the
+    step from it belong to the new piece.  ``TrajectoryRecord.pieces`` holds
+    each state's piece index, so H + G_0 can be compared within a piece.
     """
     if not (step > 0 and 0 <= horizon / step < np.inf):
         raise InvalidInput("need step > 0 and a finite horizon / step >= 0")
@@ -303,16 +303,22 @@ def evolve(
         raise InvalidInput(
             f"horizon {horizon} is not a whole number of steps of {step} ({steps:.6g} steps)"
         )
-    moments = {}  # id(piece) -> p_1..p_{N+1}, computed once per driver piece
-
-    def moments_at(t):
-        piece = d.piece_on_grid(t, step)
-        if id(piece) not in moments:
-            moments[id(piece)] = d.moments(piece.t_start, state0.order + 1)
-        return moments[id(piece)]
-
     starts = [p.t_start for p in d.pieces]
     slack = SWITCH_SLACK * step
+    moments = {}  # piece index -> p_1..p_{N+1}, computed once per driver piece
+
+    def piece_index(t):
+        """Index of the piece of grid time t: the last to start by t + slack."""
+        started = [i for i, s in enumerate(starts) if s <= t + slack]
+        if not started:
+            raise InvalidMeasure(f"no driver piece covers t={t}")
+        return started[-1]
+
+    def moments_of(i):
+        if i not in moments:
+            moments[i] = d.moments(starts[i], state0.order + 1)
+        return moments[i]
+
     state = ShapeState(state0.t, state0.c.copy(), state0.psibar.copy(), state0.m_neg)
     # psibar is linear in its start, so its guard scales with it; the cap keeps
     # an infinite |psibar| outside the guard
@@ -321,25 +327,29 @@ def evolve(
     _check_state(state, psi_bound)
     states = [state]
     times = [state.t]
+    pieces = [piece_index(state.t)]
     for k in range(n_steps):
         t_end = state0.t + (k + 1) * step  # avoid additive time drift
-        # each RK4 step runs on one piece: the piece in force at its start
-        # (piece_on_grid), and a switch strictly inside the step splits it
-        # into an RK4 step to the switch and one on from it
+        # each RK4 step runs on one piece: the piece of the grid state it
+        # starts from, and a switch strictly inside the step splits it into
+        # an RK4 step to the switch and one on from it
         cuts = [s for s in starts if state.t + slack < s < t_end - slack]
+        piece = pieces[-1]
         for cut in cuts:
-            state = _rk4_step(state, d, moments_at(state.t), cut - state.t)
+            state = _rk4_step(state, d, moments_of(piece), cut - state.t)
             state.t = cut
-        state = _rk4_step(state, d, moments_at(state.t), t_end - state.t if cuts else step)
+            piece = piece_index(cut)
+        state = _rk4_step(state, d, moments_of(piece), t_end - state.t if cuts else step)
         state.t = t_end
         _check_state(state, psi_bound)
         states.append(state)
         times.append(state.t)
+        pieces.append(piece_index(t_end))
     gbar = np.array([generating_function(s) for s in states])
-    ham = np.array([pseudo_hamiltonian(s, d, moments_at(s.t)) for s in states])
+    ham = np.array([pseudo_hamiltonian(s, d, moments_of(i)) for s, i in zip(states, pieces)])
     if not (np.isfinite(gbar).all() and np.isfinite(ham).all()):
         raise StepRejected("Gbar or H is not finite along the trajectory")
-    return TrajectoryRecord(np.array(times), states, gbar, ham)
+    return TrajectoryRecord(np.array(times), states, gbar, ham, np.array(pieces))
 
 
 def _rk4_step(state: ShapeState, d: HerglotzDriver, pk, h: float) -> ShapeState:

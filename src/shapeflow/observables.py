@@ -437,9 +437,6 @@ class PhasePoly:
         _product_into(acc, _raw(self._terms), _raw(other._terms))
         return _collect(self.window, acc)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __eq__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
@@ -632,24 +629,10 @@ class VectorFieldOnF0:
         shift = self.window._keys.shift
         return [(shift[(_C, n)], _raw(p._terms)) for n, p in self.components.items()]
 
-    def __add__(self, other):
-        self._check(other)
-        comps = dict(self.components)
-        for n, p in other.components.items():
-            comps[n] = comps.get(n, PhasePoly.zero(self.window)) + p
-        return VectorFieldOnF0(self.window, comps)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, s):
         return VectorFieldOnF0(
             self.window, {n: p.scale(s) for n, p in self.components.items()}
         )
-
-    def _check(self, other):
-        if self.window != other.window:
-            raise WindowMismatch("fields declared over different windows")
 
     def restricted(self, n_max, c_max=None):
         """Keep components with index <= n_max, optionally capping c indices."""

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -321,6 +322,13 @@ def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch, command, co
         ["tau", "--step", "0.1"],
         ["graph-dump", "--horizon", "1"],
         ["graph-dump", "--parallel", "2"],
+        # order, step, horizon and N are config keys only
+        ["evolve", "--order", "8"],
+        ["evolve", "--step", "0.1"],
+        ["evolve", "--horizon", "1"],
+        ["kp", "--order", "8"],
+        ["tau", "--order", "8"],
+        ["graph-dump", "--order", "8"],
     ],
 )
 def test_command_refuses_flags_it_does_not_read(capsys, monkeypatch, argv):
@@ -330,19 +338,19 @@ def test_command_refuses_flags_it_does_not_read(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "overrides, flags",
+    "overrides",
     [
-        ({"horizon": 1e9, "step": 1e-12}, []),
-        ({"horizon": 1e300, "step": 1e-300}, []),
-        ({}, ["--horizon", "1e9"]),
-        ({}, ["--step", "1e-9"]),
+        {"horizon": 1e9, "step": 1e-12},
+        {"horizon": 1e300, "step": 1e-300},
+        {"horizon": 1e9},
+        {"step": 1e-9},
     ],
 )
-def test_step_count_is_bounded(tmp_path, overrides, flags):
+def test_step_count_is_bounded(tmp_path, overrides):
     # rejected while reading the config, before any state is allocated
     path = write_config(tmp_path, dict(IDENTITY_CONFIG, **overrides))
     out = tmp_path / "out"
-    assert cli.main(["evolve", "--config", path, "--out", str(out), *flags]) == cli.EXIT_CONFIG_ERROR
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
     assert not out.exists()
 
 
@@ -452,6 +460,24 @@ def test_energy_drift_is_taken_within_each_piece(tmp_path):
         assert np.abs(np.diff(h)).max() > 1e-2
 
 
+def test_energy_drift_needs_only_the_record():
+    # the switch is one ulp after the grid time 10 * 3e-4; the record says
+    # which piece each state is on, so no driver or step goes in
+    pieces = [
+        {"t_start": 0.0, "atoms": [{"theta": 0.7, "mu": 1.0}]},
+        {"t_start": 0.003, "atoms": [{"theta": 2.4, "mu": 0.6}, {"theta": 4.9, "mu": 0.4}]},
+    ]
+    d = driver.HerglotzDriver.from_dict({"pieces": pieces})
+    rng = np.random.default_rng(3)
+    s0 = evolution.ShapeState.initial(16, 8, 8, psibar=rng.normal(size=17) + 1j * rng.normal(size=17))
+    record = evolution.evolve(s0, d, horizon=0.0099, step=3e-4)
+    assert list(inspect.signature(cli._energy_drift).parameters) == ["record"]
+    assert cli._energy_drift(record) < 1e-7
+    # read as one piece, the run spans the jump of H at the switch
+    record.pieces = np.zeros_like(record.pieces)
+    assert cli._energy_drift(record) > 1e-2
+
+
 def _finite_json(text):
     def refuse(token):
         raise ValueError(f"non-finite JSON constant {token}")
@@ -543,25 +569,10 @@ def test_evolve_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def test_evolve_flag_overrides(tmp_path):
-    path = write_config(tmp_path, IDENTITY_CONFIG)
+def test_evolve_config_sets_order_step_and_horizon(tmp_path):
+    path = write_config(tmp_path, dict(IDENTITY_CONFIG, horizon=0.1, step=0.02, order=4))
     out = tmp_path / "out"
-    code = cli.main(
-        [
-            "evolve",
-            "--config",
-            path,
-            "--out",
-            str(out),
-            "--horizon",
-            "0.1",
-            "--step",
-            "0.02",
-            "--order",
-            "4",
-        ]
-    )
-    assert code == cli.EXIT_OK
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
     report = json.loads((out / "conservation.json").read_text())
     assert report["steps"] == 6
     assert report["order"] == 4
@@ -759,8 +770,11 @@ def _snapshot_text(order):
         # the order is bounded before the missing columns are listed
         ("t,re_c_1000000000,im_c_1000000000\n0.1,0.5,0.0\n", "snapshot order = 1000000000 exceeds"),
         (_snapshot_text(cli.MAX_WINDOW + 1), "exceeds the largest window"),
+        # coefficient columns start at c_1
+        ("t,re_c_-3,im_c_-3\n0.1,0.5,0.0\n", "column for c_-3"),
+        ("t,re_c_0,im_c_0\n0.1,0.5,0.0\n", "column for c_0"),
     ],
-    ids=["missing-column", "short-row", "huge-order", "order-above-window"],
+    ids=["missing-column", "short-row", "huge-order", "order-above-window", "negative-index", "zero-index"],
 )
 @pytest.mark.parametrize("command", ["kp", "tau"])
 def test_malformed_snapshot_csv_is_config_error(tmp_path, capsys, command, text, message):
@@ -772,7 +786,8 @@ def test_malformed_snapshot_csv_is_config_error(tmp_path, capsys, command, text,
     assert code == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
-    assert len(err.encode()) < 1024
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1024
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("times", ["t_rows", "t_grid"])
@@ -845,6 +860,25 @@ def test_kp_grid_parallel_matches_serial(tmp_path):
     assert a == b
     _, rows = read_rows(serial / "kp_sweep.csv")
     assert len(rows) == 4  # 2 x 2 x 1 grid
+
+
+def test_kp_sweep_config_runs_and_reruns_byte_identical(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "scripts", "configs", "kp_sweep.json")
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        for command in ("kp", "tau"):
+            assert cli.main([command, "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    for name in ("kp_sweep.csv", "tau.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    with open(outs[0] / "kp_sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(outs[0] / "tau.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 12
+    assert len(rows) == 12  # the 3 x 2 x 2 grid of configs/kp_sweep.json
+    for row in rows:
+        assert float(row["residual"]) <= 1e-12
+        assert float(row["residual_32"]) <= 1e-12
 
 
 def test_kp_near_singular_denominator_exit(tmp_path):
@@ -1022,9 +1056,10 @@ TOO_WIDE = cli.MAX_WINDOW + 1
         ("evolve", dict(IDENTITY_CONFIG, order=TOO_WIDE), []),
         ("evolve", dict(IDENTITY_CONFIG, m_neg=TOO_WIDE), []),
         ("evolve", dict(IDENTITY_CONFIG, n_psi=TOO_WIDE), []),
-        ("evolve", IDENTITY_CONFIG, ["--order", str(TOO_WIDE)]),
+        ("evolve", dict(IDENTITY_CONFIG, order=10**8), []),
         ("kp", dict(KP_CONFIG, N=TOO_WIDE), []),
-        ("kp", KP_CONFIG, ["--order", str(TOO_WIDE)]),
+        # the bound is checked before a worker pool is built
+        ("kp", dict(KP_CONFIG, n=TOO_WIDE), ["--parallel", "2"]),
         ("tau", dict(KP_CONFIG, N=TOO_WIDE), []),
         ("tau", dict(KP_CONFIG, N=10**8), []),
         ("graph-dump", {"c": [0.3], "n": 1, "N": TOO_WIDE}, []),
@@ -1054,7 +1089,15 @@ def test_largest_window_is_admitted(tmp_path):
     assert json.loads((out / "graph.json").read_text())["N"] == cli.MAX_WINDOW
 
 
-def test_kp_order_flag_overrides_window(tmp_path):
+def test_parser_is_built_once_and_carries_no_state(tmp_path, capsys, monkeypatch):
+    workers = []
+    run_cells = cli._run_cells
+
+    def recording(cells, parallel):
+        workers.append(parallel)
+        return run_cells(cells, parallel)
+
+    monkeypatch.setattr(cli, "_run_cells", recording)
     config = {
         "f_source": {"c": [0.4]},
         "n": 1,
@@ -1063,28 +1106,14 @@ def test_kp_order_flag_overrides_window(tmp_path):
         "convergence_pair": True,
     }
     path = write_config(tmp_path, config)
-    out = tmp_path / "out"
-    code = cli.main(["kp", "--config", path, "--out", str(out), "--order", "8"])
-    assert code == cli.EXIT_OK
-    header, _ = read_rows(out / "kp_sweep.csv")
-    assert header[-1] == "residual_16"
-
-
-def test_parser_is_built_once_and_carries_no_state(tmp_path, capsys):
-    config = {
-        "f_source": {"c": [0.4]},
-        "n": 1,
-        "N": 4,
-        "t_rows": [[0.05]],
-        "convergence_pair": True,
-    }
-    path = write_config(tmp_path, config)
-    outs = [tmp_path / name for name in ("order8", "plain", "after_error")]
-    assert cli.main(["kp", "--config", path, "--out", str(outs[0]), "--order", "8"]) == cli.EXIT_OK
+    wide = write_config(tmp_path, dict(config, N=8), name="wide.json")
+    outs = [tmp_path / name for name in ("wide", "plain", "after_error")]
+    assert cli.main(["kp", "--config", wide, "--out", str(outs[0]), "--parallel", "2"]) == cli.EXIT_OK
     assert cli.main(["kp", "--config", path, "--out", str(outs[1])]) == cli.EXIT_OK
-    assert cli.main(["kp", "--config", path, "--order", "eight"]) == cli.EXIT_CONFIG_ERROR
+    assert cli.main(["kp", "--config", path, "--parallel", "two"]) == cli.EXIT_CONFIG_ERROR
     assert cli.main(["kp", "--config", path, "--out", str(outs[2])]) == cli.EXIT_OK
     capsys.readouterr()
+    assert workers == [2, 1, 1]
     headers = [read_rows(out / "kp_sweep.csv")[0][-1] for out in outs]
     assert headers == ["residual_16", "residual_8", "residual_8"]
     assert (outs[1] / "kp_sweep.csv").read_bytes() == (outs[2] / "kp_sweep.csv").read_bytes()
@@ -1171,6 +1200,7 @@ def test_output_digests_script_lists_every_output():
     want += ["identities.jsonl"]
     want += [f"sweep/n{n}{part}" for n in (1, 2, 3)
              for part in ("/kp_sweep.csv", "/tau.csv", "_nopair/kp_sweep.csv")]
+    want += ["sweep/snapshot/kp_sweep.csv", "sweep/snapshot/tau.csv"]
     digests, paths = zip(*(line.split("  ") for line in proc.stdout.splitlines()))
     assert list(paths) == want
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)

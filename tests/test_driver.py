@@ -44,7 +44,6 @@ def test_piecewise_selection():
             DriverPiece(0.5, (Atom(np.pi, 1.0),)),
         )
     )
-    assert not d.is_autonomous()
     assert d.piece_at(0.25).atoms[0].theta == 0.0
     assert d.piece_at(0.5).atoms[0].theta == np.pi
     assert d.piece_at(2.0).atoms[0].theta == np.pi

@@ -235,6 +235,19 @@ def test_switch_one_ulp_after_its_grid_time_counts_as_on_it():
     assert np.abs(late.hamiltonian - on.hamiltonian).max() <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "t_start, step, horizon, before",
+    [(50 * 1e-3, 1e-3, 0.1, 50), (0.0505, 1e-3, 0.1, 51), (0.003, 3e-4, 0.0099, 10)],
+    ids=["on-grid", "off-grid", "one-ulp"],
+)
+def test_record_holds_each_states_piece(t_start, step, horizon, before):
+    # a state is on the last piece to start by its grid time plus 1e-9 steps:
+    # the first `before` states are on the first piece
+    rec = evolve(_switch_start(), _switched(t_start), horizon=horizon, step=step)
+    assert rec.pieces.tolist() == [int(t_start <= t + 1e-9 * step) for t in rec.times]
+    assert rec.pieces.tolist() == [0] * before + [1] * (len(rec.times) - before)
+
+
 def test_generating_function_matches_observables():
     rng = np.random.default_rng(3)
     c = 0.2 * (rng.normal(size=6) + 1j * rng.normal(size=6))

@@ -200,13 +200,14 @@ def _exact_at(poly, c):
 
 
 def test_row_two_drops_reciprocal_coefficients_past_the_window():
-    # _correction_rows row 2 is the psibar_k-gradient of G_-2 at cbar except
-    # at k = N-1..N+1, where a_{k+2} lies past the window and is dropped; the
-    # untruncated gradient comes from corrected_G(-2) on a window three wider
+    # row 2 of Gamma (step2_graph's closed form for L_-2 f) is the
+    # psibar_k-gradient of G_-2 at cbar except at k = N-1..N+1, where a_{k+2}
+    # lies past the window and is dropped; the untruncated gradient comes
+    # from corrected_G(-2) on a window three wider
     N = 16
     rng = np.random.default_rng(5)
     c = [Fraction(int(rng.integers(-9, 10)), 10 * n * n) for n in range(1, N + 1)]
-    row = step2_graph(c, 3, N).basis[0]  # the G_-2 row: c12 row 2 + correction row 2
+    row = step2_graph(c, 3, N).basis[0]  # Gamma's row 2, the first basis row at n = 3
     w = BracketWindow(n_c=N + 3, m_neg=0, n_psi=N + 1)
     g = corrected_G(-2, w)
     a = reciprocal_coefficients(N + 3, w)

@@ -1,7 +1,6 @@
 """Tests for the generalized-time flows: Schur values, bilinear forms,
 wave coefficients, Baker-Akhiezer functions, and tau determinants."""
 
-import csv
 import dataclasses
 import functools
 import json
@@ -650,34 +649,3 @@ def test_tau_quotient_reproduces_wave_function(n):
     ba = baker_akhiezer(op, t, z_samples=(3.0 * np.exp(1j * np.pi / 7), -3.0))
     for z, psi in zip(ba.samples, ba.values):
         assert abs(sato_psi(op, t, z, N) - psi) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# example script
-
-
-def test_kp_sweep_script_runs_and_reruns_byte_identical(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    outs = [tmp_path / "first", tmp_path / "second"]
-    for out in outs:
-        proc = subprocess.run(
-            [sys.executable, os.path.join(ROOT, "scripts", "kp_sweep.py"), "--out", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-    for name in ("kp_sweep.csv", "tau.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    with open(outs[0] / "kp_sweep.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    with open(outs[0] / "tau.csv") as fh:
-        assert len(list(csv.DictReader(fh))) == 12
-    assert len(rows) == 12  # the 3 x 2 x 2 grid of configs/kp_sweep.json
-    for row in rows:
-        assert float(row["residual"]) <= 1e-12
-        assert float(row["residual_32"]) <= 1e-12
