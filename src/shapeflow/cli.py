@@ -89,9 +89,9 @@ class RunConfig:
             driver = HerglotzDriver.from_dict(raw["driver"])
         except (ValueError, TypeError, KeyError) as exc:
             raise InvalidInput(f"bad driver config: {exc}") from exc
-        report = driver.validate()
-        if not report["ok"]:
-            raise InvalidInput("; ".join(report["problems"]))
+        problems = driver.validate()
+        if problems:
+            raise InvalidInput("; ".join(problems))
         horizon = read_number(raw.get("horizon", 1.0), "horizon")
         step = read_number(raw.get("step", 1e-3), "step")
         order = read_number(raw.get("order", 16), "order", int)
@@ -259,12 +259,7 @@ def cmd_evolve(args) -> int:
     from . import evolution
     from .driver import HerglotzDriver
     config = RunConfig.from_dict(_load_config(args.config))
-    state0 = evolution.ShapeState(
-        0.0,
-        np.zeros(config.order, dtype=complex),
-        config.psibar0.copy(),
-        m_neg=config.m_neg,
-    )
+    state0 = evolution.ShapeState.initial(config.order, config.m_neg, config.n_psi, config.psibar0)
     record = evolution.evolve(state0, config.driver, config.horizon, config.step)
 
     extra = {}
@@ -382,6 +377,8 @@ def _shape_from_source(raw) -> np.ndarray:
     if not isinstance(source, dict):
         raise InvalidInput("config needs an 'f_source' object")
     check_keys(source, "f_source", ("c", "snapshot_csv", "at_t"), exclusive=("c", "snapshot_csv"))
+    if "at_t" in source and "snapshot_csv" not in source:
+        raise InvalidInput("f_source.at_t is read only with 'snapshot_csv'")
     if "c" in source:
         return _complex_vector(source["c"], "f_source.c")
     if "snapshot_csv" in source:
@@ -465,14 +462,18 @@ def _run_cells(cells, parallel):
 
 
 def _sweep_input(raw) -> tuple:
-    """The shape c, the window N, the time rows and the graph of a kp or tau config."""
+    """The shape c, the window N, the time rows, the graph and the convergence
+    pair flag of a kp or tau config."""
     from . import grassmannian
     keys = ("f_source", "n", "N", "t_rows", "t_grid", "convergence_pair")
     check_keys(raw, "config", keys, exclusive=("t_rows", "t_grid"))
+    pair = raw.get("convergence_pair", False)
+    if not isinstance(pair, bool):
+        raise InvalidInput(f"convergence_pair must be true or false, got {pair!r}")
     c = _shape_from_source(raw)
     n, N = _graph_ints(raw)
     rows = _time_rows(raw)
-    return c, N, rows, grassmannian.step2_graph(c, n, N)
+    return c, N, rows, grassmannian.step2_graph(c, n, N), pair
 
 
 def _write_sweep(args, header, rows, what) -> int:
@@ -488,11 +489,7 @@ def _write_sweep(args, header, rows, what) -> int:
 
 
 def cmd_kp(args) -> int:
-    raw = _load_config(args.config)
-    pair = raw.get("convergence_pair", False)
-    if not isinstance(pair, bool):
-        raise InvalidInput(f"convergence_pair must be true or false, got {pair!r}")
-    c, N, rows, op = _sweep_input(raw)
+    c, N, rows, op, pair = _sweep_input(_load_config(args.config))
     header = "t1,t2,t3,re_omega1,im_omega1,re_lambda1,im_lambda1,residual,re_tau,im_tau"
     if pair:
         header += f",residual_{2 * N}"
@@ -502,7 +499,7 @@ def cmd_kp(args) -> int:
 
 def cmd_tau(args) -> int:
     from . import kp
-    _, N, rows, op = _sweep_input(_load_config(args.config))
+    _, N, rows, op, _ = _sweep_input(_load_config(args.config))
     values = [kp.tau(op, trow, N) for trow in rows]
     table = [(*trow, value.real, value.imag) for trow, value in zip(rows, values)]
     return _write_sweep(args, "t1,t2,t3,re_tau,im_tau", table, "the tau sweep")

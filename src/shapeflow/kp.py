@@ -83,10 +83,6 @@ class GeneralizedTimes:
             return t
         return cls(tuple(t))
 
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
     def get(self, k: int):
         """The time t_k (1-based); zero beyond the stored window."""
         if k < 1:
@@ -101,9 +97,6 @@ class GeneralizedTimes:
         for k, v in enumerate(self.values, start=1):
             total = total + v * z**k
         return total
-
-    def __neg__(self) -> "GeneralizedTimes":
-        return GeneralizedTimes(tuple(-v for v in self.values))
 
     def sato_shifted(self, z: complex, terms: int = 24) -> "GeneralizedTimes":
         """The shifted vector ``t_k - 1/(k z^k)`` over ``k = 1..terms``.

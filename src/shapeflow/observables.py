@@ -47,7 +47,6 @@ __all__ = [
     "poisson_bracket",
     "gbar_coefficient",
     "corrected_G",
-    "reciprocal_coefficient",
     "reciprocal_coefficients",
     "iota",
     "truncated_witt_bracket",
@@ -362,21 +361,15 @@ class PhasePoly:
         mask = self.window._keys.psi_mask
         return any(k & mask for k in self._terms)
 
-    def restricted(self, c_max=None, psi_max=None, psi_min=None):
-        """Drop monomials with any variable index outside the given bounds.
+    def restricted(self, c_max):
+        """Drop monomials with a c variable of index above ``c_max``.
 
         Used for window-interior comparisons where truncation edge terms are
         meaningless.
         """
         drop = 0
         for (kind, idx), s in self.window._keys.shift.items():
-            if kind == _C:
-                out = c_max is not None and idx > c_max
-            else:
-                out = (psi_max is not None and idx > psi_max) or (
-                    psi_min is not None and idx < psi_min
-                )
-            if out:
+            if kind == _C and idx > c_max:
                 drop |= _MAX_EXP << s
         kept = {k: q for k, q in self._terms.items() if not k & drop}
         return PhasePoly._trusted(self.window, kept)
@@ -547,11 +540,6 @@ def reciprocal_coefficients(n: int, window: BracketWindow) -> list:
         table.append(_collect(window, acc))
         raws.append(_raw(table[m]._terms))
     return table
-
-
-def reciprocal_coefficient(n: int, window: BracketWindow) -> PhasePoly:
-    """n-th Taylor coefficient a_n of z/f(z); see ``reciprocal_coefficients``."""
-    return reciprocal_coefficients(n, window)[n]
 
 
 def corrected_G(j: int, window: BracketWindow) -> PhasePoly:

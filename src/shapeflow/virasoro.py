@@ -155,7 +155,7 @@ def _has_close_pair(values: np.ndarray, tol: float) -> bool:
 
 
 def _field_degrees(k) -> list:
-    """The k of ``schaeffer_spencer``, one or a sequence, as a list of ints."""
+    """The k of ``schaeffer_spencer``, a non-empty sequence of ints, as a list."""
     try:
         ks = list(k)
     except TypeError:
@@ -163,19 +163,17 @@ def _field_degrees(k) -> list:
     if not ks or any(
         isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in ks
     ):
-        raise ValueError(f"k must be an int or a non-empty sequence of ints, got {k!r}")
+        raise ValueError(f"k must be a non-empty sequence of ints, got {k!r}")
     return [int(j) for j in ks]
 
 
-def schaeffer_spencer(
-    f, k: int | Sequence[int], Q: int = 2048
-) -> np.ndarray | list[np.ndarray]:
+def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
     """Variation of f by the boundary field -i z^k, as Taylor coefficients.
 
     ``f`` holds the Taylor coefficients f_0..f_N of the map, at least two and
     all finite; the result holds those of the variation, of degree
-    N + max(k, 0).  ``k`` is an int, which gives one array, or a non-empty
-    sequence of ints, which gives a list of arrays in the order of ``k``.
+    N + max(k, 0).  ``k`` is a non-empty sequence of ints; the result is a
+    list of arrays in the order of ``k``.
 
     Computes the contour integral
 
@@ -196,7 +194,8 @@ def schaeffer_spencer(
     element, row mean and transform is computed exactly as on the whole
     n_z-by-Q matrix for one k, so each result is the same to the bit.
 
-    Raises ValueError when k is a bool, not integral or an empty sequence,
+    Raises ValueError when k is not a sequence (a bare int included), is
+    empty or holds a bool or a non-integral entry,
     when Q is not an int >= 1, or when f has fewer than two coefficients or
     a non-finite one.  Raises QuadratureDegenerate, with no numpy warning,
     when the coefficients of f' or the values f(w), f'(w) and f(z) overflow,
@@ -206,8 +205,7 @@ def schaeffer_spencer(
     number, on the grid, or when the quadrature itself overflows, which an
     output degree above 1074 always does.
     """
-    single = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    ks = _field_degrees([k] if single else k)
+    ks = _field_degrees(k)
     if isinstance(Q, bool) or not isinstance(Q, int) or Q < 1:
         raise ValueError(f"Q must be an int >= 1, got {Q!r}")
     f = np.asarray(f, dtype=complex)
@@ -273,4 +271,4 @@ def schaeffer_spencer(
                 out[i] = lam[: orders[i] + 1] / r ** np.arange(orders[i] + 1)
     if not all(np.isfinite(taylor).all() for taylor in out):
         raise QuadratureDegenerate("the quadrature overflows")
-    return out[0] if single else out
+    return out

@@ -20,6 +20,7 @@ identity the model has rather than a reading it rules out:
 import numpy as np
 import sympy as sp
 
+from shapeflow.checks import _field_closed_form
 from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
 from shapeflow.evolution import ShapeState, evolve, g0
 from shapeflow.grassmannian import graph_membership, step2_graph
@@ -204,22 +205,6 @@ def test_08_graph_membership_and_index():
     verdict(8, "graph-membership", ok, f"residual={worst:.2e} dims={sorted(dims)}")
 
 
-def _variation_closed_form(f, k):
-    def shifted(series, m, order):
-        coeffs = np.zeros(order + 1, dtype=complex)
-        src = series.coeffs[: max(order + 1 - m, 0)]
-        coeffs[m : m + len(src)] = src
-        return TruncatedSeries(coeffs)
-
-    if k >= 1:
-        return shifted(f.differentiate(), k + 1, f.order + k)
-    if k == 0:
-        return shifted(f.differentiate(), 1, f.order) - f
-    c1 = complex(f.coeff(2))
-    one = TruncatedSeries.constant(1, f.order)
-    return shifted(f.differentiate(), 0, f.order) - f.scale(2 * c1) - one
-
-
 def test_09_contour_variation_quadrature():
     rng = np.random.default_rng(9)
     c = 0.15 * (rng.normal(size=6) + 1j * rng.normal(size=6)) / np.arange(1, 7)
@@ -228,8 +213,8 @@ def test_09_contour_variation_quadrature():
     zs = 0.5 * np.exp(2j * np.pi * np.arange(257) / 257)
     worst = 0.0
     for k in (-1, 0, 1, 2, 3):
-        got = schaeffer_spencer(f.coeffs, k, Q=2048)
-        want = _variation_closed_form(f, k)
+        (got,) = schaeffer_spencer(f.coeffs, [k], Q=2048)
+        want = _field_closed_form(f, k)
         worst = max(worst, np.abs(np.polyval(got[::-1], zs) - want.evaluate(zs)).max())
     verdict(9, "variation-quadrature", worst < 1e-10, f"sup-error={worst:.2e}")
 

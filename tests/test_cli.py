@@ -167,6 +167,9 @@ KP_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_rows": [[0.05]]}
         ("evolve", IDENTITY_CONFIG, "driver", one_atom(mu=math.nan)),
         ("evolve", IDENTITY_CONFIG, "driver", one_atom(theta=1e400)),
         ("evolve", IDENTITY_CONFIG, "driver", {"pieces": [{"t_start": 0.0}, {"t_start": math.nan}]}),
+        # tau reads the kp config, convergence_pair included
+        ("tau", KP_CONFIG, "convergence_pair", "no"),
+        ("tau", KP_CONFIG, "convergence_pair", 1),
     ],
 )
 def test_malformed_config_number_is_config_error(tmp_path, capsys, command, base, key, value):
@@ -226,9 +229,10 @@ KP_GRID_CONFIG = {"f_source": {"c": [0.3]}, "n": 1, "N": 4, "t_grid": {"t1": [0.
         ("kp", dict(KP_CONFIG, f_source={"c": [0.3], "snapshot_csv": "traj.csv", "at_t": 0.0}), "f_source gives both 'c' and 'snapshot_csv'"),
         ("kp", dict(KP_GRID_CONFIG, t_rows=[[0.05]]), "config gives both 't_rows' and 't_grid'"),
         ("tau", dict(KP_GRID_CONFIG, t_rows=[[0.05]]), "config gives both 't_rows' and 't_grid'"),
+        ("kp", dict(KP_CONFIG, f_source={"c": [0.1], "at_t": 0.3}), "f_source.at_t is read only with 'snapshot_csv'"),
     ],
     ids=["evolve", "driver", "piece", "atom", "kp", "tau", "f_source", "t_grid", "graph-dump",
-         "c+snapshot_csv", "kp-t_rows+t_grid", "tau-t_rows+t_grid"],
+         "c+snapshot_csv", "kp-t_rows+t_grid", "tau-t_rows+t_grid", "c+at_t"],
 )
 def test_unknown_config_key_or_both_alternatives_is_config_error(tmp_path, capsys, monkeypatch, command, config, named):
     # a misspelt key would leave its default in place, and a second

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shapeflow.checks import _field_closed_form
 from shapeflow.observables import (
     QC,
     BracketWindow,
@@ -27,27 +28,6 @@ from shapeflow.virasoro import (
 )
 
 W16 = BracketWindow(n_c=16, m_neg=0, n_psi=16)
-
-
-def shift(series, m, order):
-    """z^m * series, truncated to the given order."""
-    coeffs = np.zeros(order + 1, dtype=complex)
-    src = series.coeffs[: max(order + 1 - m, 0)]
-    coeffs[m : m + len(src)] = src
-    return TruncatedSeries(coeffs)
-
-
-def closed_form(f, k):
-    if k >= 1:
-        return shift(f.differentiate(), k + 1, f.order + k)
-    if k == 0:
-        return shift(f.differentiate(), 1, f.order) - f
-    if k == -1:
-        c1 = complex(f.coeff(2))
-        one = TruncatedSeries.constant(1, f.order)
-        fp = shift(f.differentiate(), 0, f.order)
-        return fp - f.scale(2 * c1) - one
-    raise ValueError(k)
 
 
 def test_field_shapes_at_identity():
@@ -164,7 +144,7 @@ def sample_map():
 def test_quadrature_identity_map():
     f = TruncatedSeries([0, 1])
     for k, want in ((1, [0, 0, 1]), (2, [0, 0, 0, 1]), (0, [0, 0])):
-        got = schaeffer_spencer(f.coeffs, k, Q=512)
+        (got,) = schaeffer_spencer(f.coeffs, [k], Q=512)
         np.testing.assert_allclose(
             got, np.array(want, dtype=complex), atol=1e-12
         )
@@ -174,16 +154,16 @@ def test_quadrature_matches_closed_forms():
     f = sample_map()
     zs = 0.5 * np.exp(2j * np.pi * np.arange(257) / 257)
     for k in (-1, 0, 1, 2, 3):
-        got = schaeffer_spencer(f.coeffs, k, Q=2048)
-        want = closed_form(f, k)
+        (got,) = schaeffer_spencer(f.coeffs, [k], Q=2048)
+        want = _field_closed_form(f, k)
         sup = np.abs(np.polyval(got[::-1], zs) - want.evaluate(zs)).max()
         assert sup < 1e-10, (k, sup)
 
 
 def test_quadrature_low_coefficients_exact():
     f = sample_map()
-    got = TruncatedSeries(schaeffer_spencer(f.coeffs, 1, Q=2048))
-    want = closed_form(f, 1)
+    got = TruncatedSeries(schaeffer_spencer(f.coeffs, [1], Q=2048)[0])
+    want = _field_closed_form(f, 1)
     for j in range(10):
         assert abs(got.coeff(j) - complex(want.coeff(j))) < 1e-11
 
@@ -191,13 +171,13 @@ def test_quadrature_low_coefficients_exact():
 def test_quadrature_degenerate_interior_collision():
     f = TruncatedSeries([0, 1, -2.0 / 3.0])  # f(1) == f(1/2) exactly
     with pytest.raises(QuadratureDegenerate):
-        schaeffer_spencer(f.coeffs, 1, Q=2048)
+        schaeffer_spencer(f.coeffs, [1], Q=2048)
 
 
 def test_quadrature_rejects_folded_boundary():
     f = TruncatedSeries([0, 1, -1 / np.sqrt(2)])  # f(e^{i pi/4}) == f(e^{-i pi/4})
     with pytest.raises(QuadratureDegenerate):
-        schaeffer_spencer(f.coeffs, 1, Q=2048)
+        schaeffer_spencer(f.coeffs, [1], Q=2048)
 
 
 def whole_matrix_schaeffer_spencer(f, k, Q=2048):
@@ -234,7 +214,7 @@ def test_quadrature_matches_whole_matrix_bit_for_bit(order):
     together = schaeffer_spencer(f, np.array(ks))
     assert len(together) == len(ks)
     for k, shared in zip(ks, together):
-        got = schaeffer_spencer(f, k)
+        (got,) = schaeffer_spencer(f, [k])
         assert got.tobytes() == whole_matrix_schaeffer_spencer(f, k).tobytes(), k
         assert shared.tobytes() == got.tobytes(), k
 
@@ -247,14 +227,14 @@ def test_quadrature_collision_in_any_row_block(where):
     i = {"first": 0, "middle": n_z // 2, "last": n_z - 1}[where]
     f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / n_z)]
     with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
-        schaeffer_spencer(f, 1, Q=Q)
+        schaeffer_spencer(f, [1], Q=Q)
     with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
         schaeffer_spencer(f, [-1, 0, 1, 2, 3], Q=Q)
 
 
 def test_quadrature_memory_stays_at_row_blocks():
     f = seeded_map(np.random.default_rng(3), 40)
-    for k in (2, [-1, 0, 1, 2, 3]):
+    for k in ([2], [-1, 0, 1, 2, 3]):
         schaeffer_spencer(f, k)
         tracemalloc.start()
         try:
@@ -272,7 +252,7 @@ def test_quadrature_refuses_non_finite_map(f):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
-            schaeffer_spencer(f, 2, Q=64)
+            schaeffer_spencer(f, [2], Q=64)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +267,7 @@ def test_quadrature_refuses_overflowing_or_vanishing_map(f, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureDegenerate, match=message):
-            schaeffer_spencer(f, 2, Q=64)
+            schaeffer_spencer(f, [2], Q=64)
 
 
 @pytest.mark.parametrize("Q", [0, -4, 2.5, True, "64", None])
@@ -295,7 +275,7 @@ def test_quadrature_refuses_unusable_point_count(Q):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Q must be an int"):
-            schaeffer_spencer([0.0, 1.0, 0.1], 2, Q=Q)
+            schaeffer_spencer([0.0, 1.0, 0.1], [2], Q=Q)
 
 
 def test_quadrature_past_the_subnormals_overflows_without_warning():
@@ -303,16 +283,18 @@ def test_quadrature_past_the_subnormals_overflows_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureDegenerate, match="the quadrature overflows"):
-            schaeffer_spencer([0.0, 1.0, 0.1], 1100, Q=64)
+            schaeffer_spencer([0.0, 1.0, 0.1], [1100], Q=64)
 
 
 @pytest.mark.parametrize(
-    "k", [1.5, True, np.bool_(True), [], (), [1, 2.5], [0, False], "2", None, np.array(2)]
+    "k",
+    # a bare int is refused too: every caller passes a sequence of k
+    [1.5, True, np.bool_(True), [], (), [1, 2.5], [0, False], "2", None, np.array(2), 2, np.int64(2)],
 )
 def test_quadrature_refuses_unusable_field_degree(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="k must be an int"):
+        with pytest.raises(ValueError, match="k must be a non-empty sequence of ints"):
             schaeffer_spencer([0.0, 1.0, 0.1], k, Q=64)
 
 
@@ -321,7 +303,7 @@ def test_quadrature_refuses_too_few_coefficients(f):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="at least two"):
-            schaeffer_spencer(f, 2, Q=64)
+            schaeffer_spencer(f, [2], Q=64)
 
 
 # ---------------------------------------------------------------------------
