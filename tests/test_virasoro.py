@@ -289,7 +289,11 @@ def test_quadrature_past_the_subnormals_overflows_without_warning():
 @pytest.mark.parametrize(
     "k",
     # a bare int is refused too: every caller passes a sequence of k
-    [1.5, True, np.bool_(True), [], (), [1, 2.5], [0, False], "2", None, np.array(2), 2, np.int64(2)],
+    [
+        1.5, True, np.bool_(True), [], (), [1, 2.5], [0, False], "2", None, np.array(2),
+        pytest.param(2, id="bare-int"),
+        pytest.param(np.int64(2), id="bare-int64"),
+    ],
 )
 def test_quadrature_refuses_unusable_field_degree(k):
     with warnings.catch_warnings():
