@@ -2,8 +2,9 @@
 """Print the sha256 of every file a fixed set of CLI runs writes.
 
 The runs go through ``shapeflow.cli.main`` into one output directory:
-``evolve`` on configs/single_atom.json and configs/three_atoms.json and on
-a two-piece driver switching on the step grid and off it, ``kp``
+``evolve`` on configs/single_atom.json and configs/three_atoms.json, on
+a two-piece driver switching on the step grid and off it, and at order 64
+with a 65-entry psibar window and a switch off the grid, ``kp``
 and ``tau`` on configs/kp_sweep.json at graph orders n = 1, 2 and 3, ``kp``
 once more at each n without the sweep's ``convergence_pair``, ``kp`` and
 ``tau`` on the sweep with its shape read from the three_atoms trajectory
@@ -35,8 +36,13 @@ from shapeflow.cli import main as cli_main
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 # the fixed shape of every graph-dump run: c_k = 0.4^k e^{ik}, k = 1..8
 GRAPH_SHAPE = [[0.4**k * math.cos(k), 0.4**k * math.sin(k)] for k in range(1, 9)]
-# the switched evolve runs: step 1e-3, so 0.05 is on the step grid and 0.0505 is not
-SWITCHES = {"switch_on_grid": 50 * 1e-3, "switch_off_grid": 0.0505}
+# the switched evolve runs: step 1e-3, so 0.05 is on the step grid and 0.0505 is not;
+# (name, switch time, horizon, order, m_neg = n_psi)
+SWITCHES = [
+    ("switch_on_grid", 50 * 1e-3, 0.1, 16, 8),
+    ("switch_off_grid", 0.0505, 0.1, 16, 8),
+    ("wide_window", 0.0105, 0.02, 64, 32),
+]
 
 
 def _write(path, config):
@@ -52,12 +58,13 @@ def _runs(out, cfg_dir):
     """
     for name in ("single_atom", "three_atoms"):
         yield f"evolve/{name}", ["evolve", "--config", os.path.join(CONFIGS, f"{name}.json")]
-    for name, t_start in SWITCHES.items():
+    for name, t_start, horizon, order, half_width in SWITCHES:
         pieces = [
             {"t_start": 0.0, "atoms": [{"theta": 0.7, "mu": 1.0}]},
             {"t_start": t_start, "atoms": [{"theta": 2.4, "mu": 0.6}, {"theta": 4.9, "mu": 0.4}]},
         ]
-        config = {"driver": {"pieces": pieces}, "horizon": 0.1, "step": 1e-3, "order": 16, "seed": 3}
+        config = {"driver": {"pieces": pieces}, "horizon": horizon, "step": 1e-3, "order": order,
+                  "m_neg": half_width, "n_psi": half_width, "seed": 3}
         yield f"evolve/{name}", ["evolve", "--config", _write(os.path.join(cfg_dir, f"{name}.json"), config)]
     with open(os.path.join(CONFIGS, "kp_sweep.json")) as fh:
         sweep = json.load(fh)

@@ -82,18 +82,26 @@ class HerglotzDriver:
             pieces.append(DriverPiece(t_start, tuple(atoms)))
         return cls(pieces=tuple(pieces))
 
-    def piece_at(self, t):
+    def _index_at(self, t):
         if not self.pieces or self.pieces[0].t_start > t:
             raise InvalidMeasure(f"no driver piece covers t={t}")
-        current = self.pieces[0]
-        for p in self.pieces[1:]:
+        current = 0
+        for i, p in enumerate(self.pieces[1:], 1):
             if p.t_start <= t:
-                current = p
+                current = i
         return current
 
+    def piece_at(self, t):
+        return self.pieces[self._index_at(t)]
+
     def moments(self, t, N):
-        """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}."""
-        piece = self.piece_at(t)
+        """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}.
+
+        InvalidMeasure when the piece fails its check, or when k * theta is
+        not a finite float for some atom and some k <= N.
+        """
+        index = self._index_at(t)
+        piece = self.pieces[index]
         problems = piece.check()
         if problems:
             raise InvalidMeasure("; ".join(problems))
@@ -102,7 +110,13 @@ class HerglotzDriver:
         thetas = np.array([a.theta for a in piece.atoms])
         mus = np.array([a.mu for a in piece.atoms])
         k = np.arange(1, N + 1)
-        return 2.0 * (mus[None, :] * np.exp(-1j * np.outer(k, thetas))).sum(axis=1)
+        with np.errstate(over="ignore"):
+            angles = np.outer(k, thetas)
+        finite = np.isfinite(angles).all(axis=0)
+        if not finite.all():
+            theta = float(thetas[~finite][0])
+            raise InvalidMeasure(f"piece {index}: k * theta is not finite for theta = {theta!r} and some k <= {N}")
+        return 2.0 * (mus[None, :] * np.exp(-1j * angles)).sum(axis=1)
 
     def validate(self):
         """The list of invariant violations (empty when valid); never raises.

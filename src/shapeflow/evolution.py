@@ -16,10 +16,15 @@ along trajectories; with the window layout used here the conservation is
 exact for every representable index whenever Npsi - N <= -M
 (upper-triangular error propagation never reaches the retained indices).
 
-Everything here works on raw ``complex128`` coefficient arrays: p(w) is
-composed by Horner on ``np.convolve`` slices, ``evolve`` computes the driver
-moments once per driver piece and records each state's piece, and
-``ShapeState.f`` evaluates the map by Horner's rule.  ``g0`` is the numeric
+Everything here works on raw ``complex128`` coefficient arrays.  p(w) is
+composed by Horner, each product one call of numpy's correlate core (the C
+routine behind ``np.convolve``) against w reversed, run only on the window
+that product needs; every kept coefficient is the dot product
+``np.convolve`` would take, so the bits are those of the full-window
+Horner.  ``evolve`` computes the driver moments once per driver piece,
+records each state's piece and takes each state's H from the dc of the
+first RK4 stage at it, and ``ShapeState.f`` evaluates the map by Horner's
+rule.  ``g0`` is the numeric
 G_0 = sum_k k c_k psibar_k, the conserved partner of H (H + G_0 is constant
 within a driver piece).  The tests keep :mod:`shapeflow.series` as the
 reference the kernel must match bit for bit.
@@ -27,9 +32,11 @@ reference the kernel must match bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import correlate as _correlate  # np.convolve's core
 
 from . import InvalidInput, NumericalFailure
 from .driver import HerglotzDriver, InvalidMeasure
@@ -104,28 +111,40 @@ def taylor_values(coeffs: np.ndarray, z) -> np.ndarray:
     return np.polyval(coeffs[::-1], z)
 
 
-def _w(state: ShapeState) -> np.ndarray:
-    """w = e^{-t} f as a window of order N+1 (constant term zero)."""
-    return np.concatenate(
-        [[0.0 + 0j], np.exp(-state.t) * np.concatenate([[1.0], state.c])]
-    )
+def _w_reversed(state: ShapeState) -> np.ndarray:
+    """w = e^{-t} f as a window of order N+1 (constant term zero), reversed."""
+    w = np.concatenate([[0.0 + 0j], np.exp(-state.t) * np.concatenate([[1.0], state.c])])
+    return w[::-1].copy()
 
 
-def _power_sum(q, w: np.ndarray) -> np.ndarray:
-    """sum_{k>=1} q_k w^k by Horner (q[0] is q_1), truncated to w's window."""
-    keep = len(w)
-    acc = np.zeros(keep, dtype=complex)
+def _power_sum(q, wr: np.ndarray) -> np.ndarray:
+    """sum_{k>=1} q_k w^k by Horner (q[0] is q_1), truncated to w's window.
+
+    ``wr`` is w reversed and q has at most len(w) - 1 entries.  As w_0 = 0,
+    a product with m more after it matters only below len(w) - m, so each
+    runs on that window, one entry wider than the last.  Every kept entry is
+    the dot product ``np.convolve`` would take, with the same length,
+    operands and order; the entry just past the window only ever meets w_0
+    and is set to zero, which a dot product's +0 start absorbs.  So the bits
+    agree wherever the full-window result is finite: an infinite entry past
+    the window would have made it NaN.
+    """
+    keep = len(wr)
+    n = keep - len(q) + 1
+    acc = np.zeros(n, dtype=complex)
     acc[0] = q[-1]
-    for qk in q[-2::-1]:
-        acc = np.convolve(acc, w)[:keep]
+    for qk in q[-2::-1].tolist():
+        acc = _correlate(acc, wr[keep - n :], "full")[: n + 1]
+        acc[n] = 0
         acc[0] += qk
-    return np.convolve(acc, w)[:keep]
+        n += 1
+    return _correlate(acc, wr, "full")[:keep]
 
 
-def _phi(state: ShapeState, pk, w: np.ndarray) -> np.ndarray:
+def _phi(state: ShapeState, pk, wr: np.ndarray) -> np.ndarray:
     """Phi = f (1 - p(w)) to order N+1, with 1 - p(w) = -sum_k p_k w^k."""
     f = np.concatenate([[0.0 + 0j, 1.0], state.c])
-    return np.convolve(f, _power_sum(-pk, w))[: len(w)]
+    return _correlate(f, _power_sum(-pk, wr)[::-1], "full")[: len(wr)]
 
 
 def _phi_and_u(state: ShapeState, pk):
@@ -134,8 +153,17 @@ def _phi_and_u(state: ShapeState, pk):
     ``pk`` holds the driver moments p_1..p_{N+1}; both are Horner passes
     over powers of w = e^{-t} f.
     """
-    w = _w(state)
-    return _phi(state, pk, w), _power_sum(-np.arange(2, state.order + 3) * pk, w)
+    wr = _w_reversed(state)
+    return _phi(state, pk, wr), _power_sum(-np.arange(2, state.order + 3) * pk, wr)
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_table(size: int, jmax: int):
+    """The index and inside-mask tables of :func:`_shifted`, read-only."""
+    idx = np.add.outer(np.arange(1, jmax + 1), np.arange(size))
+    inside = idx < size
+    idx.flags.writeable = inside.flags.writeable = False
+    return idx, inside
 
 
 def _shifted(psz: np.ndarray, jmax: int):
@@ -143,9 +171,9 @@ def _shifted(psz: np.ndarray, jmax: int):
 
     Also returns where i + j is still inside the window.
     """
-    idx = np.add.outer(np.arange(1, jmax + 1), np.arange(len(psz)))
+    idx, inside = _shift_table(len(psz), jmax)
     padded = np.concatenate([psz, np.zeros(jmax, dtype=complex)])
-    return padded[idx], idx < len(psz)
+    return padded[idx], inside
 
 
 def rhs(state: ShapeState, d: HerglotzDriver, pk=None):
@@ -163,7 +191,7 @@ def rhs(state: ShapeState, d: HerglotzDriver, pk=None):
     # dpsibar_m = 0 - U_1 psibar_{m+1} - U_2 psibar_{m+2} - ..., in increasing j;
     # a sum that starts at +0 never becomes -0, so the zero padding is inert
     terms = u[1 : len(shifted) + 1, None] * shifted
-    dpsi = np.subtract.accumulate(np.vstack([np.zeros_like(psz), terms]))[-1]
+    dpsi = np.subtract.reduce(terms, axis=0, initial=0)
     return dc, dpsi
 
 
@@ -252,18 +280,24 @@ def g0(state: ShapeState) -> complex:
     return sum(k * state.c[k - 1] * state.psi(k) for k in range(1, kmax + 1))
 
 
+def _pairing(dc: np.ndarray, state: ShapeState) -> complex:
+    """H = sum_{m>=1} Phi_{m+1} psibar_m in increasing m, from dc = Phi[2:]."""
+    total = 0j
+    for m in range(1, min(state.order, state.n_psi) + 1):
+        total += dc[m - 1] * state.psi(m)
+    return total
+
+
 def pseudo_hamiltonian(state: ShapeState, d: HerglotzDriver, pk=None) -> complex:
     """H = sum_{m>=1} Phi_{m+1} psibar_m (z^0 pairing of the two windows).
 
-    ``pk`` is as for :func:`rhs`.
+    ``pk`` is as for :func:`rhs`.  ``evolve`` pairs the first RK4 stage's dc,
+    which is Phi[2:] at the same state, so it calls this only at the last
+    state.
     """
     if pk is None:
         pk = d.moments(state.t, state.order + 1)
-    phi = _phi(state, pk, _w(state))
-    total = 0j
-    for m in range(1, min(state.order, state.n_psi) + 1):
-        total += phi[m + 1] * state.psi(m)
-    return total
+    return _pairing(_phi(state, pk, _w_reversed(state))[2:], state)
 
 
 def _check_state(state: ShapeState, psi_bound: float):
@@ -328,6 +362,7 @@ def evolve(
     states = [state]
     times = [state.t]
     pieces = [piece_index(state.t)]
+    ham = []
     for k in range(n_steps):
         t_end = state0.t + (k + 1) * step  # avoid additive time drift
         # each RK4 step runs on one piece: the piece of the grid state it
@@ -335,24 +370,29 @@ def evolve(
         # an RK4 step to the switch and one on from it
         cuts = [s for s in starts if state.t + slack < s < t_end - slack]
         piece = pieces[-1]
-        for cut in cuts:
-            state = _rk4_step(state, d, moments_of(piece), cut - state.t)
-            state.t = cut
-            piece = piece_index(cut)
-        state = _rk4_step(state, d, moments_of(piece), t_end - state.t if cuts else step)
-        state.t = t_end
+        first_stages = []
+        for end in [*cuts, t_end]:
+            state, dc = _rk4_step(state, d, moments_of(piece), end - state.t if cuts else step)
+            state.t = end
+            piece = piece_index(end)
+            first_stages.append(dc)
+        # the first stage ran at the grid state on its piece: its dc is Phi[2:] there
+        ham.append(_pairing(first_stages[0], states[-1]))
         _check_state(state, psi_bound)
         states.append(state)
         times.append(state.t)
-        pieces.append(piece_index(t_end))
+        pieces.append(piece)
+    ham.append(pseudo_hamiltonian(state, d, moments_of(pieces[-1])))
     gbar = np.array([generating_function(s) for s in states])
-    ham = np.array([pseudo_hamiltonian(s, d, moments_of(i)) for s, i in zip(states, pieces)])
+    ham = np.array(ham)
     if not (np.isfinite(gbar).all() and np.isfinite(ham).all()):
         raise StepRejected("Gbar or H is not finite along the trajectory")
     return TrajectoryRecord(np.array(times), states, gbar, ham, np.array(pieces))
 
 
-def _rk4_step(state: ShapeState, d: HerglotzDriver, pk, h: float) -> ShapeState:
+def _rk4_step(state: ShapeState, d: HerglotzDriver, pk, h: float):
+    """The state one RK4 step of size h on, and the first stage's dc."""
+
     def at(dt, dc, dpsi):
         return ShapeState(
             state.t + dt, state.c + dc, state.psibar + dpsi, state.m_neg
@@ -366,4 +406,4 @@ def _rk4_step(state: ShapeState, d: HerglotzDriver, pk, h: float) -> ShapeState:
         h,
         h / 6 * (k1c + 2 * k2c + 2 * k3c + k4c),
         h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
-    )
+    ), k1c

@@ -103,6 +103,17 @@ def test_invalid_driver_weights_rejected(tmp_path):
     assert cli.main(["evolve", "--config", path]) == cli.EXIT_CONFIG_ERROR
 
 
+def test_driver_theta_too_large_for_its_moments_is_config_error(tmp_path, capsys):
+    # theta = 1e308 makes k theta overflow at k = 2: a config error naming
+    # the piece, not a runaway
+    config = {"driver": one_atom(theta=1e308), "horizon": 0.01, "step": 0.001, "order": 3}
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", write_config(tmp_path, config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "config error: piece 0: k * theta is not finite for theta = 1e+308 and some k <= 4"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "seed, code", [(-1, cli.EXIT_CONFIG_ERROR), (-2**70, cli.EXIT_CONFIG_ERROR), (2**70, cli.EXIT_OK)]
 )
@@ -1198,8 +1209,8 @@ def test_output_digests_script_lists_every_output():
     )
     assert proc.returncode == 0, proc.stderr
     want = [f"check/check_{suite}.json" for suite in sorted(checks.SUITES)]
-    want += [f"evolve/{name}/{file}" for name in ("single_atom", "switch_off_grid", "switch_on_grid", "three_atoms")
-             for file in ("conservation.json", "trajectory.csv")]
+    evolve_runs = ("single_atom", "switch_off_grid", "switch_on_grid", "three_atoms", "wide_window")
+    want += [f"evolve/{name}/{file}" for name in evolve_runs for file in ("conservation.json", "trajectory.csv")]
     want += [f"graph/n{n}_N{N}/graph.json" for n in (1, 2, 3) for N in (16, 32, 4)]
     want += ["identities.jsonl"]
     want += [f"sweep/n{n}{part}" for n in (1, 2, 3)

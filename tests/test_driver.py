@@ -1,5 +1,7 @@
 """Boundary-measure driver tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,22 @@ def test_bad_weights_raise():
         nan_weight.moments(0.0, 4)
     with pytest.raises(ValueError):
         HerglotzDriver.identity().moments(-0.1, 4)
+
+
+def test_theta_whose_multiples_overflow_is_an_invalid_measure():
+    # k theta passes the largest float for some k <= N: the moments would be
+    # NaN, so the piece is refused by name, with no numpy warning on the way
+    d = HerglotzDriver(
+        pieces=(DriverPiece(0.0, (Atom(0.0, 1.0),)), DriverPiece(0.5, (Atom(1.0, 0.5), Atom(-1e306, 0.5))))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(d.moments(0.7, 179)).all()
+        assert np.isfinite(d.moments(0.2, 10**4)).all()
+        with pytest.raises(InvalidMeasure, match=r"^piece 1: k \* theta is not finite for theta = -1e\+306 and some k <= 180$"):
+            d.moments(0.7, 180)
+        with pytest.raises(InvalidMeasure, match=r"^piece 0: k \* theta is not finite for theta = 1e\+308 "):
+            HerglotzDriver.single_atom(1e308).moments(0.0, 2)
 
 
 def test_valid_driver_validates_to_no_problems():

@@ -8,6 +8,7 @@ from shapeflow.evolution import (
     ShapeState,
     StepRejected,
     _phi_and_u,
+    _power_sum,
     evolve,
     g0,
     generating_function,
@@ -97,7 +98,7 @@ def same_bits(a, b):
     return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
 
 
-@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("order", [1, 2, 4, 16, 64])
 def test_array_kernel_matches_series_oracle_bit_for_bit(order):
     rng = np.random.default_rng(order)
     for trial in range(6):
@@ -118,6 +119,53 @@ def test_array_kernel_matches_series_oracle_bit_for_bit(order):
         assert same_bits(rhs(s, d, pk)[1], dpsi_ref)
         assert same_bits(pseudo_hamiltonian(s, d), oracle_hamiltonian(s, d))
         assert same_bits(generating_function(s), oracle_gbar(s))
+
+
+def full_window_power_sum(q, w):
+    """Horner on whole ``np.convolve`` windows, as the kernel ran before windowing."""
+    keep = len(w)
+    acc = np.zeros(keep, dtype=complex)
+    acc[0] = q[-1]
+    for qk in q[-2::-1]:
+        acc = np.convolve(acc, w)[:keep]
+        acc[0] += qk
+    return np.convolve(acc, w)[:keep]
+
+
+def _signed_entries(rng, size):
+    """Magnitudes 1e-3..10 at random phases; about one part in six is +0 or -0."""
+    z = 10.0 ** rng.uniform(-3, 1, size) * np.exp(2j * np.pi * rng.random(size))
+    parts = np.stack([z.real, z.imag], axis=1)
+    zero = rng.random(parts.shape) < 1 / 6
+    parts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return parts.view(complex)[:, 0]  # keeps the sign of each zero part
+
+
+def test_windowed_power_sum_matches_full_window_horner_bit_for_bit():
+    # windows of 3..258 entries and q of up to len(w) - 1 entries, as the
+    # kernel calls it; w_0 is +0 like every w the kernel builds
+    rng = np.random.default_rng(19)
+    sizes = [3, 258] + [int(np.exp(rng.uniform(np.log(3), np.log(259)))) for _ in range(998)]
+    for keep in sizes:
+        n_q = keep - 1 if rng.random() < 0.7 else int(rng.integers(1, keep))
+        w, q = _signed_entries(rng, keep), _signed_entries(rng, n_q)
+        w[0] = 0.0
+        ref = full_window_power_sum(q, w)
+        assert np.isfinite(ref).all()
+        assert same_bits(_power_sum(q, w[::-1].copy()), ref), (keep, n_q)
+
+
+def test_kernel_keeps_the_signed_zeros_of_psibar():
+    # a -0 psibar_k with no terms past it stays -0 in Gbar_k, as in the
+    # sequential sums of the oracle; a sum started at +0 would lose the sign
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        order, m_neg, n_psi = (int(v) for v in rng.integers(1, 12, size=3))
+        c = 0.3 * _signed_entries(rng, order)
+        s = ShapeState(float(rng.uniform(0, 2)), c, _signed_entries(rng, m_neg + n_psi + 1), m_neg=m_neg)
+        d = random_driver(rng, n_atoms=1 + trial % 3)
+        assert same_bits(generating_function(s), oracle_gbar(s))
+        assert all(same_bits(a, b) for a, b in zip(rhs(s, d), oracle_rhs(s, d)))
 
 
 def test_taylor_values_match_series_evaluate_bit_for_bit():
@@ -246,6 +294,22 @@ def test_record_holds_each_states_piece(t_start, step, horizon, before):
     rec = evolve(_switch_start(), _switched(t_start), horizon=horizon, step=step)
     assert rec.pieces.tolist() == [int(t_start <= t + 1e-9 * step) for t in rec.times]
     assert rec.pieces.tolist() == [0] * before + [1] * (len(rec.times) - before)
+
+
+@pytest.mark.parametrize(
+    "t_start, horizon",
+    [(None, 0.06), (50 * 1e-3, 0.06), (0.0505, 0.06), (None, 0.0)],
+    ids=["one-piece", "on-grid", "off-grid", "horizon-0"],
+)
+def test_record_hamiltonian_is_each_states_own_bit_for_bit(t_start, horizon):
+    # evolve pairs the dc of each step's first RK4 stage (the last state's H
+    # it computes afresh): every entry is the H of that state on its piece
+    d = HerglotzDriver(pieces=(DriverPiece(0.0, (Atom(0.7, 1.0),)),)) if t_start is None else _switched(t_start)
+    rec = evolve(_switch_start(), d, horizon=horizon, step=1e-3)
+    assert len(rec.hamiltonian) == len(rec.states) == round(horizon / 1e-3) + 1
+    for s, i, h in zip(rec.states, rec.pieces, rec.hamiltonian):
+        pk = d.moments(d.pieces[i].t_start, s.order + 1)
+        assert same_bits(h, pseudo_hamiltonian(s, d, pk)), s.t
 
 
 def test_generating_function_matches_observables():
