@@ -7,9 +7,11 @@ a two-piece driver switching on the step grid and off it, and at order 64
 with a 65-entry psibar window and a switch off the grid, ``kp``
 and ``tau`` on configs/kp_sweep.json at graph orders n = 1, 2 and 3, ``kp``
 once more at each n without the sweep's ``convergence_pair``, ``kp`` and
-``tau`` on the sweep with its shape read from the three_atoms trajectory
-at t = 0.5, ``graph-dump`` for n = 1..3 at N = 4, 16 and 32 on a fixed
-shape, ``check`` for every suite, and ``--dump-identities``.  Each file
+``tau`` at n = 2 on rows of one, two and three times in place of the
+sweep's grid, ``kp`` and ``tau`` on the sweep with its shape read from the
+three_atoms trajectory at t = 0.5, ``graph-dump`` for n = 1..3 at N = 4, 16
+and 32 on a fixed shape, ``check`` for every suite, and
+``--dump-identities``.  Each file
 gets one line, ``sha256  relative/path``, sorted by path, so two trees
 compare with one diff:
 
@@ -43,6 +45,9 @@ SWITCHES = [
     ("switch_off_grid", 0.0505, 0.1, 16, 8),
     ("wide_window", 0.0105, 0.02, 64, 32),
 ]
+# the sweep's rows given as t_rows of one, two and three entries; the CLI pads
+# each to three times
+T_ROWS = [[0.03], [0.01, 0.02], [0.05, -0.0, 0.01], [-0.02]]
 
 
 def _write(path, config):
@@ -74,6 +79,10 @@ def _runs(out, cfg_dir):
             yield f"sweep/n{n}", [command, "--config", config]
         config = _write(os.path.join(cfg_dir, f"nopair_n{n}.json"), dict(sweep, n=n, convergence_pair=False))
         yield f"sweep/n{n}_nopair", ["kp", "--config", config]
+    rows = {key: value for key, value in sweep.items() if key != "t_grid"}
+    config = _write(os.path.join(cfg_dir, "rows_n2.json"), dict(rows, n=2, t_rows=T_ROWS))
+    for command in ("kp", "tau"):
+        yield "sweep/n2_rows", [command, "--config", config]
     snapshot = {"snapshot_csv": os.path.join(out, "evolve", "three_atoms", "trajectory.csv"), "at_t": 0.5}
     config = _write(os.path.join(cfg_dir, "snapshot.json"), dict(sweep, f_source=snapshot))
     for command in ("kp", "tau"):

@@ -437,15 +437,17 @@ def _graph_ints(raw, default_N=16) -> tuple:
 def _kp_cell(payload):
     from . import kp
     c, op, trow, N, pair = payload
-    parts = kp.omega1_and_partials(kp.ABForm.build(c, trow, N))
+    # one times object per row: its tables and tau share one Schur recurrence
+    times = kp.GeneralizedTimes(trow)
+    parts = kp.omega1_and_partials(kp.ABForm.build(c, times, N))
     omega1 = parts[(0, 0, 0)]
     lambda1 = -parts[(1, 0, 0)]
     residual = float(abs(kp.kp_value(parts)))
-    tau_value = kp.tau(op, trow, N)
+    tau_value = kp.tau(op, times, N)
     row = [*trow, omega1.real, omega1.imag, lambda1.real, lambda1.imag, residual]
     row += [tau_value.real, tau_value.imag]
     if pair:
-        row.append(kp.kp_residual(c, trow, 2 * N))
+        row.append(kp.kp_residual(c, times, 2 * N))
     return row
 
 

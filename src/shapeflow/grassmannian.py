@@ -17,6 +17,7 @@ finite symmetric-difference descriptions of subsets of the integers.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -122,9 +123,24 @@ def fprime_reciprocal(f_coeffs, N: int):
 
 
 def _upper_toeplitz(band):
-    """The square upper-triangular Toeplitz matrix whose entry (i, j) is band[j - i]."""
-    idx = np.arange(len(band))
-    return np.triu(band[np.abs(idx - idx[:, None])])
+    """The square upper-triangular Toeplitz matrix whose entry (i, j) is band[j - i].
+
+    One gather from ``band`` with a zero appended; the zero is that of the
+    band's dtype, ``0j`` for complex and the int ``0`` for object bands, as
+    ``np.triu`` writes.
+    """
+    padded = np.concatenate([band, np.zeros(1, dtype=band.dtype)])
+    return padded[_toeplitz_table(len(band))]
+
+
+@functools.lru_cache(maxsize=16)
+def _toeplitz_table(size: int) -> np.ndarray:
+    """Read-only index of ``_upper_toeplitz``: ``j - i`` on and above the
+    diagonal, ``size`` (the appended zero) below it."""
+    lag = np.arange(size) - np.arange(size)[:, None]
+    lag[lag < 0] = size
+    lag.flags.writeable = False
+    return lag
 
 
 def c_blocks(f_coeffs, n: int, N: int):

@@ -22,6 +22,13 @@ index set does not move.  :func:`omega1_and_partials` fills the whole jet
 of ``omega_1 = D_1/(1-D_0)`` from one table by the Leibniz rule applied to
 ``omega_1 (1 - D_0) = D_1``, and :func:`kp_value` reads the KP residual off
 that jet, so no finite differences enter and one table serves a sweep row.
+
+Each Schur value ``S_q`` depends on ``q`` and the times alone, so the values
+up to order K are a prefix of those up to any larger order, bit for bit.  A
+:class:`GeneralizedTimes` keeps the values :func:`schur` has computed for it
+and a later call extends that prefix, so a sweep row that builds one times
+object runs one recurrence for all its tables: ``ABForm.build`` at N and 2N
+and :func:`tau` read orders N+1, 2N+1 and N+n of the same run.
 """
 
 from __future__ import annotations
@@ -69,6 +76,9 @@ class GeneralizedTimes:
     """
 
     values: tuple
+    # S_0, S_1, ... as computed so far by :func:`schur`; not part of the
+    # value, so equal times compare and hash equal whatever each computed
+    _schur: tuple = dataclasses.field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = tuple(self.values)
@@ -123,23 +133,34 @@ def schur(t, K: int) -> np.ndarray:
     values are byte-identical to :func:`~shapeflow.series.exp_series`.
     Exact entries (Fractions, symbols) stay exact and scale by
     ``Fraction(1, q)``.
+
+    ``S_q`` depends on ``q`` and ``t`` alone, so ``schur(t, K)`` is the first
+    ``K + 1`` entries of ``schur(t, L)`` for every ``L >= K``, bit for bit.
+    When ``t`` is a :class:`GeneralizedTimes` the values are kept on it and a
+    later call runs only the steps past the longest earlier order; every call
+    returns a fresh array.
     """
     times = GeneralizedTimes.of(t)
     if K < 0:
         raise ValueError("Schur order must be >= 0")
     numeric = all(isinstance(v, _NUMERIC) for v in times.values)
-    vals = times.values[:K]
-    if numeric:
-        vals = [complex(v) for v in vals]
-    jt = [j * v for j, v in enumerate(vals, start=1)]
-    out = [1]
-    for q in range(1, K + 1):
-        # out holds S_0..S_{q-1}, so reversed(out) pairs t_j with S_{q-j}
-        acc = 0
-        for w, s in zip(jt, reversed(out)):
-            acc = acc + w * s
-        out.append(acc * (1.0 / q if numeric else Fraction(1, q)))
-    return np.asarray(out, dtype=complex if numeric else object)
+    out = times._schur
+    if len(out) <= K:
+        vals = times.values[:K]
+        if numeric:
+            vals = [complex(v) for v in vals]
+        jt = [j * v for j, v in enumerate(vals, start=1)]
+        out = list(out) or [1]
+        for q in range(len(out), K + 1):
+            # out holds S_0..S_{q-1}, so reversed(out) pairs t_j with S_{q-j}
+            acc = 0
+            for w, s in zip(jt, reversed(out)):
+                acc = acc + w * s
+            out.append(acc * (1.0 / q if numeric else Fraction(1, q)))
+        # published whole, so a times object shared between threads only
+        # ever holds a complete prefix
+        object.__setattr__(times, "_schur", tuple(out))
+    return np.asarray(out[: K + 1], dtype=complex if numeric else object)
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,10 +202,17 @@ class ABForm:
             raise WindowTooSmall(f"bilinear form needs N >= 1, got {N}")
         supplied = np.asarray(f_coeffs, dtype=complex).ravel()
         v = _shape_weights(supplied[:N].tobytes(), int(N))
-        # a[q - s + depth] = S_{q-s}, zero below q = s
         a = np.concatenate([np.zeros(_TABLE_DEPTH), schur(t, N + 1)])
-        lags = np.arange(N + 2) - np.arange(_TABLE_DEPTH + 1)[:, None] + _TABLE_DEPTH
-        return cls(table=tuple((a[lags] @ v).tolist()))
+        return cls(table=tuple((a[_lag_table(int(N))] @ v).tolist()))
+
+
+@functools.lru_cache(maxsize=16)
+def _lag_table(N: int) -> np.ndarray:
+    """Read-only ``lags[s, q] = q - s + depth``: ``a[lags]`` holds ``S_{q-s}``
+    when ``a`` is the Schur values after ``depth`` zeros, zero below q = s."""
+    lags = np.arange(N + 2) - np.arange(_TABLE_DEPTH + 1)[:, None] + _TABLE_DEPTH
+    lags.flags.writeable = False
+    return lags
 
 
 # omega_1's partials of total order <= 3, then the two higher t_1 orders the
@@ -204,7 +232,12 @@ def _leibniz_terms(alpha) -> tuple:
     return tuple(terms)
 
 
-_PLAN = tuple((alpha, _weight(alpha) + 1, _leibniz_terms(alpha)) for alpha in _JET)
+# one entry per partial in _JET order: its table slot w(alpha) + 1 and its
+# Leibniz terms, each (binomial, table slot, position of alpha - gamma in _JET)
+_PLAN = tuple(
+    (_weight(alpha) + 1, tuple((b, shift, _JET.index(rest)) for b, shift, rest in _leibniz_terms(alpha)))
+    for alpha in _JET
+)
 
 
 def omega1_and_partials(ab: ABForm) -> dict:
@@ -225,13 +258,13 @@ def omega1_and_partials(ab: ABForm) -> dict:
     denom = 1.0 - complex(D[0])
     if abs(denom) <= 1e-10:
         raise NearSingularA(f"1 - A = {denom:.3e} is too small to divide by")
-    jet = {}
-    for alpha, slot, terms in _PLAN:
+    jet = []
+    for slot, terms in _PLAN:
         acc = D[slot]
         for binom, shift, rest in terms:
             acc += binom * D[shift] * jet[rest]
-        jet[alpha] = acc / denom
-    return jet
+        jet.append(acc / denom)
+    return dict(zip(_JET, jet))
 
 
 def kp_value(jet: dict) -> complex:
@@ -287,9 +320,15 @@ def _wave_system(op: GraphOperator, t, N: int):
     cols = min(N, op.N) + 1
     graph = np.asarray(op.matrix, dtype=complex)[:, :cols]
     a = np.asarray(schur(t, cols + op.n - 1), dtype=complex)
-    body = _upper_toeplitz(a[: op.n])
-    shifted = a[np.arange(cols)[:, None] + np.arange(1, op.n + 1)]
-    return a, body, shifted, graph
+    return a, _upper_toeplitz(a[: op.n]), a[_shift_table(cols, op.n)], graph
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_table(cols: int, n: int) -> np.ndarray:
+    """Read-only ``idx[i, l] = i + l + 1``, so ``a[idx]`` is ``shifted``."""
+    idx = np.arange(cols)[:, None] + np.arange(1, n + 1)
+    idx.flags.writeable = False
+    return idx
 
 
 def baker_akhiezer(op: GraphOperator, t, z_samples: Sequence = ()) -> BakerAkhiezer:

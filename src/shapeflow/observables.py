@@ -336,12 +336,6 @@ class PhasePoly:
             raise IndexOutOfWindow(f"c_{n} outside window")
         return cls._trusted(window, {1 << window._keys.shift[(_C, n)]: QC(1)})
 
-    @classmethod
-    def psibar(cls, m, window):
-        if not window.has_psi(m):
-            raise IndexOutOfWindow(f"psibar_{m} outside window")
-        return cls._trusted(window, {1 << window._keys.shift[(_PSI, m)]: QC(1)})
-
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self):
@@ -395,8 +389,8 @@ class PhasePoly:
         self._check(other)
         if not other._terms:
             return self
-        if not self._terms:
-            return -other if negate else other
+        if not self._terms and not negate:
+            return other
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             prev = out.get(mono)
@@ -409,9 +403,6 @@ class PhasePoly:
                 else:
                     del out[mono]
         return PhasePoly._trusted(self.window, out)
-
-    def __neg__(self):
-        return PhasePoly._trusted(self.window, {m: -c for m, c in self._terms.items()})
 
     def scale(self, s):
         s = QC.from_number(s)
@@ -605,12 +596,6 @@ class VectorFieldOnF0:
     def component(self, n):
         w = self.window
         return self.components.get(n, PhasePoly.zero(w))
-
-    def apply_to(self, poly: PhasePoly) -> PhasePoly:
-        """Derivative of a c-polynomial along the field: sum_n X_n dpoly/dc_n."""
-        acc = {}
-        _apply_into(acc, self._raw_components(), poly)
-        return _collect(self.window, acc)
 
     def _raw_components(self):
         """(shift of c_n, raw terms of X_n) for each component, in order."""

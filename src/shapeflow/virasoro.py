@@ -116,7 +116,7 @@ def commutator(x: VectorFieldOnF0, y: VectorFieldOnF0) -> VectorFieldOnF0:
 
     commutator(L_k, L_n) = (n - k) L_{k+n}.
 
-    Component n is ``y.apply_to(x_n) - x.apply_to(y_n)``, built as one exact
+    Component n is ``sum_m (y_m dx_n/dc_m - x_m dy_n/dc_m)``, built as one exact
     accumulation: both derivatives go into one dict of raw parts, with the
     raw terms of every component listed once per call.
     """

@@ -721,6 +721,50 @@ def test_kp_builds_one_table_per_row_and_window(tmp_path, monkeypatch, pair, par
     assert sorted(windows) == [4] * 3 + ([8] * 3 if pair else [])
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("pair", [False, True])
+def test_kp_and_tau_run_one_schur_recurrence_per_row(tmp_path, monkeypatch, pair, n, parallel):
+    # every recurrence step reverses the Schur prefix once, so counting the
+    # calls of reversed in kp counts the steps; a kp row's tables and tau
+    # extend one recurrence: to 2N+1 with the pair, else to N+n
+    steps = []
+
+    def counting(seq):
+        steps.append(1)
+        return reversed(seq)
+
+    monkeypatch.setattr(kp, "reversed", counting, raising=False)
+    rows = [[0.05], [0.1, 0.02], [0.0, 0.0, 0.01]]
+    N = KP_CONFIG["N"]
+    path = write_config(tmp_path, dict(KP_CONFIG, n=n, t_rows=rows, convergence_pair=pair))
+    argv = ["kp", "--config", path, "--out", str(tmp_path / "kp"), "--parallel", str(parallel)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(steps) == len(rows) * (2 * N + 1 if pair else N + n)
+    steps.clear()
+    assert cli.main(["tau", "--config", path, "--out", str(tmp_path / "tau")]) == cli.EXIT_OK
+    assert len(steps) == len(rows) * (N + n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pair", [False, True])
+def test_kp_sweep_tau_strings_equal_the_tau_sweep(tmp_path, pair, n):
+    # kp reads tau off a prefix of its row's longest Schur run, tau runs its own
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "scripts", "configs", "kp_sweep.json")) as fh:
+        sweep = json.load(fh)
+    path = write_config(tmp_path, dict(sweep, n=n, convergence_pair=pair))
+    assert cli.main(["kp", "--config", path, "--out", str(tmp_path / "kp")]) == cli.EXIT_OK
+    assert cli.main(["tau", "--config", path, "--out", str(tmp_path / "tau")]) == cli.EXIT_OK
+    with open(tmp_path / "kp" / "kp_sweep.csv") as fh:
+        kp_rows = list(csv.DictReader(fh))
+    with open(tmp_path / "tau" / "tau.csv") as fh:
+        tau_rows = list(csv.DictReader(fh))
+    assert len(kp_rows) == len(tau_rows) == 12
+    for kp_row, tau_row in zip(kp_rows, tau_rows):
+        assert {key: kp_row[key] for key in tau_row} == tau_row
+
+
 def test_kp_snapshot_roundtrip(tmp_path):
     config = dict(ATOM_CONFIG, horizon=0.2, step=0.01, order=10, m_neg=2, n_psi=2)
     evolve_path = write_config(tmp_path, config, "evolve.json")
@@ -1214,7 +1258,8 @@ def test_output_digests_script_lists_every_output():
     want += [f"graph/n{n}_N{N}/graph.json" for n in (1, 2, 3) for N in (16, 32, 4)]
     want += ["identities.jsonl"]
     want += [f"sweep/n{n}{part}" for n in (1, 2, 3)
-             for part in ("/kp_sweep.csv", "/tau.csv", "_nopair/kp_sweep.csv")]
+             for part in ("/kp_sweep.csv", "/tau.csv", "_nopair/kp_sweep.csv")
+             + (("_rows/kp_sweep.csv", "_rows/tau.csv") if n == 2 else ())]
     want += ["sweep/snapshot/kp_sweep.csv", "sweep/snapshot/tau.csv"]
     digests, paths = zip(*(line.split("  ") for line in proc.stdout.splitlines()))
     assert list(paths) == want

@@ -8,6 +8,7 @@ import sympy as sp
 
 from shapeflow.grassmannian import (
     GraphOperator,
+    _upper_toeplitz,
     IndexSet,
     InverseCheckFailed,
     UnsupportedOrder,
@@ -82,6 +83,29 @@ def test_c_blocks_band_and_exact_inverse():
     for k in range(7):
         for m in range(7):
             assert prod[k, m] == (1 if k == m else 0)
+
+
+@pytest.mark.parametrize(
+    "band",
+    [
+        np.array([1.0, -0.0j, complex(-0.0, -0.0), 2 - 1j]),
+        np.array([1, Fraction(1, 3), Fraction(-2, 5)], dtype=object),
+        np.array([0.5 + 0.5j]),
+    ],
+    ids=["complex", "object", "one"],
+)
+def test_upper_toeplitz_matches_triu(band):
+    # the gather writes the zero np.triu writes: 0j for complex, int 0 for object
+    idx = np.arange(len(band))
+    want = np.triu(band[np.abs(idx - idx[:, None])])
+    for _ in range(2):  # the second call reads the cached index table
+        got = _upper_toeplitz(band)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if band.dtype == object:
+            assert [(type(x), x) for x in got.ravel()] == [(type(x), x) for x in want.ravel()]
+        else:
+            assert got.tobytes() == want.tobytes()
+        got[0, 0] = 9  # the result is the caller's own
 
 
 def test_c_blocks_numeric_inverse_matches_linalg():

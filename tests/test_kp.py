@@ -1,6 +1,7 @@
 """Tests for the generalized-time flows: Schur values, bilinear forms,
 wave coefficients, Baker-Akhiezer functions, and tau determinants."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -149,6 +150,55 @@ def test_schur_matches_series_oracle_bit_for_bit():
         assert got.tobytes() == want.tobytes(), (t, K)
         count += 1
     assert count == 2400
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (-0.0, 0.0, -0.0),
+        (0.1 - 0.2j, complex(-0.0, 0.3), -0.05j, 0.02),
+        (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)),
+    ],
+    ids=["signed-zeros", "complex", "fractions"],
+)
+def test_schur_extends_its_prefix_bit_for_bit(values):
+    # one times object keeps its Schur values; each call, shorter or longer
+    # than the last, equals a fresh run on the plain values
+    def same(got, want):
+        assert got.dtype == want.dtype
+        if got.dtype == object:
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    times = GeneralizedTimes(values)
+    twin = GeneralizedTimes(values)
+    for K in (17, 33, 5, 18):
+        got = schur(times, K)
+        same(got, schur(values, K))
+        # a returned array is the caller's own
+        got[:] = 7
+        assert times == twin and hash(times) == hash(twin)
+    same(schur(times, 33), schur(values, 33))
+
+
+def test_schur_prefix_shared_between_threads():
+    # threads extend one times object at once; each publishes a whole prefix,
+    # so every result still equals a fresh run
+    values = (0.1 - 0.2j, 0.05, -0.03j)
+    want = {K: schur(values, K).tobytes() for K in range(41)}
+    times = GeneralizedTimes(values)
+    orders = [K for K in range(40, 0, -1) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda K: (K, schur(times, K).tobytes()), orders, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(got) == len(orders)
+    assert all(data == want[K] for K, data in got)
+    assert schur(times, 40).tobytes() == want[40]
 
 
 def test_schur_trivial_times():

@@ -32,7 +32,7 @@ def c(n, w=W):
 
 
 def psi(m, w=W):
-    return PhasePoly.psibar(m, w)
+    return PhasePoly(w, {(((1, m), 1),): 1})
 
 
 def test_canonical_pairs():
@@ -59,7 +59,7 @@ def test_out_of_window_variable_raises():
     with pytest.raises(IndexOutOfWindow):
         PhasePoly.c(7, W)
     with pytest.raises(IndexOutOfWindow):
-        PhasePoly.psibar(-4, W)
+        psi(-4)
 
 
 def test_public_constructor_checks_every_term():
@@ -152,7 +152,7 @@ def _build(spec, w, form):
     for re, im, variables in spec:
         term = PhasePoly.constant(QC(form(re), form(im)), w)
         for kind, idx in variables:
-            term = term * (PhasePoly.c(idx, w) if kind == 0 else PhasePoly.psibar(idx, w))
+            term = term * (PhasePoly.c(idx, w) if kind == 0 else psi(idx, w))
         poly = poly + term
     return poly
 
@@ -216,7 +216,7 @@ def _random_poly(draw, w, max_terms=4, max_degree=3):
                     draw(st.integers(min_value=1, max_value=w.n_c)), w
                 )
             else:
-                term = term * PhasePoly.psibar(
+                term = term * psi(
                     draw(st.integers(min_value=-w.m_neg, max_value=w.n_psi)), w
                 )
         poly = poly + term
@@ -233,7 +233,7 @@ def poly_triples(draw):
 @settings(max_examples=40, deadline=None)
 def test_bracket_antisymmetry_and_jacobi(polys):
     p, q, r = polys
-    assert poisson_bracket(p, q) == -poisson_bracket(q, p)
+    assert poisson_bracket(p, q) == poisson_bracket(q, p).scale(-1)
     jac = (
         poisson_bracket(p, poisson_bracket(q, r))
         + poisson_bracket(q, poisson_bracket(r, p))
@@ -279,9 +279,9 @@ def test_reciprocal_coefficient_closed_forms():
     # z/f coefficients: a_1 = -c1, a_2 = c1^2 - c2, a_3 = -c1^3 + 2 c1 c2 - c3
     a = reciprocal_coefficients(3, W)
     assert a[0] == PhasePoly.constant(1, W)
-    assert a[1] == -c(1)
+    assert a[1] == c(1).scale(-1)
     assert a[2] == c(1) * c(1) - c(2)
-    assert a[3] == -(c(1) * c(1) * c(1)) + c(1).scale(2) * c(2) - c(3)
+    assert a[3] == c(1).scale(2) * c(2) - c(1) * c(1) * c(1) - c(3)
 
 
 def test_corrected_G_displays():
@@ -501,8 +501,6 @@ def test_packed_kernels_match_tuple_reference(data):
     y_ref = {n: data.draw(_ref_poly(w, c_only=True)) for n in range(1, w.n_c + 1)}
     x = VectorFieldOnF0(w, {n: _poly(r, w) for n, r in x_ref.items()})
     y = VectorFieldOnF0(w, {n: _poly(r, w) for n, r in y_ref.items()})
-    c_ref = data.draw(_ref_poly(w, c_only=True))
-    assert _as_ref(x.apply_to(_poly(c_ref, w))) == _ref_apply(x_ref, c_ref)
     field = commutator(x, y)
     for n in range(1, w.n_c + 1):
         want = _ref_add(_ref_apply(y_ref, x_ref[n]), _ref_apply(x_ref, y_ref[n]), -1)

@@ -109,12 +109,20 @@ def test_recursive_field_satisfies_witt_with_closed_forms():
     assert got2 == kirillov_L(-1, w).scale(-5).restricted(5)
 
 
+def apply_field(x, poly):
+    """Derivative of a c-polynomial along a field: sum_m X_m dpoly/dc_m."""
+    out = PhasePoly.zero(x.window)
+    for m, comp in x.components.items():
+        out = out + comp * poly.diff("c", m)
+    return out
+
+
 def two_pass_commutator(x, y):
     """Reference bracket: each component as two derivatives and a subtraction."""
     keys = set(x.components) | set(y.components)
     return VectorFieldOnF0(
         x.window,
-        {n: y.apply_to(x.component(n)) - x.apply_to(y.component(n)) for n in keys},
+        {n: apply_field(y, x.component(n)) - apply_field(x, y.component(n)) for n in keys},
     )
 
 
