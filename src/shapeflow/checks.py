@@ -68,6 +68,15 @@ def _field_closed_form(f, k: int):
     raise ValueError(k)
 
 
+def _worst(errors) -> float:
+    """The largest of the errors, or NaN when one is NaN.
+
+    A check passes on ``worst <= tol``, which a NaN fails, where
+    ``max(worst, err)`` or ``worst > tol`` would drop it.
+    """
+    return float(np.max(errors))
+
+
 # ---------------------------------------------------------------------------
 # witt suite
 
@@ -185,10 +194,10 @@ def _check_basis_displays() -> tuple[bool, str]:
         + 3 * b[1] * b[2] ** 2 - 2 * b[1] * b[4] - 4 * b[1] ** 3 * b[2]
         + b[1] ** 5,
     }
-    worst = 0.0
-    for (k, power), want in display.items():
-        worst = max(worst, abs(complex(op.basis[power + op.n, k]) - want))
-    if worst > 1e-12:
+    worst = _worst(
+        [abs(complex(op.basis[power + op.n, k]) - want) for (k, power), want in display.items()]
+    )
+    if not worst <= 1e-12:
         return False, f"basis coefficient mismatch, worst |error| = {worst:.3e}"
     return True, f"e_0..e_2 match their closed forms, worst |error| = {worst:.3e}"
 
@@ -199,13 +208,14 @@ def _check_basis_gradients() -> tuple[bool, str]:
     N = len(c)
     window = BracketWindow(n_c=N, m_neg=0, n_psi=N + 1)
     cbar = {i + 1: np.conj(c[i]) for i in range(N)}
-    worst = 0.0
+    errors = []
     for j in (1, 2, 3):
         g = corrected_G(1 - j, window)
         for k in range(N + 1):
             grad = g.diff("psi", k + 1).evaluate(cbar, {})
-            worst = max(worst, abs(complex(op.basis[op.n - j, k]) - complex(grad)))
-    if worst > 1e-12:
+            errors.append(abs(complex(op.basis[op.n - j, k]) - complex(grad)))
+    worst = _worst(errors)
+    if not worst <= 1e-12:
         return False, f"basis/gradient mismatch, worst |error| = {worst:.3e}"
     return True, f"negative basis parts equal observable gradients, worst {worst:.3e}"
 
@@ -222,7 +232,7 @@ def _check_quadrature_identity_map() -> tuple[bool, str]:
         want = np.zeros(len(out))
         if k >= 1:
             want[k + 1] = 1.0
-        if np.abs(out - want).max() > 1e-12:
+        if not _worst(np.abs(out - want)) <= 1e-12:
             image = f"z^{k + 1}" if k >= 1 else "zero"
             return False, f"identity map at k={k} is not {image}"
     return True, "monomial images of the identity map reproduced exactly"
@@ -236,13 +246,14 @@ def _check_quadrature_sample_map() -> tuple[bool, str]:
     coeffs = [0.0, 1.0, 0.12, -0.08 + 0.05j, 0.04, -0.02j, 0.01, 0.005j]
     f = TruncatedSeries(np.asarray(coeffs, dtype=complex))
     z = 0.5 * np.exp(2j * np.pi * np.arange(129) / 129)
-    worst = 0.0
+    errors = []
     ks = (-1, 0, 1, 2, 3)
     for k, taylor in zip(ks, schaeffer_spencer(f.coeffs, ks)):
         got = TruncatedSeries(taylor)
         want = _field_closed_form(f, k)
-        worst = max(worst, np.abs(got.evaluate(z) - want.evaluate(z)).max())
-    if worst > 1e-10:
+        errors.append(np.abs(got.evaluate(z) - want.evaluate(z)).max())
+    worst = _worst(errors)
+    if not worst <= 1e-10:
         return False, f"quadrature sup-error {worst:.3e} exceeds 1e-10"
     return True, f"quadrature matches closed forms, sup-error {worst:.3e}"
 

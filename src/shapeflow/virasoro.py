@@ -15,6 +15,8 @@ the numerical cross-check for the closed forms.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -45,10 +47,11 @@ class QuadratureDegenerate(RuntimeError):
     """The contour quadrature hit a (near-)singular configuration."""
 
 
-# interior evaluation points per block of the quadrature matrix: at Q = 2048
-# the two complex block buffers take 1 MiB, where one whole n_z-by-Q
-# temporary takes 4 MiB or more
-_ROWS = 16
+# interior evaluation points per block of the quadrature matrix, in each of
+# the two threads that share a pass: at Q = 2048 the two threads' four complex
+# block buffers take 1 MiB, where one whole n_z-by-Q temporary takes 4 MiB or
+# more
+_ROWS = 8
 
 
 def _c(n, window):
@@ -167,6 +170,34 @@ def _field_degrees(k) -> list:
     return [int(j) for j in ks]
 
 
+def _row_means(fw, fz, weights, means, first: int, stop: int) -> None:
+    """Row means of weight / (f(w) - f(z)) into columns first..stop-1 of ``means``.
+
+    Row j of ``means`` belongs to ``weights[j]``.  The rows go ``_ROWS`` at
+    a time through two (_ROWS, Q) buffers of this call's own, and each
+    block is tested before any division, as ``schaeffer_spencer`` documents.
+    """
+    Q = len(fw)
+    denom = np.empty((_ROWS, Q), dtype=complex)
+    quot = np.empty((_ROWS, Q), dtype=complex)
+    # |f(w) - f(z)| takes the first half of each quotient row until the
+    # division overwrites it
+    size = quot.view(float)[:, :Q]
+    # first and stop are multiples of _ROWS, so the blocks tile the rows
+    for start in range(first, stop, _ROWS):
+        rows = slice(start, start + _ROWS)
+        np.subtract(fw[None, :], fz[rows, None], out=denom)
+        np.abs(denom, out=size)
+        if not (size.min() >= 1e-8):
+            raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
+        for weight, mean in zip(weights, means):
+            np.divide(weight[None, :], denom, out=quot)
+            np.add.reduce(quot, axis=1, out=mean[rows])
+    # row sums divided by Q are what ndarray.mean computes; dividing once
+    # per half spares its Python overhead on every block
+    means[:, first:stop] /= Q
+
+
 def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
     """Variation of f by the boundary field -i z^k, as Taylor coefficients.
 
@@ -187,12 +218,17 @@ def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
 
     The grid, f(w), f'(w) and the boundary test are computed once for all k,
     and the k that need the same number n_z of interior points share one
-    pass over them.  The pass takes the points ``_ROWS`` at a time: each
-    block of f(w) - f(z) is formed and tested once, then divided into each
-    k's weights and averaged in two reused (_ROWS, Q) buffers, so memory is
-    O(_ROWS * Q) rather than O(n_z * Q) whatever the number of k.  Every
-    element, row mean and transform is computed exactly as on the whole
-    n_z-by-Q matrix for one k, so each result is the same to the bit.
+    pass over them.  Each pass splits its n_z points in two halves: the
+    calling thread takes the first and one worker thread the second, and
+    the worker is joined before the pass ends, whether it returns or
+    raises.  Each half takes its points ``_ROWS`` at a time: each block of
+    f(w) - f(z) is formed and tested once, then divided into each k's
+    weights and averaged in two (_ROWS, Q) buffers of that thread's own, so
+    memory is O(_ROWS * Q) rather than O(n_z * Q) whatever the number of
+    k, 1 MiB in all at Q = 2048.  The transforms run once both halves are
+    done.  Every element, row mean and transform is computed exactly as on
+    the whole n_z-by-Q matrix for one k, so each result is the same to the
+    bit.
 
     Raises ValueError when k is not a sequence (a bare int included), is
     empty or holds a bool or a non-integral entry,
@@ -242,11 +278,6 @@ def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
     if _has_close_pair(fw, 1e-8):
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
-    denom = np.empty((_ROWS, Q), dtype=complex)
-    quot = np.empty((_ROWS, Q), dtype=complex)
-    # |f(w) - f(z)| takes the first half of each quotient row until the
-    # division overwrites it
-    size = quot.view(float)[:, :Q]
     out = [None] * len(ks)
     # finite values can still overflow below; the test after ends that in one error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,16 +286,29 @@ def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
             fz = fzs[n_z]
             weights = [squared * w ** ks[i] for i in members]
             means = np.empty((len(members), n_z), dtype=complex)
-            # n_z is a power of two >= 128, so the blocks tile it
-            for start in range(0, n_z, _ROWS):
-                rows = slice(start, start + _ROWS)
-                np.subtract(fw[None, :], fz[rows, None], out=denom)
-                np.abs(denom, out=size)
-                if not (size.min() >= 1e-8):
-                    raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
-                for weight, mean in zip(weights, means):
-                    np.divide(weight[None, :], denom, out=quot)
-                    quot.mean(axis=1, out=mean[rows])
+            # n_z is a power of two >= 128, so both halves are whole blocks
+            half = n_z // 2
+            failed = []
+
+            def upper_half():
+                try:
+                    _row_means(fw, fz, weights, means, half, n_z)
+                except Exception as exc:
+                    failed.append(exc)
+
+            # the worker runs in a copy of this context, so the error state
+            # above holds there too
+            worker = threading.Thread(
+                target=contextvars.copy_context().run, args=(upper_half,)
+            )
+            worker.start()
+            try:
+                _row_means(fw, fz, weights, means, 0, half)
+            finally:
+                worker.join()
+            # an error of either half ends the call only after the join
+            if failed:
+                raise failed[0]
             fz2 = fz**2
             for i, mean in zip(members, means):
                 lam = np.fft.fft(fz2 * mean) / n_z

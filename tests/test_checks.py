@@ -1,7 +1,9 @@
 """Tests for the identity-check declarations."""
 
 import importlib
+import json
 
+import numpy as np
 import pytest
 
 from shapeflow import checks, cli
@@ -68,3 +70,48 @@ def test_witt_window_is_derived_and_tight(spec, n_c):
         assert _terms(got) == _terms(got16) and _terms(want) == _terms(want16)
     # one smaller and the truncation edge reaches the compared window
     assert any(got != want for got, want in checks._witt_sides(pairs, w, n_c - 1))
+
+
+def _failing(suite, capsys):
+    """Name -> detail of the failing records of one suite, whose CLI run must fail too."""
+    records = checks.run_suite(suite)
+    assert cli.main(["check", suite]) == cli.EXIT_CHECK_FAILURE
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    return {rec["name"]: rec["detail"] for rec in records if not rec["passed"]}
+
+
+# (row offset from n, column) of one NaN in the basis: row n - 1 of column 0
+# is read by both checks, row n of column 1 only by the displayed
+# coefficients, row n - 3 of column 8 only by the gradients
+@pytest.mark.parametrize(
+    "offset, column, failing",
+    [
+        (-1, 0, {"basis_displayed_coefficients", "basis_observable_gradients"}),
+        (0, 1, {"basis_displayed_coefficients"}),
+        (-3, 8, {"basis_observable_gradients"}),
+    ],
+)
+def test_basis_checks_fail_on_nan(monkeypatch, capsys, offset, column, failing):
+    c, op = checks._basis_fixture()
+    op.basis[op.n + offset, column] = np.nan
+    monkeypatch.setattr(checks, "_basis_fixture", lambda: (c, op))
+    details = _failing("basis", capsys)
+    assert set(details) == failing
+    assert all(detail.endswith("= nan") for detail in details.values())
+
+
+# the checks ask for k = (1, 2, 3, 0, -1) and (-1, 0, 1, 2, 3): a NaN in the
+# first or the last result
+@pytest.mark.parametrize("at", [0, -1])
+def test_quadrature_checks_fail_on_nan(monkeypatch, capsys, at):
+    quadrature = checks.schaeffer_spencer
+
+    def with_nan(f, ks):
+        out = quadrature(f, ks)
+        out[at][1] = np.nan
+        return out
+
+    monkeypatch.setattr(checks, "schaeffer_spencer", with_nan)
+    details = _failing("quadrature", capsys)
+    assert set(details) == {"quadrature_identity_map", "quadrature_sample_map"}
+    assert details["quadrature_sample_map"] == "quadrature sup-error nan exceeds 1e-10"

@@ -620,6 +620,23 @@ def test_check_failure_sets_exit_code(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_check_quadrature_is_byte_identical_across_runs_and_threads(tmp_path, capsys):
+    # twice on this thread, then once from another: the quadrature splits
+    # its rows over a worker thread whichever thread calls it
+    outs = [tmp_path / name for name in ("first", "second", "thread")]
+    for out in outs[:2]:
+        assert cli.main(["check", "quadrature", "--out", str(out)]) == cli.EXIT_OK
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        run = pool.submit(cli.main, ["check", "quadrature", "--out", str(outs[2])])
+        assert run.result() == cli.EXIT_OK
+    capsys.readouterr()
+    first, second, thread = (
+        (out / "check_quadrature.json").read_bytes() for out in outs
+    )
+    assert json.loads(first)["passed"]
+    assert first == second == thread
+
+
 def test_unknown_suite_is_usage_error(monkeypatch, capsys):
     def unreachable(suite):
         raise AssertionError("a suite ran for an unknown suite name")
@@ -1006,6 +1023,27 @@ def test_numerical_failure_is_one_line_and_no_warnings(tmp_path, capsys, command
     assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, good, bad",
+    [
+        ("evolve", ATOM_CONFIG, dict(ATOM_CONFIG, m_neg=1, n_psi=1, psibar0=[1e308] * 3)),
+        ("kp", dict(HUGE_T, t_rows=[[0.05]]), HUGE_T),
+        ("tau", dict(HUGE_T, t_rows=[[0.05]]), HUGE_T),
+    ],
+)
+def test_failed_rerun_leaves_the_earlier_outputs(tmp_path, capsys, command, good, bad):
+    # exit 3 writes nothing, so the files of an earlier run into the same
+    # directory stay byte for byte, though they no longer match the last config
+    out = tmp_path / "out"
+    run = [command, "--out", str(out), "--config"]
+    assert cli.main([*run, write_config(tmp_path, good, "good.json")]) == cli.EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert before
+    assert cli.main([*run, write_config(tmp_path, bad, "bad.json")]) == cli.EXIT_NUMERICAL_FAILURE
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 # every NumericalFailure of the package, raised inside the layer that owns it

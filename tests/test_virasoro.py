@@ -1,5 +1,8 @@
 """Vector-field algebra and contour-variation tests."""
 
+import concurrent.futures
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -238,6 +241,37 @@ def test_quadrature_collision_in_any_row_block(where):
         schaeffer_spencer(f, [1], Q=Q)
     with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
         schaeffer_spencer(f, [-1, 0, 1, 2, 3], Q=Q)
+
+
+# a clean run, and a collision on the first row (the calling thread's half)
+# or on the last (the worker's half), as in the test above
+@pytest.mark.parametrize("where", ["none", "first", "last"])
+def test_quadrature_leaves_no_thread_behind(where):
+    before = threading.enumerate()
+    if where == "none":
+        schaeffer_spencer(seeded_map(np.random.default_rng(5), 70), [-1, 0, 1, 2, 3, 5])
+    else:
+        i = {"first": 0, "last": 127}[where]
+        f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / 128)]
+        with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
+            schaeffer_spencer(f, [-1, 0, 1, 2, 3])
+    assert threading.enumerate() == before
+
+
+def test_quadrature_is_bit_identical_under_concurrent_callers():
+    # more callers than cores, each with its own worker, switching often
+    f = seeded_map(np.random.default_rng(7), 70)
+    ks = [-1, 0, 1, 2, 3, 5]
+    want = [taylor.tobytes() for taylor in schaeffer_spencer(f, ks)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(schaeffer_spencer, f, ks) for _ in range(8)]
+            got = [[taylor.tobytes() for taylor in run.result(timeout=60)] for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * len(runs)
 
 
 def test_quadrature_memory_stays_at_row_blocks():
