@@ -54,11 +54,6 @@ class HerglotzDriver:
     pieces: tuple
 
     @classmethod
-    def identity(cls):
-        """The trivial driver p == 1 (uniform measure)."""
-        return cls(pieces=(DriverPiece(0.0),))
-
-    @classmethod
     def single_atom(cls, theta=0.0):
         return cls(pieces=(DriverPiece(0.0, (Atom(theta, 1.0),)),))
 
@@ -90,9 +85,6 @@ class HerglotzDriver:
             if p.t_start <= t:
                 current = i
         return current
-
-    def piece_at(self, t):
-        return self.pieces[self._index_at(t)]
 
     def moments(self, t, N):
         """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}.

@@ -14,7 +14,8 @@ pseudo-Hamiltonian H = sum_m Phi_{m+1} psibar_m, Phi = f (1 - p(e^{-t}f)).
 The generating function Gbar(z) = f'(z) psibar(z) has coefficients constant
 along trajectories; with the window layout used here the conservation is
 exact for every representable index whenever Npsi - N <= -M
-(upper-triangular error propagation never reaches the retained indices).
+(upper-triangular error propagation never reaches the retained indices);
+``evolve`` refuses any other window.
 
 Everything here works on raw ``complex128`` coefficient arrays.  p(w) is
 composed by Horner, each product one call of numpy's correlate core (the C
@@ -316,11 +317,13 @@ def evolve(
 ) -> TrajectoryRecord:
     """Classical fixed-step RK4 trajectory with a snapshot at every step.
 
-    The horizon must be a whole number of steps, to 1e-9 relative, so the
-    last state sits at the horizon; else InvalidInput, as for step <= 0,
-    horizon < 0 or an infinite step count.  Raises StepRejected when a state
-    leaves the divergence guard (|c| above 1e6, or |psibar| above 1e6 times
-    its starting peak) or when a state, a Gbar coefficient or H is not finite.
+    The window must keep Gbar conserved, m_neg + n_psi <= order (see the
+    module docstring), and the horizon must be a whole number of steps, to
+    1e-9 relative, so the last state sits at the horizon; else InvalidInput,
+    as for step <= 0, horizon < 0 or an infinite step count, all before any
+    step.  Raises StepRejected when a state leaves the divergence guard (|c|
+    above 1e6, or |psibar| above 1e6 times its starting peak) or when a
+    state, a Gbar coefficient or H is not finite.
 
     Each RK4 step runs on one driver piece.  A switch strictly inside a step
     splits it into a step to the switch on the old piece and one from the
@@ -329,6 +332,11 @@ def evolve(
     step from it belong to the new piece.  ``TrajectoryRecord.pieces`` holds
     each state's piece index, so H + G_0 can be compared within a piece.
     """
+    if state0.m_neg + state0.n_psi > state0.order:
+        raise InvalidInput(
+            f"m_neg + n_psi = {state0.m_neg} + {state0.n_psi} exceeds order {state0.order}: "
+            "Gbar is conserved only when m_neg + n_psi <= order"
+        )
     if not (step > 0 and 0 <= horizon / step < np.inf):
         raise InvalidInput("need step > 0 and a finite horizon / step >= 0")
     steps = horizon / step

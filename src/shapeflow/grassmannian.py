@@ -4,15 +4,17 @@ The generating coefficients of a trajectory assemble into a Laurent vector
 G(z) = sum_k G_{k+1} z^k whose positive part is governed by the
 unit-triangular Toeplitz block C11 (multiplication by the derivative of the
 conjugated map) and whose finitely many negative coefficients are linear in
-the positive ones.  Step 1 removes the raw psi-dependence (operator T~_n);
-Step 2 replaces the n raw negative rows with Kirillov's fields L_0, ...,
-L_{-(n-1)} of the map, one closed form for every order n, producing an
-operator T_n whose graph
+the positive ones.  Step 1, the raw operator T~_n that removes the
+psi-dependence, lives in the tests as a reference.  Step 2 replaces the n raw
+negative rows with Kirillov's fields L_0, ..., L_{-(n-1)} of the map, one
+closed form for every order n, producing an operator T_n whose graph
 
     W_{T_n} = span{e_0, e_1, ...}
 
-contains every G built from the same map.  Index bookkeeping is done through
-finite symmetric-difference descriptions of subsets of the integers.
+contains every G built from the same map.  The graph's place in Segal &
+Wilson's Grassmannian is its index set S_W, a finite symmetric-difference
+description of a subset of the integers, and the virtual dimension read off
+it; no command reports them, and the tests pin both.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ __all__ = [
     "UnsupportedOrder",
     "c_blocks",
     "fprime_reciprocal",
-    "graph_membership",
-    "step1_ttilde",
     "step2_graph",
-    "virtual_dimension",
 ]
 
 
@@ -63,10 +62,9 @@ class IndexSet:
         if any(k < 0 for k in self.removed):
             raise ValueError("removed indices must be nonnegative")
 
-
-def virtual_dimension(s: IndexSet) -> int:
-    """Fredholm index of the projection H_S -> H_+: kernel minus cokernel."""
-    return len(s.added) - len(s.removed)
+    def virtual_dimension(self) -> int:
+        """Fredholm index of the projection H_S -> H_+: kernel minus cokernel."""
+        return len(self.added) - len(self.removed)
 
 
 def _conjugate_all(f_coeffs):
@@ -144,22 +142,19 @@ def _toeplitz_table(size: int) -> np.ndarray:
 
 
 def c_blocks(f_coeffs, n: int, N: int):
-    """Truncated blocks (C11, C12_cut, C11inv) for the given map coefficients.
+    """Truncated blocks (C11, C11inv) for the given map coefficients.
 
     C11 is the (N+1) x (N+1) upper unit-triangular Toeplitz band with first
-    row 1, 2c_1, 3c_2, ...; C12_cut holds the n raw negative rows (column q
-    pairs with psibar_{q+1}); C11inv is the Toeplitz band of the reciprocal
+    row 1, 2c_1, 3c_2, ...; C11inv is the Toeplitz band of the reciprocal
     of the derivative symbol, which inverts C11 exactly in this truncation.
     Numeric and exact coefficients share this code; exact entries stay exact.
-    Raises WindowTooSmall unless N >= n.
+    Raises WindowTooSmall unless N >= n, the graph order the blocks serve.
     """
     if N < n:
         raise WindowTooSmall(f"window N = {N} must be at least n = {n}")
     _, d, exact = _band(f_coeffs, N)
-    # row j, column q carries (q+1+j) c_{q+j} = d[q+j], zero past the window
-    c12 = d[np.arange(1, n + 1)[:, None] + np.arange(N + 1)]
     fprime = d[: N + 1]
-    return _upper_toeplitz(fprime), c12, _upper_toeplitz(_unit_reciprocal(fprime, exact))
+    return _upper_toeplitz(fprime), _upper_toeplitz(_unit_reciprocal(fprime, exact))
 
 
 def _graph_rows(f_coeffs, n: int, N: int):
@@ -187,13 +182,6 @@ def _graph_rows(f_coeffs, n: int, N: int):
     return gamma if exact else gamma.astype(complex)
 
 
-def step1_ttilde(f_coeffs, n: int, N: int):
-    """Raw finite-rank operator: negative rows of the conjugated map times C11inv."""
-    cbar = _conjugate_all(f_coeffs)
-    _, c12, c11inv = c_blocks(cbar, n, N)
-    return c12 @ c11inv
-
-
 @dataclass
 class GraphOperator:
     """Finite-rank operator T_n together with the graph basis it defines.
@@ -207,23 +195,7 @@ class GraphOperator:
     N: int
     matrix: np.ndarray  # n x (N+1)
     c11: np.ndarray
-    c11_inv: np.ndarray
     basis: np.ndarray  # (n+N+1) x (N+1)
-
-    def _check_psi(self, psi):
-        psi = np.asarray(psi)
-        if psi.shape != (self.N + 1,):
-            raise ValueError(f"psi must have length {self.N + 1}")
-        return psi
-
-    def element_from_psi(self, psi) -> np.ndarray:
-        """The graph element with positive part C11 psi and negative part T (C11 psi)."""
-        pos = self.c11 @ self._check_psi(psi)
-        return np.concatenate([(self.matrix @ pos)[::-1], pos])
-
-    def combination(self, psi) -> np.ndarray:
-        """sum_k psi[k] e_k over the basis."""
-        return self.basis @ self._check_psi(psi)
 
     def index_set(self) -> IndexSet:
         """The orders of the basis under column reduction, relative to Z+.
@@ -254,9 +226,6 @@ class GraphOperator:
         added = frozenset(p for p in powers if p < 0)
         removed = frozenset(set(range(self.N + 1)) - powers)
         return IndexSet(added, removed)
-
-    def virtual_dimension(self) -> int:
-        return virtual_dimension(self.index_set())
 
     def to_json(self) -> str:
         def ri(x):
@@ -294,7 +263,7 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
     if n < 1:
         raise UnsupportedOrder(f"graphs are constructed for n >= 1, got n = {n}")
     cbar = _conjugate_all(f_coeffs)
-    c11, _, c11inv = c_blocks(cbar, n, N)
+    c11, c11inv = c_blocks(cbar, n, N)
     gamma = _graph_rows(cbar, n, N)
     t_n = gamma @ c11inv
     if c11.dtype != object:
@@ -303,18 +272,4 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
         if not resid <= 1e-12:
             raise InverseCheckFailed(f"triangular inverse check failed: {resid:g}")
     basis = np.vstack([gamma[::-1], c11])
-    return GraphOperator(n=n, N=N, matrix=t_n, c11=c11, c11_inv=c11inv, basis=basis)
-
-
-def graph_membership(g, op: GraphOperator, psi) -> float:
-    """Sup-norm residual of G against the basis combination sum psi[k] e_k.
-
-    ``g`` holds the coefficients of G on powers -n..N, as rows of the basis.
-    """
-    g = np.asarray(g)
-    if g.shape != (op.n + op.N + 1,):
-        raise ValueError(
-            f"G must hold the {op.n + op.N + 1} coefficients of powers "
-            f"{-op.n}..{op.N}, got shape {g.shape}"
-        )
-    return float(np.abs(g.astype(complex) - op.combination(psi).astype(complex)).max())
+    return GraphOperator(n=n, N=N, matrix=t_n, c11=c11, basis=basis)

@@ -60,6 +60,9 @@ _TABLE_DEPTH = 12
 
 _NUMERIC = (int, float, complex, np.number)
 
+# Terms of the Sato shift t - [z^{-1}] that are kept.
+_SATO_TERMS = 24
+
 
 def _weight(alpha) -> int:
     """The table shift w(alpha) = alpha_1 + 2 alpha_2 + 3 alpha_3 of d^alpha."""
@@ -71,8 +74,7 @@ class GeneralizedTimes:
     """A finite vector of flow times ``(t_1, ..., t_M)``.
 
     Vectors shorter than three entries are zero-padded so the three KP
-    directions always exist; entries beyond ``M`` are treated as zero by
-    :meth:`get`.
+    directions always exist.
     """
 
     values: tuple
@@ -93,14 +95,6 @@ class GeneralizedTimes:
             return t
         return cls(tuple(t))
 
-    def get(self, k: int):
-        """The time t_k (1-based); zero beyond the stored window."""
-        if k < 1:
-            raise IndexError(f"time index must be >= 1, got {k}")
-        if k <= len(self.values):
-            return self.values[k - 1]
-        return 0.0
-
     def xi(self, z):
         """The exponent ``sum_k t_k z**k``; exact, the sum is finite."""
         total = 0.0
@@ -108,17 +102,19 @@ class GeneralizedTimes:
             total = total + v * z**k
         return total
 
-    def sato_shifted(self, z: complex, terms: int = 24) -> "GeneralizedTimes":
-        """The shifted vector ``t_k - 1/(k z^k)`` over ``k = 1..terms``.
+    def sato_shifted(self, z: complex) -> "GeneralizedTimes":
+        """The shifted vector ``t_k - 1/(k z^k)`` over ``k = 1.._SATO_TERMS``.
 
         This is the time shift entering the wave-function quotient
-        ``exp(xi) tau(t - [z^{-1}]) / tau(t)``; ``terms`` truncates the
-        geometric tail, which decays like ``|z|^-terms``.
+        ``exp(xi) tau(t - [z^{-1}]) / tau(t)``; the geometric tail, which
+        decays like ``|z|^-k``, is cut after ``_SATO_TERMS`` terms, or after
+        the stored times if there are more.
         """
         z = complex(z)
-        span = max(len(self.values), int(terms))
+        span = max(len(self.values), _SATO_TERMS)
+        padded = self.values + (0.0,) * (span - len(self.values))
         return GeneralizedTimes(
-            tuple(self.get(k) - 1.0 / (k * z**k) for k in range(1, span + 1))
+            tuple(v - 1.0 / (k * z**k) for k, v in enumerate(padded, start=1))
         )
 
 
@@ -382,7 +378,7 @@ def tau(op: GraphOperator, t, N: int) -> complex:
     return complex(np.linalg.det(body - graph @ shifted))
 
 
-def sato_psi(op: GraphOperator, t, z: complex, N: int, terms: int = 24) -> complex:
+def sato_psi(op: GraphOperator, t, z: complex, N: int) -> complex:
     """The wave function reconstructed from two tau evaluations.
 
     Computes ``exp(xi(t, z)) * tau(t - [z^{-1}]) / tau(t)`` where
@@ -391,6 +387,6 @@ def sato_psi(op: GraphOperator, t, z: complex, N: int, terms: int = 24) -> compl
     """
     times = GeneralizedTimes.of(t)
     z = complex(z)
-    numerator = tau(op, times.sato_shifted(z, terms), N)
+    numerator = tau(op, times.sato_shifted(z), N)
     denominator = tau(op, times, N)
     return complex(np.exp(times.xi(z)) * numerator / denominator)

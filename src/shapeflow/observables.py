@@ -49,7 +49,6 @@ __all__ = [
     "corrected_G",
     "reciprocal_coefficients",
     "iota",
-    "truncated_witt_bracket",
     "WindowMismatch",
     "IndexOutOfWindow",
     "NotLinearInPsi",
@@ -656,20 +655,3 @@ def iota(p: PhasePoly) -> VectorFieldOnF0:
         p.window, {n: PhasePoly._trusted(p.window, t) for n, t in comps.items()}
     )
 
-
-def truncated_witt_bracket(gk: PhasePoly, gl: PhasePoly, n: int) -> PhasePoly:
-    """Poisson bracket of two generating coefficients in the n-truncated algebra.
-
-    Computes {gk, gl} and then projects out the generating-function
-    components with index below -n+1: a Gbar_m component shows up as the
-    pure monomial psibar_m with a scalar coefficient (the c_0 term of
-    Gbar_m), so for every index m <= -n that scalar multiple of
-    gbar_coefficient(m) is subtracted.
-    """
-    b = poisson_bracket(gk, gl)
-    w = b.window
-    for m in range(-w.m_neg, min(-n, w.n_psi) + 1):
-        lam = b.coefficient((((_PSI, m), 1),))
-        if lam:
-            b = b - gbar_coefficient(m, w).scale(lam)
-    return b

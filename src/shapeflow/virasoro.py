@@ -47,6 +47,8 @@ class QuadratureDegenerate(RuntimeError):
     """The contour quadrature hit a (near-)singular configuration."""
 
 
+# boundary points of the trapezoid rule in schaeffer_spencer
+_Q = 2048
 # interior evaluation points per block of the quadrature matrix, in each of
 # the two threads that share a pass: at Q = 2048 the two threads' four complex
 # block buffers take 1 MiB, where one whole n_z-by-Q temporary takes 4 MiB or
@@ -145,15 +147,17 @@ def _has_close_pair(values: np.ndarray, tol: float) -> bool:
     Sort-and-sweep: after sorting by real part, neighbours d apart are
     compared for d = 1, 2, ... while some pair is within tol in real part.
     A pair with |a - b| < tol has |Re(a - b)| < tol, so no pair is missed,
-    and the real-part gap of d-th neighbours only grows with d.
+    and the real-part gap of d-th neighbours only grows with d.  A difference
+    that overflows is infinite, so its pair is far apart, with no warning.
     """
     v = values[np.argsort(values.real, kind="stable")]
-    for d in range(1, len(v)):
-        near = v.real[d:] - v.real[:-d] < tol
-        if not near.any():
-            return False
-        if (np.abs(v[d:][near] - v[:-d][near]) < tol).any():
-            return True
+    with np.errstate(over="ignore"):
+        for d in range(1, len(v)):
+            near = v.real[d:] - v.real[:-d] < tol
+            if not near.any():
+                return False
+            if (np.abs(v[d:][near] - v[:-d][near]) < tol).any():
+                return True
     return False
 
 
@@ -198,7 +202,7 @@ def _row_means(fw, fz, weights, means, first: int, stop: int) -> None:
     means[:, first:stop] /= Q
 
 
-def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
+def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
     """Variation of f by the boundary field -i z^k, as Taylor coefficients.
 
     ``f`` holds the Taylor coefficients f_0..f_N of the map, at least two and
@@ -210,11 +214,11 @@ def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
 
         L(z) = f(z)^2 * (1/2pi) \\oint (w f'(w)/f(w))^2 w^k / (f(w) - f(z)) dtheta
 
-    by the trapezoid rule on Q uniform boundary points, evaluates it on the
-    interior circle |z| = 1/2, and recovers Taylor coefficients by a discrete
-    Fourier transform.  The coefficients are reliable where |L_j| 2^{-j} is
-    above roundoff; for |z| <= 1/2 the re-evaluated series is spectrally
-    accurate.
+    by the trapezoid rule on Q = 2048 (``_Q``) uniform boundary points,
+    evaluates it on the interior circle |z| = 1/2, and recovers Taylor
+    coefficients by a discrete Fourier transform.  The coefficients are
+    reliable where |L_j| 2^{-j} is above roundoff; for |z| <= 1/2 the
+    re-evaluated series is spectrally accurate.
 
     The grid, f(w), f'(w) and the boundary test are computed once for all k,
     and the k that need the same number n_z of interior points share one
@@ -225,25 +229,21 @@ def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
     f(w) - f(z) is formed and tested once, then divided into each k's
     weights and averaged in two (_ROWS, Q) buffers of that thread's own, so
     memory is O(_ROWS * Q) rather than O(n_z * Q) whatever the number of
-    k, 1 MiB in all at Q = 2048.  The transforms run once both halves are
-    done.  Every element, row mean and transform is computed exactly as on
-    the whole n_z-by-Q matrix for one k, so each result is the same to the
-    bit.
+    k, 1 MiB in all.  The transforms run once both halves are done.  Every
+    element, row mean and transform is computed exactly as on the whole
+    n_z-by-Q matrix for one k, so each result is the same to the bit.
 
     Raises ValueError when k is not a sequence (a bare int included), is
-    empty or holds a bool or a non-integral entry,
-    when Q is not an int >= 1, or when f has fewer than two coefficients or
-    a non-finite one.  Raises QuadratureDegenerate, with no numpy warning,
-    when the coefficients of f' or the values f(w), f'(w) and f(z) overflow,
-    when f(w) = 0 on the grid, when two boundary images f(w) lie closer than
-    1e-8 (a sort-and-sweep test, ``_has_close_pair``, O(Q log Q) unless many
-    images share a real part), when f(w) - f(z) nearly vanishes, or is not a
-    number, on the grid, or when the quadrature itself overflows, which an
-    output degree above 1074 always does.
+    empty or holds a bool or a non-integral entry, or when f has fewer than
+    two coefficients or a non-finite one.  Raises QuadratureDegenerate, with
+    no numpy warning, when the coefficients of f' or the values f(w), f'(w)
+    and f(z) overflow, when f(w) = 0 on the grid, when two boundary images
+    f(w) lie closer than 1e-8 (a sort-and-sweep test, ``_has_close_pair``,
+    O(Q log Q) unless many images share a real part), when f(w) - f(z)
+    nearly vanishes, or is not a number, on the grid, or when the quadrature
+    itself overflows, which an output degree above 1074 always does.
     """
     ks = _field_degrees(k)
-    if isinstance(Q, bool) or not isinstance(Q, int) or Q < 1:
-        raise ValueError(f"Q must be an int >= 1, got {Q!r}")
     f = np.asarray(f, dtype=complex)
     if f.ndim != 1 or len(f) < 2:
         raise ValueError("f must be a 1-D array of at least two Taylor coefficients")
@@ -260,7 +260,7 @@ def schaeffer_spencer(f, k: Sequence[int], Q: int = 2048) -> list[np.ndarray]:
         while n_z < 2 * (order_out + 1):
             n_z *= 2
         passes.setdefault(n_z, []).append(i)
-    theta = 2 * np.pi * np.arange(Q) / Q
+    theta = 2 * np.pi * np.arange(_Q) / _Q
     w = np.exp(1j * theta)
     # a huge map overflows here; the test below ends that in one error
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line front end."""
 
+import ast
 import concurrent.futures
 import csv
+import glob
 import inspect
 import itertools
 import json
@@ -106,7 +108,7 @@ def test_invalid_driver_weights_rejected(tmp_path):
 def test_driver_theta_too_large_for_its_moments_is_config_error(tmp_path, capsys):
     # theta = 1e308 makes k theta overflow at k = 2: a config error naming
     # the piece, not a runaway
-    config = {"driver": one_atom(theta=1e308), "horizon": 0.01, "step": 0.001, "order": 3}
+    config = {"driver": one_atom(theta=1e308), "horizon": 0.01, "step": 0.001, "order": 3, "m_neg": 1, "n_psi": 2}
     out = tmp_path / "out"
     assert cli.main(["evolve", "--config", write_config(tmp_path, config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
     (line,) = capsys.readouterr().err.splitlines()
@@ -126,6 +128,19 @@ def test_seed_must_be_nonnegative(tmp_path, capsys, seed, code):
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"config error: seed must be nonnegative, got {seed}"
         assert not out.exists()
+
+
+def test_window_that_breaks_conservation_is_config_error(tmp_path, capsys):
+    # unrefused, this config ran its 50 steps with exit 0 and a Gbar drift of 0.17
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(ATOM_CONFIG, order=8, m_neg=8, n_psi=8, horizon=0.25))
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "config error: m_neg + n_psi = 8 + 8 exceeds order 8: "
+        "Gbar is conserved only when m_neg + n_psi <= order"
+    )
+    assert not out.exists()
 
 
 def test_psibar0_width_mismatch_rejected(tmp_path):
@@ -519,6 +534,8 @@ _PSIBAR_ENTRY = st.one_of(
 def evolve_configs(draw):
     order = draw(st.integers(1, 6))
     m_neg, n_psi = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if draw(st.integers(0, 4)):  # else the window may break m_neg + n_psi <= order
+        order = max(order, m_neg + n_psi)
     step = draw(st.sampled_from([0.005, 0.01, 0.02]))
     steps = draw(st.integers(1, 200))
     starts = sorted(draw(st.sets(st.integers(1, steps), max_size=2)))
@@ -1279,17 +1296,53 @@ def test_module_entry_point_runs():
     assert len(lines) == len(checks.CHECKS)
 
 
-def test_output_digests_script_lists_every_output():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "shapeflow")
+
+# Runs the script named by argv[2] as __main__ under a profile hook installed
+# before shapeflow is imported, on this thread and on every thread started
+# after it; the hook only adds each entered code object to a set.  The
+# (file, first line) of each is written to argv[1] as JSON when the script ends.
+PROFILED_RUN = """
+import json, runpy, sys, threading
+entered = set()
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+record, script = sys.argv[1:]
+sys.argv = [script]
+sys.setprofile(hook)
+threading.setprofile(hook)
+try:
+    runpy.run_path(script, run_name="__main__")
+finally:
+    sys.setprofile(None)
+    threading.setprofile(None)
+    with open(record, "w") as fh:
+        json.dump(sorted({(code.co_filename, code.co_firstlineno) for code in entered}), fh)
+"""
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """The profiled run of scripts/output_digests.py: the finished process and
+    the set of (real path, first line) of every code object it entered."""
+    record = tmp_path_factory.mktemp("digest_run") / "entered.json"
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "output_digests.py")],
+        [sys.executable, "-c", PROFILED_RUN, str(record), os.path.join(ROOT, "scripts", "output_digests.py")],
         capture_output=True,
         text=True,
         timeout=300,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
+    entered = {(os.path.realpath(file), line) for file, line in json.loads(record.read_text())}
+    return proc, entered
+
+
+def test_output_digests_script_lists_every_output(digest_run):
+    proc, _ = digest_run
     want = [f"check/check_{suite}.json" for suite in sorted(checks.SUITES)]
     evolve_runs = ("single_atom", "switch_off_grid", "switch_on_grid", "three_atoms", "wide_window")
     want += [f"evolve/{name}/{file}" for name in evolve_runs for file in ("conservation.json", "trajectory.csv")]
@@ -1302,3 +1355,75 @@ def test_output_digests_script_lists_every_output():
     digests, paths = zip(*(line.split("  ") for line in proc.stdout.splitlines()))
     assert list(paths) == want
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
+
+
+def package_defs():
+    """``module:qualname`` of every def under src/shapeflow, nested ones
+    included, keyed by (real path, first line); a decorated def's code
+    starts on its first decorator line."""
+    defs = {}
+
+    def visit(node, path, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                defs[(path, line)] = f"{module}:{name}"
+                visit(child, path, module, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, module, prefix + child.name + ".")
+            else:
+                visit(child, path, module, prefix)
+
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True)):
+        module = os.path.relpath(path, PACKAGE)[: -len(".py")].replace(os.sep, ".")
+        with open(path) as fh:
+            visit(ast.parse(fh.read()), os.path.realpath(path), module, "")
+    return defs
+
+
+_SERIES = "the exact oracle the kernel tests match bit for bit; ROADMAP moves series.py into the tests"
+_KP_ORACLE = "the benchmark's kp oracle (perfbench/oracles.py) calls it"
+_SEGAL_WILSON = (
+    "the graph's place in the Segal-Wilson Grassmannian, its index set S_W and virtual "
+    "dimension; no command reports them, and acceptance 08 pins them"
+)
+_TUPLE_KEYS = "the tuple-key form of PhasePoly that the observables docstring documents"
+_REPR = "a __repr__, for debugging and test failure messages"
+
+# Every package def the digest run never enters, with the reason it stays.
+# The gate below fails on an unreached def missing here and on an entry that
+# is reached or gone, so the list only shrinks with the code.  To add one,
+# give the def's module:qualname as the test prints it and one line saying
+# which caller outside the commands needs it.
+UNREACHED = {
+    **{f"series:{name}": _SERIES for name in (
+        "TruncatedSeries.__add__", "TruncatedSeries.__eq__", "TruncatedSeries.__mul__",
+        "TruncatedSeries.__neg__", "TruncatedSeries.__repr__", "TruncatedSeries.__rmul__",
+        "TruncatedSeries.reciprocal", "TruncatedSeries.zero", "_conv", "_is_zero", "exp_series",
+    )},
+    "cli:_workers": "reads a --parallel count, which no digest run gives; ROADMAP deletes the thread pool",
+    "kp:baker_akhiezer": _KP_ORACLE,
+    "kp:GeneralizedTimes.xi": _KP_ORACLE,
+    "kp:GeneralizedTimes.sato_shifted": _KP_ORACLE,
+    "kp:sato_psi": "the wave function as Sato's tau quotient, the tau-side check ROADMAP's KP certificate builds on",
+    "grassmannian:IndexSet.__post_init__": _SEGAL_WILSON,
+    "grassmannian:IndexSet.virtual_dimension": _SEGAL_WILSON,
+    "grassmannian:GraphOperator.index_set": _SEGAL_WILSON,
+    "grassmannian:GraphOperator.index_set.<locals>.order": _SEGAL_WILSON,
+    "observables:QC.__add__": "a repeated monomial in PhasePoly(...) sums its coefficients here; no digest run repeats one",
+    "observables:PhasePoly.coefficient": _TUPLE_KEYS,
+    "observables:PhasePoly.terms": _TUPLE_KEYS,
+    "observables:PhasePoly.__repr__": _REPR,
+    "observables:QC.__repr__": _REPR,
+    "observables:VectorFieldOnF0.__repr__": _REPR,
+}
+
+
+def test_every_package_def_is_reached_by_the_digest_run_or_says_why(digest_run):
+    _, entered = digest_run
+    defs = package_defs()
+    unreached = {name for key, name in defs.items() if key not in entered}
+    assert sorted(unreached - set(UNREACHED)) == [], "reached by no digest run and not in UNREACHED"
+    assert sorted(set(UNREACHED) - unreached) == [], "in UNREACHED but reached now, or gone"
+    assert all(reason.strip() for reason in UNREACHED.values())

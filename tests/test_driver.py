@@ -11,7 +11,7 @@ from shapeflow.driver import Atom, DriverPiece, HerglotzDriver, InvalidMeasure
 
 
 def test_uniform_measure_gives_constant_one():
-    d = HerglotzDriver.identity()
+    d = HerglotzDriver((DriverPiece(0.0),))
     pk = d.moments(0.0, 8)
     assert pk.shape == (8,)
     assert all(pk[k - 1] == 0 for k in range(1, 9))
@@ -44,11 +44,10 @@ def test_piecewise_selection():
             DriverPiece(0.5, (Atom(np.pi, 1.0),)),
         )
     )
-    assert d.piece_at(0.25).atoms[0].theta == 0.0
-    assert d.piece_at(0.5).atoms[0].theta == np.pi
-    assert d.piece_at(2.0).atoms[0].theta == np.pi
-    assert abs(d.moments(0.2, 1)[0] - 2.0) < 1e-15
-    assert abs(d.moments(0.7, 1)[0] + 2.0) < 1e-14
+    # p_1 = 2 e^{-i theta}: 2 on the first piece, -2 from t = 0.5 on
+    assert abs(d.moments(0.25, 1)[0] - 2.0) < 1e-15
+    assert abs(d.moments(0.5, 1)[0] + 2.0) < 1e-14
+    assert abs(d.moments(2.0, 1)[0] + 2.0) < 1e-14
 
 
 def test_bad_weights_raise():
@@ -66,7 +65,7 @@ def test_bad_weights_raise():
     with pytest.raises(InvalidMeasure):
         nan_weight.moments(0.0, 4)
     with pytest.raises(ValueError):
-        HerglotzDriver.identity().moments(-0.1, 4)
+        HerglotzDriver((DriverPiece(0.0),)).moments(-0.1, 4)
 
 
 def test_theta_whose_multiples_overflow_is_an_invalid_measure():
@@ -89,7 +88,7 @@ def test_valid_driver_validates_to_no_problems():
     two_pieces = HerglotzDriver(
         pieces=(DriverPiece(0.0), DriverPiece(0.5, (Atom(0.3, 0.25), Atom(2.0, 0.75))))
     )
-    for d in (HerglotzDriver.identity(), HerglotzDriver.single_atom(1.0), two_pieces):
+    for d in (HerglotzDriver((DriverPiece(0.0),)), HerglotzDriver.single_atom(1.0), two_pieces):
         assert d.validate() == []
 
 

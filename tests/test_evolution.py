@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shapeflow import InvalidInput
 from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
 from shapeflow.evolution import (
     ShapeState,
@@ -178,11 +179,29 @@ def test_taylor_values_match_series_evaluate_bit_for_bit():
         assert same_bits(taylor_values(coeffs, z[0]), TruncatedSeries(coeffs).evaluate(z[0]))
 
 
+@pytest.mark.parametrize("order, m_neg, n_psi", [(8, 8, 8), (16, 8, 9), (16, 0, 17)])
+def test_window_that_breaks_conservation_is_refused_before_any_step(order, m_neg, n_psi):
+    s0 = ShapeState.initial(order, m_neg=m_neg, n_psi=n_psi)
+    calls = []
+
+    class Counting(HerglotzDriver):
+        def moments(self, t, N):
+            calls.append(t)
+            return super().moments(t, N)
+
+    with pytest.raises(InvalidInput, match=r"Gbar is conserved only when m_neg \+ n_psi <= order") as info:
+        evolve(s0, Counting(HerglotzDriver.single_atom().pieces), horizon=0.01, step=1e-3)
+    assert type(info.value) is InvalidInput
+    assert calls == []
+    # the edge of the rule runs
+    evolve(ShapeState.initial(order, m_neg=m_neg, n_psi=order - m_neg), HerglotzDriver.single_atom(), 0.01, 1e-3)
+
+
 def test_identity_driver_is_frozen():
     rng = np.random.default_rng(0)
     psibar = rng.normal(size=17) + 1j * rng.normal(size=17)
     s0 = ShapeState.initial(16, m_neg=8, n_psi=8, psibar=psibar)
-    rec = evolve(s0, HerglotzDriver.identity(), horizon=1.0, step=1e-3)
+    rec = evolve(s0, HerglotzDriver((DriverPiece(0.0),)), horizon=1.0, step=1e-3)
     final = rec.states[-1]
     assert np.abs(final.c).max() < 1e-12
     np.testing.assert_array_equal(final.psibar, psibar)
@@ -328,7 +347,7 @@ def test_generating_function_matches_observables():
 
 def test_pseudo_hamiltonian_trivial_and_pairing():
     s = ShapeState.initial(8, m_neg=0, n_psi=4)
-    assert pseudo_hamiltonian(s, HerglotzDriver.identity()) == 0
+    assert pseudo_hamiltonian(s, HerglotzDriver((DriverPiece(0.0),))) == 0
     # f = id, atom at 0: Phi = -2 z^2 - 2 z^3 - ..., so a unit psibar_2
     # pairs with Phi_3 = -2
     s.psibar[2] = 1.0

@@ -8,16 +8,15 @@ import sympy as sp
 
 from shapeflow.grassmannian import (
     GraphOperator,
+    _band,
+    _conjugate_all,
     _upper_toeplitz,
     IndexSet,
     InverseCheckFailed,
     UnsupportedOrder,
     c_blocks,
     fprime_reciprocal,
-    graph_membership,
-    step1_ttilde,
     step2_graph,
-    virtual_dimension,
 )
 from shapeflow.observables import BracketWindow, corrected_G, reciprocal_coefficients
 from shapeflow.series import TruncatedSeries
@@ -25,9 +24,9 @@ from shapeflow.virasoro import kirillov_L
 
 
 def test_virtual_dimension_examples():
-    assert virtual_dimension(IndexSet(frozenset(), frozenset())) == 0
-    assert virtual_dimension(IndexSet(frozenset({-1}), frozenset())) == 1
-    assert virtual_dimension(IndexSet(frozenset(), frozenset({0}))) == -1
+    assert IndexSet(frozenset(), frozenset()).virtual_dimension() == 0
+    assert IndexSet(frozenset({-1}), frozenset()).virtual_dimension() == 1
+    assert IndexSet(frozenset(), frozenset({0})).virtual_dimension() == -1
     with pytest.raises(ValueError):
         IndexSet(frozenset({1}), frozenset())
     with pytest.raises(ValueError):
@@ -41,19 +40,19 @@ def _basis_operator(n, N, columns):
         for power, value in column.items():
             basis[power + n, k] = value
     empty = np.zeros((0, 0))
-    return GraphOperator(n=n, N=N, matrix=empty, c11=empty, c11_inv=empty, basis=basis)
+    return GraphOperator(n=n, N=N, matrix=empty, c11=empty, basis=basis)
 
 
 def test_index_set_reads_each_column_at_its_order():
     # a z^-1 column and no z^0 column: S = {-1, 1, 2}
     op = _basis_operator(1, 2, [{-1: 1.0}, {1: 1.0}, {2: 1.0}])
     assert op.index_set() == IndexSet(frozenset({-1}), frozenset({0}))
-    assert op.virtual_dimension() == 0
+    assert op.index_set().virtual_dimension() == 0
     # the order is the highest power, however small its coefficient against
     # the others; a repeated order is reduced below, a dependent column dropped
     op = _basis_operator(1, 2, [{-1: 1e40, 1: 1e-3}, {-1: 2.0, 0: 5.0, 1: 3.0}, {-1: 2e40, 1: 2e-3}])
     assert op.index_set() == IndexSet(frozenset(), frozenset({2}))
-    assert op.virtual_dimension() == -1
+    assert op.index_set().virtual_dimension() == -1
 
 
 @pytest.mark.parametrize("n", [16, 48])
@@ -64,11 +63,26 @@ def test_index_set_of_a_graph_with_large_rows_is_z_plus(n):
     c = [0.8**k * np.exp(1j * k) for k in range(1, 9)]
     op = step2_graph(c, n, n)
     assert op.index_set() == IndexSet(frozenset(), frozenset())
-    assert op.virtual_dimension() == 0
+    assert op.index_set().virtual_dimension() == 0
+
+
+def c12_cut(f_coeffs, n, N):
+    """Step 1's n raw negative rows: row j - 1, column q carries (q+1+j) c_{q+j}
+    = d_{q+j} (column q pairs with psibar_{q+1}), zero past the window."""
+    _, d, _ = _band(f_coeffs, N)
+    return d[np.arange(1, n + 1)[:, None] + np.arange(N + 1)]
+
+
+def step1_ttilde(f_coeffs, n, N):
+    """Step 1's raw finite-rank operator: negative rows of the conjugated map times C11inv."""
+    cbar = _conjugate_all(f_coeffs)
+    _, c11inv = c_blocks(cbar, n, N)
+    return c12_cut(cbar, n, N) @ c11inv
 
 
 def test_c_blocks_identity_map():
-    c11, c12, c11inv = c_blocks([], 2, 6)
+    c11, c11inv = c_blocks([], 2, 6)
+    c12 = c12_cut([], 2, 6)
     np.testing.assert_array_equal(c11, np.eye(7))
     np.testing.assert_array_equal(c11inv, np.eye(7))
     np.testing.assert_array_equal(c12, np.zeros((2, 7)))
@@ -76,7 +90,7 @@ def test_c_blocks_identity_map():
 
 def test_c_blocks_band_and_exact_inverse():
     c = [Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(1, 11)]
-    c11, c12, c11inv = c_blocks(c, 3, 6)
+    c11, c11inv = c_blocks(c, 3, 6)
     first = [c11[0, m] for m in range(5)]
     assert first == [1, 2 * c[0], 3 * c[1], 4 * c[2], 5 * c[3]]
     prod = c11 @ c11inv
@@ -111,7 +125,7 @@ def test_upper_toeplitz_matches_triu(band):
 def test_c_blocks_numeric_inverse_matches_linalg():
     rng = np.random.default_rng(7)
     c = 0.3 * (rng.normal(size=16) + 1j * rng.normal(size=16)) / np.arange(1, 17)
-    c11, _, c11inv = c_blocks(c, 1, 16)
+    c11, c11inv = c_blocks(c, 1, 16)
     assert np.abs(c11inv - np.linalg.inv(c11)).max() < 1e-12
 
 
@@ -146,7 +160,7 @@ def test_inverse_check_rejects_a_non_finite_residual():
 
 def test_cut_rows_follow_raw_tail_pattern():
     c = [Fraction(k, k + 3) for k in range(1, 7)]
-    _, c12, _ = c_blocks(c, 3, 6)
+    c12 = c12_cut(c, 3, 6)
     # row j, column q carries (q+1+j) c_{q+j}
     for j in range(1, 4):
         for q in range(7):
@@ -158,7 +172,8 @@ def test_step1_identity_and_reexpression():
     assert np.abs(step1_ttilde([], 2, 8)).max() == 0
     c = [Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
     t1 = step1_ttilde(c, 1, 8)
-    c11, c12, _ = c_blocks(c, 1, 8)
+    c11, _ = c_blocks(c, 1, 8)
+    c12 = c12_cut(c, 1, 8)
     back = t1 @ c11
     # undoing the change of coordinates recovers the raw tail row
     # sum_k (k+1) c_k psibar_k
@@ -266,14 +281,14 @@ def test_identity_map_graph_is_canonical():
     for k in range(7):
         for p in range(-2, 7):
             assert op.basis[p + op.n, k] == (1 if p == k else 0)
-    assert op.virtual_dimension() == 0
+    assert op.index_set().virtual_dimension() == 0
 
 
 def test_unsupported_order():
     for n in (0, -1):
         with pytest.raises(UnsupportedOrder):
             step2_graph([0.1], n, 8)
-    assert step2_graph([0.1], 4, 8).virtual_dimension() == 0
+    assert step2_graph([0.1], 4, 8).index_set().virtual_dimension() == 0
 
 
 def test_membership_unit_vector_is_e0():
@@ -282,7 +297,7 @@ def test_membership_unit_vector_is_e0():
     op = step2_graph(c, 2, 8)
     psi = np.zeros(9, dtype=complex)
     psi[0] = 1.0
-    assert graph_membership(op.basis[:, 0], op, psi) == 0.0
+    assert np.abs(op.basis[:, 0] - op.basis @ psi).max() == 0.0
 
 
 def test_membership_identity_map():
@@ -290,7 +305,7 @@ def test_membership_identity_map():
     psi = rng.normal(size=9) + 1j * rng.normal(size=9)
     op = step2_graph([], 3, 8)
     g = np.concatenate([[0, 0, 0], psi])
-    assert graph_membership(g, op, psi) < 1e-15
+    assert np.abs(g - op.basis @ psi).max() < 1e-15
 
 
 def test_membership_dual_route_small_residual():
@@ -301,19 +316,13 @@ def test_membership_dual_route_small_residual():
         c = 0.3 * (rng.normal(size=16) + 1j * rng.normal(size=16)) / np.arange(1, 17)
         psi = rng.normal(size=17) + 1j * rng.normal(size=17)
         op = step2_graph(c, n, 16)
-        g = op.element_from_psi(psi)
-        worst = max(worst, graph_membership(g, op, psi))
-        assert op.virtual_dimension() == 0
+        # the T route: positive part C11 psi, negative part T (C11 psi),
+        # against the basis route sum_k psi[k] e_k
+        pos = op.c11 @ psi
+        g = np.concatenate([(op.matrix @ pos)[::-1], pos])
+        worst = max(worst, np.abs(g - op.basis @ psi).max())
+        assert op.index_set().virtual_dimension() == 0
     assert worst < 1e-10
-
-
-def test_membership_window_check():
-    op = step2_graph([0.1], 2, 6)
-    too_narrow = np.ones(8)
-    with pytest.raises(ValueError):
-        graph_membership(too_narrow, op, np.zeros(7))
-    with pytest.raises(ValueError):
-        graph_membership(np.ones(10), op, np.zeros(7))
 
 
 def test_json_dump_deterministic():

@@ -75,10 +75,6 @@ def test_times_padding_and_lookup():
     t = GeneralizedTimes((0.5,))
     assert t.values == (0.5, 0.0, 0.0)
     assert len(t.values) == 3
-    assert t.get(1) == 0.5
-    assert t.get(7) == 0.0
-    with pytest.raises(IndexError):
-        t.get(0)
     assert GeneralizedTimes.of(t) is t
 
 
@@ -92,10 +88,11 @@ def test_times_exponent_is_finite_sum():
 def test_sato_shift_values():
     t = GeneralizedTimes((0.1, 0.2, 0.3))
     z = 2.0
-    shifted = t.sato_shifted(z, terms=5)
-    assert len(shifted.values) == 5
-    assert abs(shifted.get(1) - (0.1 - 1 / 2)) < 1e-15
-    assert abs(shifted.get(4) - (0.0 - 1 / (4 * 16))) < 1e-15
+    shifted = t.sato_shifted(z)
+    assert len(shifted.values) == 24
+    assert abs(shifted.values[0] - (0.1 - 1 / 2)) < 1e-15
+    assert abs(shifted.values[3] - (0.0 - 1 / (4 * 16))) < 1e-15
+    assert abs(shifted.values[23] - (0.0 - 1 / (24 * 2**24))) < 1e-22
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def schur_cases(seed, count):
             t = tuple(complex(x, y) for x, y in 0.3 * rng.standard_normal((M, 2)))
         elif kind == 2:  # Sato-shifted, M = 24
             base = GeneralizedTimes(tuple(0.1 * rng.standard_normal(3)))
-            t = base.sato_shifted(3 * complex(*rng.standard_normal(2)), 24).values
+            t = base.sato_shifted(3 * complex(*rng.standard_normal(2))).values
         elif kind == 3:  # negated, as tau's exp(-xi) block uses
             base = GeneralizedTimes(tuple(complex(*v) for v in rng.standard_normal((M, 2))))
             t = tuple(-v for v in base.values)
@@ -244,7 +241,7 @@ def test_a_form_matches_matrix_assembly():
     t = (0.07, 0.04, 0.03)
     a = schur_recurrence(t, N + 1)
     cbar = np.conj(c)
-    c11, _, _ = gr.c_blocks(cbar, 1, N)
+    c11, _ = gr.c_blocks(cbar, 1, N)
     inv = np.linalg.inv(np.asarray(c11, dtype=complex))
     row = np.zeros(N + 1, dtype=complex)
     row[:N] = (np.arange(1, N + 1)) * cbar  # entry q-1 holds q * conj(c_q)
@@ -574,9 +571,10 @@ def test_wave_function_membership_in_graph():
         c /= np.arange(1, N + 1)
         op = gr.step2_graph(c, n, N)
         ba = baker_akhiezer(op, t)
-        pos = ba.laurent[n:]
-        psi = op.c11_inv @ pos
-        assert gr.graph_membership(ba.laurent, op, psi) < 1e-8
+        _, c11inv = gr.c_blocks(np.conj(c), n, N)
+        psi = c11inv @ ba.laurent[n:]
+        # Psi is the basis combination sum_k psi[k] e_k
+        assert np.abs(ba.laurent - op.basis @ psi).max() < 1e-8
 
 
 def test_wave_function_pole_window():
@@ -621,7 +619,6 @@ def test_wave_function_singular_system_raises():
         N=2,
         matrix=np.array([[1.0, 0.0, 0.0]], dtype=complex),
         c11=np.eye(3, dtype=complex),
-        c11_inv=np.eye(3, dtype=complex),
         basis=[],
     )
     with pytest.raises(SingularSystem):

