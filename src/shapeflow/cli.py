@@ -110,15 +110,10 @@ class RunConfig:
         if seed < 0:
             raise InvalidInput(f"seed must be nonnegative, got {seed}")
         _check_window({"order": order, "m_neg": m_neg, "n_psi": n_psi})
-        width = m_neg + n_psi + 1
-        if "psibar0" in raw:
+        if "psibar0" in raw:  # its length is checked by ShapeState.initial
             psibar0 = _complex_vector(raw["psibar0"], "psibar0")
-            if psibar0.size != width:
-                raise InvalidInput(
-                    f"psibar0 must have {width} entries for window "
-                    f"[-{m_neg}, {n_psi}], got {psibar0.size}"
-                )
         else:
+            width = m_neg + n_psi + 1
             rng = np.random.default_rng(seed)
             scale = 1.0 / (1.0 + np.abs(np.arange(-m_neg, n_psi + 1)))
             psibar0 = scale * (rng.standard_normal(width) + 1j * rng.standard_normal(width))

@@ -77,14 +77,12 @@ class HerglotzDriver:
             pieces.append(DriverPiece(t_start, tuple(atoms)))
         return cls(pieces=tuple(pieces))
 
-    def _index_at(self, t):
-        if not self.pieces or self.pieces[0].t_start > t:
+    def piece_index(self, t, slack=0.0):
+        """The piece in force at t, the last to start by t + slack; else InvalidMeasure."""
+        started = [i for i, p in enumerate(self.pieces) if p.t_start <= t + slack]
+        if not started:
             raise InvalidMeasure(f"no driver piece covers t={t}")
-        current = 0
-        for i, p in enumerate(self.pieces[1:], 1):
-            if p.t_start <= t:
-                current = i
-        return current
+        return started[-1]
 
     def moments(self, t, N):
         """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}.
@@ -92,7 +90,7 @@ class HerglotzDriver:
         InvalidMeasure when the piece fails its check, or when k * theta is
         not a finite float for some atom and some k <= N.
         """
-        index = self._index_at(t)
+        index = self.piece_index(t)
         piece = self.pieces[index]
         problems = piece.check()
         if problems:

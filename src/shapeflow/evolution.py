@@ -40,7 +40,7 @@ import numpy as np
 from numpy._core.multiarray import correlate as _correlate  # np.convolve's core
 
 from . import InvalidInput, NumericalFailure
-from .driver import HerglotzDriver, InvalidMeasure
+from .driver import HerglotzDriver
 
 __all__ = [
     "ShapeState",
@@ -90,9 +90,13 @@ class ShapeState:
 
     @classmethod
     def initial(cls, order, m_neg, n_psi, psibar=None):
-        """Identity-map start (all c zero) at t = 0."""
-        if psibar is None:
-            psibar = np.zeros(m_neg + n_psi + 1, dtype=complex)
+        """Identity-map start (all c zero) at t = 0; InvalidInput for a negative
+        window bound or a psibar that is not m_neg + n_psi + 1 entries long."""
+        _check_bounds(m_neg, n_psi)
+        width = m_neg + n_psi + 1
+        psibar = np.zeros(width, dtype=complex) if psibar is None else np.asarray(psibar, dtype=complex)
+        if psibar.shape != (width,):
+            raise InvalidInput(f"psibar must have {width} entries for the window [-{m_neg}, {n_psi}], got shape {psibar.shape}")
         return cls(t=0.0, c=np.zeros(order, dtype=complex), psibar=psibar, m_neg=m_neg)
 
     def psi(self, m):
@@ -102,6 +106,12 @@ class ShapeState:
         """f(z) = z (1 + sum c_n z^n) at a point or array."""
         z = np.asarray(z, dtype=complex)
         return z * taylor_values(np.concatenate([[1.0 + 0j], self.c]), z)
+
+
+def _check_bounds(m_neg, n_psi):
+    """InvalidInput unless the psibar window -m_neg..n_psi has nonnegative bounds."""
+    if m_neg < 0 or n_psi < 0:
+        raise InvalidInput(f"psibar window m_neg = {m_neg}, n_psi = {n_psi}: both bounds must be nonnegative")
 
 
 def taylor_values(coeffs: np.ndarray, z) -> np.ndarray:
@@ -277,8 +287,7 @@ def generating_function(state: ShapeState) -> np.ndarray:
 
 def g0(state: ShapeState) -> complex:
     """The value of ``corrected_G(0) = sum_k k c_k psibar_k`` at a state, k <= min(n_psi, order)."""
-    kmax = min(state.n_psi, state.order)
-    return sum(k * state.c[k - 1] * state.psi(k) for k in range(1, kmax + 1))
+    return _pairing(np.arange(1, state.order + 1) * state.c, state)
 
 
 def _pairing(dc: np.ndarray, state: ShapeState) -> complex:
@@ -317,13 +326,13 @@ def evolve(
 ) -> TrajectoryRecord:
     """Classical fixed-step RK4 trajectory with a snapshot at every step.
 
-    The window must keep Gbar conserved, m_neg + n_psi <= order (see the
-    module docstring), and the horizon must be a whole number of steps, to
-    1e-9 relative, so the last state sits at the horizon; else InvalidInput,
-    as for step <= 0, horizon < 0 or an infinite step count, all before any
-    step.  Raises StepRejected when a state leaves the divergence guard (|c|
-    above 1e6, or |psibar| above 1e6 times its starting peak) or when a
-    state, a Gbar coefficient or H is not finite.
+    The window bounds must be nonnegative and keep Gbar conserved, m_neg +
+    n_psi <= order (see the module docstring), and the horizon must be a
+    whole number of steps, to 1e-9 relative, so the last state sits at the
+    horizon; else InvalidInput, as for step <= 0, horizon < 0 or an infinite
+    step count, all before any step.  Raises StepRejected when a state leaves
+    the divergence guard (|c| above 1e6, or |psibar| above 1e6 times its
+    starting peak) or when a state, a Gbar coefficient or H is not finite.
 
     Each RK4 step runs on one driver piece.  A switch strictly inside a step
     splits it into a step to the switch on the old piece and one from the
@@ -332,6 +341,7 @@ def evolve(
     step from it belong to the new piece.  ``TrajectoryRecord.pieces`` holds
     each state's piece index, so H + G_0 can be compared within a piece.
     """
+    _check_bounds(state0.m_neg, state0.n_psi)
     if state0.m_neg + state0.n_psi > state0.order:
         raise InvalidInput(
             f"m_neg + n_psi = {state0.m_neg} + {state0.n_psi} exceeds order {state0.order}: "
@@ -347,19 +357,10 @@ def evolve(
         )
     starts = [p.t_start for p in d.pieces]
     slack = SWITCH_SLACK * step
-    moments = {}  # piece index -> p_1..p_{N+1}, computed once per driver piece
 
-    def piece_index(t):
-        """Index of the piece of grid time t: the last to start by t + slack."""
-        started = [i for i, s in enumerate(starts) if s <= t + slack]
-        if not started:
-            raise InvalidMeasure(f"no driver piece covers t={t}")
-        return started[-1]
-
-    def moments_of(i):
-        if i not in moments:
-            moments[i] = d.moments(starts[i], state0.order + 1)
-        return moments[i]
+    @functools.cache
+    def moments_of(i):  # p_1..p_{N+1} of piece i, computed once per piece
+        return d.moments(starts[i], state0.order + 1)
 
     state = ShapeState(state0.t, state0.c.copy(), state0.psibar.copy(), state0.m_neg)
     # psibar is linear in its start, so its guard scales with it; the cap keeps
@@ -369,7 +370,7 @@ def evolve(
     _check_state(state, psi_bound)
     states = [state]
     times = [state.t]
-    pieces = [piece_index(state.t)]
+    pieces = [d.piece_index(state.t, slack)]
     ham = []
     for k in range(n_steps):
         t_end = state0.t + (k + 1) * step  # avoid additive time drift
@@ -378,14 +379,12 @@ def evolve(
         # an RK4 step to the switch and one on from it
         cuts = [s for s in starts if state.t + slack < s < t_end - slack]
         piece = pieces[-1]
-        first_stages = []
-        for end in [*cuts, t_end]:
+        for j, end in enumerate([*cuts, t_end]):
             state, dc = _rk4_step(state, d, moments_of(piece), end - state.t if cuts else step)
+            if j == 0:  # the first stage ran at the grid state on its piece: dc is Phi[2:] there
+                ham.append(_pairing(dc, states[-1]))
             state.t = end
-            piece = piece_index(end)
-            first_stages.append(dc)
-        # the first stage ran at the grid state on its piece: its dc is Phi[2:] there
-        ham.append(_pairing(first_stages[0], states[-1]))
+            piece = d.piece_index(end, slack)
         _check_state(state, psi_bound)
         states.append(state)
         times.append(state.t)

@@ -68,7 +68,7 @@ class IndexSet:
 
 
 def _conjugate_all(f_coeffs):
-    return [v.conjugate() if hasattr(v, "conjugate") else np.conj(v) for v in f_coeffs]
+    return [v.conjugate() for v in f_coeffs]
 
 
 def _band(f_coeffs, N):
@@ -120,25 +120,34 @@ def fprime_reciprocal(f_coeffs, N: int):
     return _unit_reciprocal(d[: N + 1], exact)
 
 
-def _upper_toeplitz(band):
-    """The square upper-triangular Toeplitz matrix whose entry (i, j) is band[j - i].
+def _upper_toeplitz(band, rows=None):
+    """The ``rows`` x ``len(band)`` (square by default) upper-triangular
+    Toeplitz matrix whose entry (i, j) is band[j - i].
 
     One gather from ``band`` with a zero appended; the zero is that of the
     band's dtype, ``0j`` for complex and the int ``0`` for object bands, as
     ``np.triu`` writes.
     """
     padded = np.concatenate([band, np.zeros(1, dtype=band.dtype)])
-    return padded[_toeplitz_table(len(band))]
+    return padded[_toeplitz_table(len(band), len(band) if rows is None else rows)]
 
 
 @functools.lru_cache(maxsize=16)
-def _toeplitz_table(size: int) -> np.ndarray:
+def _toeplitz_table(size: int, rows: int) -> np.ndarray:
     """Read-only index of ``_upper_toeplitz``: ``j - i`` on and above the
     diagonal, ``size`` (the appended zero) below it."""
-    lag = np.arange(size) - np.arange(size)[:, None]
+    lag = np.arange(size) - np.arange(rows)[:, None]
     lag[lag < 0] = size
     lag.flags.writeable = False
     return lag
+
+
+@functools.lru_cache(maxsize=16)
+def _hankel_table(rows: int, cols: int) -> np.ndarray:
+    """Read-only ``idx[i, j] = i + j + 1``: ``x[idx]`` is the Hankel block of x from x_1."""
+    idx = np.arange(rows)[:, None] + np.arange(1, cols + 1)
+    idx.flags.writeable = False
+    return idx
 
 
 def c_blocks(f_coeffs, n: int, N: int):
@@ -167,7 +176,7 @@ def _graph_rows(f_coeffs, n: int, N: int):
     powers = [None, u]  # powers[p] = u^p on powers 0..N
     for _ in range(2, n - 1):
         powers.append(np.convolve(powers[-1], u)[: N + 1])
-    gamma = d[np.arange(1, n + 1)[:, None] + np.arange(N + 1)]  # d_{k+r}
+    gamma = d[_hankel_table(n, N + 1)]  # d_{k+r}
     for r in range(n):
         q = {r - 1: 1}
         for p in range(r - 2, -2, -1):

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import NumericalFailure, WindowTooSmall
-from .grassmannian import GraphOperator, _upper_toeplitz, fprime_reciprocal
+from .grassmannian import GraphOperator, _hankel_table, _upper_toeplitz, fprime_reciprocal
 
 
 class NearSingularA(NumericalFailure):
@@ -198,17 +198,8 @@ class ABForm:
             raise WindowTooSmall(f"bilinear form needs N >= 1, got {N}")
         supplied = np.asarray(f_coeffs, dtype=complex).ravel()
         v = _shape_weights(supplied[:N].tobytes(), int(N))
-        a = np.concatenate([np.zeros(_TABLE_DEPTH), schur(t, N + 1)])
-        return cls(table=tuple((a[_lag_table(int(N))] @ v).tolist()))
-
-
-@functools.lru_cache(maxsize=16)
-def _lag_table(N: int) -> np.ndarray:
-    """Read-only ``lags[s, q] = q - s + depth``: ``a[lags]`` holds ``S_{q-s}``
-    when ``a`` is the Schur values after ``depth`` zeros, zero below q = s."""
-    lags = np.arange(N + 2) - np.arange(_TABLE_DEPTH + 1)[:, None] + _TABLE_DEPTH
-    lags.flags.writeable = False
-    return lags
+        # row s of the Toeplitz block holds S_{q-s} at column q, zero below q = s
+        return cls(table=tuple((_upper_toeplitz(schur(t, N + 1), _TABLE_DEPTH + 1) @ v).tolist()))
 
 
 # omega_1's partials of total order <= 3, then the two higher t_1 orders the
@@ -316,15 +307,7 @@ def _wave_system(op: GraphOperator, t, N: int):
     cols = min(N, op.N) + 1
     graph = np.asarray(op.matrix, dtype=complex)[:, :cols]
     a = np.asarray(schur(t, cols + op.n - 1), dtype=complex)
-    return a, _upper_toeplitz(a[: op.n]), a[_shift_table(cols, op.n)], graph
-
-
-@functools.lru_cache(maxsize=16)
-def _shift_table(cols: int, n: int) -> np.ndarray:
-    """Read-only ``idx[i, l] = i + l + 1``, so ``a[idx]`` is ``shifted``."""
-    idx = np.arange(cols)[:, None] + np.arange(1, n + 1)
-    idx.flags.writeable = False
-    return idx
+    return a, _upper_toeplitz(a[: op.n]), a[_hankel_table(cols, op.n)], graph
 
 
 def baker_akhiezer(op: GraphOperator, t, z_samples: Sequence = ()) -> BakerAkhiezer:

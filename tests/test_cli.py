@@ -143,11 +143,16 @@ def test_window_that_breaks_conservation_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_psibar0_width_mismatch_rejected(tmp_path):
+def test_psibar0_width_mismatch_rejected(tmp_path, capsys):
+    # ShapeState.initial refuses it, before any step and before any file
     bad = dict(IDENTITY_CONFIG)
     bad["psibar0"] = [1.0, 2.0]  # window [-2, 2] needs five entries
     path = write_config(tmp_path, bad)
-    assert cli.main(["evolve", "--config", path]) == cli.EXIT_CONFIG_ERROR
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "config error: psibar must have 5 entries for the window [-2, 2], got shape (2,)"
+    assert not out.exists()
 
 
 def one_atom(theta=0.0, mu=1.0):

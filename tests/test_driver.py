@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeflow.driver import Atom, DriverPiece, HerglotzDriver, InvalidMeasure
+from shapeflow.evolution import SWITCH_SLACK
 
 
 def test_uniform_measure_gives_constant_one():
@@ -66,6 +67,30 @@ def test_bad_weights_raise():
         nan_weight.moments(0.0, 4)
     with pytest.raises(ValueError):
         HerglotzDriver((DriverPiece(0.0),)).moments(-0.1, 4)
+
+
+def test_piece_index_is_the_last_piece_to_start_by_t_plus_slack():
+    # the rule moments (no slack) and evolve (SWITCH_SLACK * step) share; the
+    # second piece starts one ulp after the float grid time 10 * 0.0003
+    step = 0.0003
+    grid = 10 * step
+    start = 0.003
+    assert np.nextafter(grid, 1.0) == start
+    slack = SWITCH_SLACK * step
+    d = HerglotzDriver((DriverPiece(0.0), DriverPiece(start, (Atom(0.0, 1.0),)), DriverPiece(0.5)))
+    assert [d.piece_index(t) for t in (0.0, grid, start, np.nextafter(start, 1.0), 0.25, 0.5, 9.0)] == [0, 0, 1, 1, 1, 2, 2]
+    # with slack a start up to slack past t counts as started at t
+    assert d.piece_index(grid, slack) == 1
+    assert d.piece_index(start - slack, slack) == 1
+    assert d.piece_index(np.nextafter(start - slack, 0.0), slack) == 0
+    assert d.piece_index(-slack, slack) == 0
+    for t, s in ((-1e-300, 0.0), (np.nextafter(-slack, -1.0), slack), (float("nan"), 0.0)):
+        with pytest.raises(InvalidMeasure, match="no driver piece covers t="):
+            d.piece_index(t, s)
+    with pytest.raises(InvalidMeasure):
+        HerglotzDriver(()).piece_index(0.0)
+    # moments reads its piece by the same rule
+    assert (d.moments(start, 3) == 2).all() and (d.moments(grid, 3) == 0).all()
 
 
 def test_theta_whose_multiples_overflow_is_an_invalid_measure():

@@ -197,6 +197,57 @@ def test_window_that_breaks_conservation_is_refused_before_any_step(order, m_neg
     evolve(ShapeState.initial(order, m_neg=m_neg, n_psi=order - m_neg), HerglotzDriver.single_atom(), 0.01, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "order, m_neg, n_psi, psibar, match",
+    [
+        (16, 17, -1, None, r"^psibar window m_neg = 17, n_psi = -1: both bounds must be nonnegative$"),
+        (4, -2, 3, None, r"^psibar window m_neg = -2, n_psi = 3: both bounds must be nonnegative$"),
+        (8, 2, 2, np.ones(9), r"^psibar must have 5 entries for the window \[-2, 2\], got shape \(9,\)$"),
+        (8, 0, 0, np.ones((1, 1)), r"^psibar must have 1 entries for the window \[-0, 0\], got shape \(1, 1\)$"),
+    ],
+)
+def test_initial_refuses_a_bad_psibar_window(order, m_neg, n_psi, psibar, match):
+    with pytest.raises(InvalidInput, match=match) as info:
+        ShapeState.initial(order, m_neg, n_psi, psibar)
+    assert type(info.value) is InvalidInput
+
+
+@pytest.mark.parametrize("m_neg, width", [(17, 17), (-2, 2)])
+def test_evolve_refuses_a_negative_window_bound_before_any_step(m_neg, width):
+    # built past initial: n_psi = width - 1 - m_neg, so (17, 17) has n_psi = -1
+    s0 = ShapeState(0.0, np.zeros(16), np.ones(width), m_neg)
+    calls = []
+
+    class Counting(HerglotzDriver):
+        def moments(self, t, N):
+            calls.append(t)
+            return super().moments(t, N)
+
+    with pytest.raises(InvalidInput, match=r"both bounds must be nonnegative$") as info:
+        evolve(s0, Counting(HerglotzDriver.single_atom().pieces), horizon=0.01, step=1e-3)
+    assert type(info.value) is InvalidInput
+    assert calls == []
+
+
+def test_g0_keeps_the_bits_of_its_generator_sum():
+    # g0 pairs k c_k with psibar_k by _pairing, H's loop; it was the sum of
+    # k * c[k - 1] * psi(k) over k = 1..min(n_psi, order), started at int 0
+    rng = np.random.default_rng(2024)
+    signed_zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for order, m_neg, n_psi in [(1, 0, 0), (4, 0, 4), (8, 3, 5), (16, 8, 8), (6, 0, 12), (12, 0, 3)]:
+        for _ in range(5):
+            s = ShapeState.initial(order, m_neg, n_psi, rng.normal(size=m_neg + n_psi + 1) + 1j * rng.normal(size=m_neg + n_psi + 1))
+            s.c = rng.normal(size=order) + 1j * rng.normal(size=order)
+            for arr in (s.c, s.psibar):
+                picks = rng.integers(len(arr), size=2)
+                arr[picks] = [signed_zeros[i] for i in rng.integers(len(signed_zeros), size=2)]
+            kmax = min(s.n_psi, s.order)
+            for c in (s.c.copy(), np.full(order, complex(-0.0, -0.0))):  # all-zero terms too
+                s.c = c
+                old = sum(k * s.c[k - 1] * s.psi(k) for k in range(1, kmax + 1))
+                assert np.complex128(g0(s)).tobytes() == np.complex128(old).tobytes()
+
+
 def test_identity_driver_is_frozen():
     rng = np.random.default_rng(0)
     psibar = rng.normal(size=17) + 1j * rng.normal(size=17)

@@ -10,6 +10,7 @@ from shapeflow.grassmannian import (
     GraphOperator,
     _band,
     _conjugate_all,
+    _hankel_table,
     _upper_toeplitz,
     IndexSet,
     InverseCheckFailed,
@@ -109,17 +110,30 @@ def test_c_blocks_band_and_exact_inverse():
     ids=["complex", "object", "one"],
 )
 def test_upper_toeplitz_matches_triu(band):
-    # the gather writes the zero np.triu writes: 0j for complex, int 0 for object
-    idx = np.arange(len(band))
-    want = np.triu(band[np.abs(idx - idx[:, None])])
-    for _ in range(2):  # the second call reads the cached index table
-        got = _upper_toeplitz(band)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        if band.dtype == object:
-            assert [(type(x), x) for x in got.ravel()] == [(type(x), x) for x in want.ravel()]
-        else:
-            assert got.tobytes() == want.tobytes()
-        got[0, 0] = 9  # the result is the caller's own
+    # the gather writes the zero np.triu writes: 0j for complex, int 0 for
+    # object; square by default, else with rows below, equal to and above
+    # len(band)
+    size = len(band)
+    for rows in (None, size - 1, size, size + 2, size + 9):
+        lag = np.arange(size) - np.arange(size if rows is None else rows)[:, None]
+        want = np.triu(band[np.abs(lag) % size])
+        for _ in range(2):  # the second call reads the cached index table
+            got = _upper_toeplitz(band, rows)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if band.dtype == object:
+                assert [(type(x), x) for x in got.ravel()] == [(type(x), x) for x in want.ravel()]
+            else:
+                assert got.tobytes() == want.tobytes()
+            got[...] = 9  # the result is the caller's own
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (4, 1), (3, 17), (17, 3), (6, 6)])
+def test_hankel_table_is_i_plus_j_plus_one(rows, cols):
+    want = [[i + j + 1 for j in range(cols)] for i in range(rows)]
+    for _ in range(2):  # the second call reads the cache
+        table = _hankel_table(rows, cols)
+        assert table.tolist() == want and table.shape == (rows, cols)
+        assert not table.flags.writeable
 
 
 def test_c_blocks_numeric_inverse_matches_linalg():

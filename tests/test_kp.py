@@ -294,6 +294,23 @@ def test_shape_weights_are_cached_per_shape_and_window():
     assert (small, large) == (reference_table(short, t, 4), reference_table(short, t, 8))
 
 
+@pytest.mark.parametrize("N", [1, 5, 11, 16, 32])
+def test_a_form_table_keeps_the_bits_of_the_zero_padded_lag_gather(N):
+    # the table was a[lags] @ v with a the Schur values after 12 zeros and
+    # lags[s, q] = q - s + 12; the Toeplitz gather is the same matrix with one
+    # appended zero in place of the twelve; below N = 11 it has more rows
+    # than columns
+    rng = np.random.default_rng(N)
+    for trial in range(4):
+        c = 0.5 ** np.arange(1, N + 1) * (rng.normal(size=N) + 1j * rng.normal(size=N))
+        c[rng.integers(N)] = complex(-0.0, -0.0) if trial % 2 else complex(0.0, -0.0)
+        t = GeneralizedTimes(tuple(rng.normal(size=3) * 0.1) + ((-0.0,) if trial == 3 else ()))
+        v = kp._shape_weights(c.tobytes(), N)
+        lags = np.arange(N + 2) - np.arange(kp._TABLE_DEPTH + 1)[:, None] + kp._TABLE_DEPTH
+        old = np.concatenate([np.zeros(12), schur(t, N + 1)])[lags] @ v
+        assert np.array(ABForm.build(c, t, N).table).tobytes() == old.tobytes()
+
+
 def test_a_form_trivials_and_validation():
     N = 8
     zeros = ABForm.build(np.zeros(N), (0.1, 0.2, 0.3), N)
