@@ -12,19 +12,28 @@ Commands
                 deterministic JSON form.
 
 All outputs are deterministic given the config and seed: floats are written
-with ``repr`` so re-runs produce byte-identical files.  Each command takes
-only the flags it reads.  Exit codes: 0 success, 1 check failure, 2 config
-or usage error (an unusable ``--out`` directory, or an output file whose
-name a directory takes, included, found before any computation), 3
-numerical failure.  The CLI only parses the inputs, bounds their sizes
-(``MAX_*``) and checks ``--out``; each other input rule lives in its layer.
-Any :class:`shapeflow.InvalidInput` ends in exit 2, any
+with ``repr`` so re-runs produce byte-identical files.  Every output file is
+written by :func:`_publish`, which stages a command's files and renames them
+into place together, so a run leaves all of its outputs or none.  Each
+command takes only the flags it reads.  Exit codes:
+
+0  success;
+1  check failure;
+2  config or usage error: an unusable ``--out`` directory, or an output file
+   whose name a directory takes, found before any computation, and an output
+   file that could not be written;
+3  numerical failure, with nothing written.
+
+The CLI only parses the inputs, bounds their sizes (``MAX_*``) and checks
+``--out``; each other input rule lives in its layer.  Any
+:class:`shapeflow.InvalidInput` ends in exit 2, any
 :class:`shapeflow.NumericalFailure` in exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -33,6 +42,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -179,8 +189,8 @@ def _check_out_dir(path, filenames):
     """InvalidInput unless ``path`` is, or can be made, a writable directory
     in which no ``filenames`` entry is taken by a directory.
 
-    Checked before any computation; the directory itself is made only when
-    the first output is written, so a failed run leaves nothing behind.
+    Checked before any computation; the directory itself is made only by
+    :func:`_publish`, so a run that fails before it leaves nothing behind.
     """
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):
@@ -200,14 +210,31 @@ def _outputs(args) -> list:
     return [name.format(**vars(args)) for name in _COMMANDS[args.command][3]]
 
 
-def _out_paths(args) -> list:
-    """The paths of the command's output files; their directory is made here."""
+def _publish(args, writers) -> list:
+    """Write the command's output files, one ``write(fh)`` per name in
+    ``_outputs(args)``, and return their paths.  The files are staged beside
+    their targets and renamed into place once every writer has finished; a
+    failed write leaves none of them and is an InvalidInput."""
     out_dir = args.out or "."
+    paths = [os.path.join(out_dir, name) for name in _outputs(args)]
+    staged, path = [], paths[0]
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInput(f"output directory {out_dir!r} is unusable: {exc}") from exc
-    return [os.path.join(out_dir, name) for name in _outputs(args)]
+        for path, write in zip(paths, writers, strict=True):
+            # "x" refuses a taken name; unlike mkstemp's 0600, the umask sets the mode
+            with open(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp", "x") as fh:
+                staged.append(fh.name)
+                write(fh)
+        for tmp, path in zip(staged, paths):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise InvalidInput(f"output file {path!r} could not be written: {exc}") from exc
+        raise
+    return paths
 
 
 def _fmt(value: float) -> str:
@@ -281,12 +308,11 @@ def cmd_evolve(args) -> int:
     checked = [*report["drift"].values(), report["energy_invariant_drift"]]
     _require_finite(checked + extra.get("koebe_error", []), "the conservation report")
 
-    csv_path, report_path = _out_paths(args)
-    record.to_csv(csv_path, extra_columns=extra)
-    report["trajectory_csv"] = os.path.basename(csv_path)
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    report["trajectory_csv"] = _outputs(args)[0]
+    csv_path, report_path = _publish(args, [
+        lambda fh: record.to_csv(fh, extra_columns=extra),
+        lambda fh: fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"),
+    ])
 
     worst = max(report["drift"].values()) if report["drift"] else 0.0
     print(
@@ -308,9 +334,7 @@ def cmd_check(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        (path,) = _out_paths(args)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _publish(args, [lambda fh: fh.write(text + "\n")])
     return EXIT_OK if passed else EXIT_CHECK_FAILURE
 
 
@@ -437,7 +461,7 @@ def _kp_cell(payload):
     parts = kp.omega1_and_partials(kp.ABForm.build(c, times, N))
     omega1 = parts[(0, 0, 0)]
     lambda1 = -parts[(1, 0, 0)]
-    residual = float(abs(kp.kp_value(parts)))
+    residual = kp.modulus(kp.kp_value(parts))
     tau_value = kp.tau(op, times, N)
     row = [*trow, omega1.real, omega1.imag, lambda1.real, lambda1.imag, residual]
     row += [tau_value.real, tau_value.imag]
@@ -476,11 +500,8 @@ def _sweep_input(raw) -> tuple:
 def _write_sweep(args, header, rows, what) -> int:
     """The rows under their CSV header, once every value is finite."""
     _require_finite(rows, what)
-    (path,) = _out_paths(args)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    lines = [header, *(",".join(_fmt(x) for x in row) for row in rows)]
+    (path,) = _publish(args, [lambda fh: fh.write("\n".join(lines) + "\n")])
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -519,9 +540,7 @@ def cmd_graph_dump(args) -> int:
     _require_finite(np.concatenate(values), "the graph operator")
     text = op.to_json()
     if args.out:
-        (path,) = _out_paths(args)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        (path,) = _publish(args, [lambda fh: fh.write(text + "\n")])
         print(f"wrote {path}")
     else:
         print(text)

@@ -229,8 +229,8 @@ class TrajectoryRecord:
             for i, k in enumerate(self.gbar_indices())
         }
 
-    def to_csv(self, path, extra_columns=None):
-        """Deterministic CSV dump: t, c, psibar, Gbar, H (Re/Im split).
+    def to_csv(self, fh, extra_columns=None):
+        """Deterministic CSV dump to the open file ``fh``: t, c, psibar, Gbar, H (Re/Im split).
 
         ``extra_columns`` maps a column name to one real value per step;
         these are appended after the energy columns.
@@ -247,15 +247,14 @@ class TrajectoryRecord:
         cols += [f"{p}_Gbar_{k}" for k in self.gbar_indices() for p in ("re", "im")]
         cols += ["re_H", "im_H"]
         cols += list(extra)
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i, s in enumerate(self.states):
-                values = np.concatenate(
-                    [s.c, s.psibar, self.gbar[i], self.hamiltonian[i : i + 1]]
-                )
-                row = [float(s.t), *values.view(float).tolist()]  # re, im pairs
-                row += [float(extra[name][i]) for name in extra]
-                fh.write(",".join(map(repr, row)) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for i, s in enumerate(self.states):
+            values = np.concatenate(
+                [s.c, s.psibar, self.gbar[i], self.hamiltonian[i : i + 1]]
+            )
+            row = [float(s.t), *values.view(float).tolist()]  # re, im pairs
+            row += [float(extra[name][i]) for name in extra]
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _cmul(a, b):

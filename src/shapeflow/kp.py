@@ -243,7 +243,7 @@ def omega1_and_partials(ab: ABForm) -> dict:
     """
     D = ab.table
     denom = 1.0 - complex(D[0])
-    if abs(denom) <= 1e-10:
+    if modulus(denom) <= 1e-10:
         raise NearSingularA(f"1 - A = {denom:.3e} is too small to divide by")
     jet = []
     for slot, terms in _PLAN:
@@ -252,6 +252,15 @@ def omega1_and_partials(ab: ABForm) -> dict:
             acc += binom * D[shift] * jet[rest]
         jet.append(acc / denom)
     return dict(zip(_JET, jet))
+
+
+def modulus(z: complex) -> float:
+    """``abs(z)``, or inf where the modulus passes the float range and ``abs``
+    raises; ``np.abs`` and ``math.hypot`` round some finite moduli differently."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def kp_value(jet: dict) -> complex:
@@ -273,9 +282,9 @@ def kp_residual(f_coeffs, t, N: int) -> float:
     identity in the table slots, so the returned value measures only the
     floating-point noise of the recurrence: it sits at roundoff level
     (~1e-15) for every window size N rather than decaying with N.  It equals
-    ``abs(kp_value(jet))`` of the jet at the same arguments.
+    ``modulus(kp_value(jet))`` of the jet at the same arguments.
     """
-    return float(abs(kp_value(omega1_and_partials(ABForm.build(f_coeffs, t, N)))))
+    return modulus(kp_value(omega1_and_partials(ABForm.build(f_coeffs, t, N))))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,20 +2,24 @@
 
 import ast
 import concurrent.futures
+import contextlib
 import csv
+import errno
 import glob
 import inspect
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapeflow import (
@@ -585,6 +589,121 @@ def test_evolve_fails_closed_on_generated_configs(tmp_path_factory, config):
     assert all(len(row) == len(header) and all(math.isfinite(float(x)) for x in row) for row in rows)
 
 
+# finite numbers across the float range, a few of them huge or subnormal
+_SPECIAL = st.sampled_from([-0.0, 5e-324, -1e-300, 1e10, -1e10, 1e200, 1e308, -1e308])
+_NUMBER = st.one_of(st.floats(-3, 3), _SPECIAL)
+_COEFF = st.one_of(_NUMBER, st.lists(_NUMBER, min_size=2, max_size=2))
+# a shape: up to 40 moderate coefficients, or a few from the whole range
+_SHAPE = st.one_of(st.lists(st.floats(-0.5, 0.5), max_size=40), st.lists(_COEFF, max_size=6))
+
+
+@st.composite
+def sweep_configs(draw):
+    config = {"f_source": {"c": draw(_SHAPE)}, "n": draw(st.integers(1, 5))}
+    if draw(st.booleans()):
+        config["N"] = draw(st.integers(1, 33))
+    if draw(st.booleans()):
+        config["t_rows"] = draw(st.lists(st.lists(_NUMBER, min_size=1, max_size=3), min_size=1, max_size=3))
+    else:
+        axes = sorted(draw(st.sets(st.sampled_from(["t1", "t2", "t3"]))))
+        config["t_grid"] = {key: draw(st.lists(_NUMBER, min_size=1, max_size=2)) for key in axes}
+    config["convergence_pair"] = draw(st.booleans())
+    return config
+
+
+@st.composite
+def graph_configs(draw):
+    config = {"c": draw(_SHAPE), "n": draw(st.integers(1, 5))}
+    if draw(st.booleans()):
+        config["N"] = draw(st.integers(1, 33))
+    return config
+
+
+# a snapshot cell: mostly a moderate number, else huge, subnormal or text
+_CELL = st.one_of(
+    st.floats(-0.5, 0.5).map(repr),
+    st.floats(-0.5, 0.5).map(repr),
+    _SPECIAL.map(repr),
+    st.sampled_from(["", "abc", "nan", "inf", "-1e999", "0x10", "1j", " 2"]),
+)
+
+
+@st.composite
+def snapshot_csvs(draw):
+    """A snapshot CSV's text: columns may be missing, rows short, cells text or huge."""
+    order = draw(st.integers(1, 5))
+    names = ["t", *(f"{p}_c_{n}" for n in range(1, order + 1) for p in ("re", "im"))]
+    names = [name for name in names if draw(st.integers(0, 19))]  # else the column is missing
+    rows = [names]
+    for _ in range(draw(st.integers(0, 3)) or draw(st.integers(0, 3))):
+        width = len(names) if draw(st.integers(0, 4)) else draw(st.integers(0, len(names)))
+        rows.append([draw(_CELL) for _ in range(width)])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _fails_closed(tmp, command, config):
+    """Run ``command`` on ``config`` into a fresh directory and assert the
+    property every command keeps: the exit is 0, 2 or 3; exits 2 and 3
+    print one stderr line and write nothing; no run emits a warning; exit 0
+    writes exactly the command's files, and only finite values."""
+    out = tmp / "out"
+    argv = [command, "--config", write_config(tmp, config), "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_FAILURE)
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if code != cli.EXIT_OK:
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert written == []
+        return
+    assert written == list(OUTPUTS[command])
+    (name,) = written
+    if name.endswith(".json"):
+        _finite_json((out / name).read_text())
+        return
+    header, rows = read_rows(out / name)
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+# a shape whose 2N residual has |1 - D_0| past the float range, where abs
+# of a Python complex raises; the run must end in exit 3, not a traceback
+KP_OVERFLOW = {
+    "f_source": {"c": [[2.1389781790047806, -0.0], [-0.5, 1e10], -2.61036144653956, [-1.0, 1e10], [-1e-300, -1e10]]},
+    "n": 5,
+    "N": 33,
+    "t_grid": {"t3": [-1.5273705053118078]},
+    "convergence_pair": True,
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["kp", "tau"]), config=sweep_configs())
+@example(command="kp", config=KP_OVERFLOW)
+def test_sweep_fails_closed_on_generated_configs(tmp_path_factory, command, config):
+    _fails_closed(tmp_path_factory.mktemp(command), command, config)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=graph_configs())
+def test_graph_dump_fails_closed_on_generated_configs(tmp_path_factory, config):
+    _fails_closed(tmp_path_factory.mktemp("graph"), "graph-dump", config)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["kp", "tau"]), text=snapshot_csvs(), at_t=_NUMBER)
+def test_sweep_fails_closed_on_generated_snapshots(tmp_path_factory, command, text, at_t):
+    tmp = tmp_path_factory.mktemp("snapshot")
+    snapshot = tmp / "trajectory.csv"
+    snapshot.write_text(text)
+    config = {"f_source": {"snapshot_csv": str(snapshot), "at_t": at_t}, "n": 1, "N": 4, "t_rows": [[0.05]]}
+    _fails_closed(tmp, command, config)
+
+
 def test_evolve_identity_driver_omits_koebe_column(tmp_path):
     path = write_config(tmp_path, IDENTITY_CONFIG)
     out = tmp_path / "out"
@@ -1055,9 +1174,10 @@ def test_numerical_failure_is_one_line_and_no_warnings(tmp_path, capsys, command
         ("tau", dict(HUGE_T, t_rows=[[0.05]]), HUGE_T),
     ],
 )
-def test_failed_rerun_leaves_the_earlier_outputs(tmp_path, capsys, command, good, bad):
+def test_failed_rerun_leaves_the_earlier_outputs(tmp_path, capsys, monkeypatch, command, good, bad):
     # exit 3 writes nothing, so the files of an earlier run into the same
-    # directory stay byte for byte, though they no longer match the last config
+    # directory stay byte for byte, though they no longer match the last config;
+    # so does a rerun whose last file fails halfway through its write
     out = tmp_path / "out"
     run = [command, "--out", str(out), "--config"]
     assert cli.main([*run, write_config(tmp_path, good, "good.json")]) == cli.EXIT_OK
@@ -1066,6 +1186,113 @@ def test_failed_rerun_leaves_the_earlier_outputs(tmp_path, capsys, command, good
     assert cli.main([*run, write_config(tmp_path, bad, "bad.json")]) == cli.EXIT_NUMERICAL_FAILURE
     assert capsys.readouterr().err.startswith("numerical failure:")
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    for failure, code in WRITE_FAILURES:
+        _break_last_writer(monkeypatch, failure)
+        assert cli.main([*run, write_config(tmp_path, good, "good.json")]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+PUBLISH = cli._publish
+# a write that fails halfway, and the exit it ends in
+WRITE_FAILURES = [
+    (OSError(errno.ENOSPC, "No space left on device"), cli.EXIT_CONFIG_ERROR),
+    (cli.NonFiniteOutput("injected"), cli.EXIT_NUMERICAL_FAILURE),
+]
+
+
+def _break_last_writer(monkeypatch, failure):
+    """Make the command's last output file write part of a line and then raise ``failure``."""
+    def broken_publish(args, writers):
+        def broken(fh):
+            fh.write("part of a li")
+            raise failure
+
+        return PUBLISH(args, [*writers[:-1], broken])
+
+    monkeypatch.setattr(cli, "_publish", broken_publish)
+
+
+@pytest.mark.parametrize("failure, code", WRITE_FAILURES, ids=["OSError", "NonFiniteOutput"])
+def test_failed_write_leaves_no_output_and_no_temporary(tmp_path, capsys, monkeypatch, failure, code):
+    # evolve's second file fails after its first is staged: neither lands,
+    # and both staged files are gone
+    _break_last_writer(monkeypatch, failure)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", write_config(tmp_path, IDENTITY_CONFIG), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code == cli.EXIT_CONFIG_ERROR:
+        target = out / "conservation.json"
+        want = f"config error: output file {str(target)!r} could not be written: [Errno 28] No space left on device"
+    else:
+        want = "numerical failure: injected"
+    assert captured.err.splitlines() == [want]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_successful_run_leaves_only_the_named_files(tmp_path, capsys, command):
+    configs = {"evolve": IDENTITY_CONFIG, "kp": KP_CONFIG, "tau": KP_CONFIG, "graph-dump": {"c": [0.3], "n": 1, "N": 4}}
+    argv = ["check", "witt"] if command == "check" else [command, "--config", write_config(tmp_path, configs[command])]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS[command])
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_output_modes_follow_the_umask(tmp_path, capsys, mask):
+    # the staged files get the mode open(path, "w") gives a new file
+    out = tmp_path / "out"
+    previous = os.umask(mask)
+    try:
+        code = cli.main(["evolve", "--config", write_config(tmp_path, IDENTITY_CONFIG), "--out", str(out)])
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    want = 0o666 & ~mask
+    assert os.stat(tmp_path / "reference").st_mode & 0o777 == want
+    assert [os.stat(out / name).st_mode & 0o777 for name in OUTPUTS["evolve"]] == [want, want]
+
+
+def test_threads_publish_into_one_directory(tmp_path, capsys, monkeypatch):
+    # more runs than cores hold their staged files at once, under a short
+    # switch interval; each file ends whole and no temporary is left
+    paths = [write_config(tmp_path, dict(IDENTITY_CONFIG, seed=seed), f"config{seed}.json") for seed in range(4)]
+    alone = []
+    for i, path in enumerate(paths):
+        out = tmp_path / f"alone{i}"
+        assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        alone.append({name: (out / name).read_bytes() for name in OUTPUTS["evolve"]})
+    assert len({files["trajectory.csv"] for files in alone}) == len(paths)
+    all_staging = threading.Barrier(len(paths), timeout=60)
+
+    def publish_together(args, writers):
+        def first(fh):
+            all_staging.wait()
+            writers[0](fh)
+
+        return PUBLISH(args, [first, *writers[1:]])
+
+    monkeypatch.setattr(cli, "_publish", publish_together)
+    out = tmp_path / "shared"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(paths)) as pool:
+            runs = [pool.submit(cli.main, ["evolve", "--config", path, "--out", str(out)]) for path in paths]
+            codes = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [cli.EXIT_OK] * len(paths)
+    capsys.readouterr()
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS["evolve"])
+    for name in OUTPUTS["evolve"]:
+        assert (out / name).read_bytes() in [files[name] for files in alone]
 
 
 # every NumericalFailure of the package, raised inside the layer that owns it
@@ -1423,6 +1650,43 @@ UNREACHED = {
     "observables:QC.__repr__": _REPR,
     "observables:VectorFieldOnF0.__repr__": _REPR,
 }
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` may open a file for writing: an ``open``-like call
+    with a mode that is not a read-only literal, or a path's write_text or
+    write_bytes."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg in ("mode", "flags"))]
+    if not modes:
+        return False
+    (mode,) = modes
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wxa+"))
+
+
+def test_only_publish_opens_files_for_writing():
+    # every output file is written through cli._publish, which stages the
+    # command's files and renames them into place together
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append(inner)
+            visit(child, inner)
+
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            visit(ast.parse(fh.read()), os.path.relpath(path, PACKAGE)[: -len(".py")].replace(os.sep, "."))
+    assert found == ["cli._publish"]
 
 
 def test_every_package_def_is_reached_by_the_digest_run_or_says_why(digest_run):

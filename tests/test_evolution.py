@@ -508,8 +508,10 @@ def test_csv_dump_is_deterministic(tmp_path):
     s0 = ShapeState.initial(4, m_neg=2, n_psi=2, psibar=psibar)
     rec = evolve(s0, d, horizon=0.05, step=1e-2)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    rec.to_csv(p1)
-    evolve(s0, d, horizon=0.05, step=1e-2).to_csv(p2)
+    with open(p1, "w") as fh:
+        rec.to_csv(fh)
+    with open(p2, "w") as fh:
+        evolve(s0, d, horizon=0.05, step=1e-2).to_csv(fh)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0].split(",")
     assert header[0] == "t" and "re_Gbar_0" in header and "im_H" in header

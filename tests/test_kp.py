@@ -403,6 +403,19 @@ def test_near_singular_denominator_raises():
 # KP residual
 
 
+def test_modulus_is_abs_and_inf_past_the_float_range():
+    # abs of a Python complex raises where the modulus passes the float
+    # range; modulus reads that as inf and keeps abs's bits everywhere else
+    rng = np.random.default_rng(3)
+    scales = 10.0 ** rng.uniform(-300, 300, 500)
+    for z in (scales * (rng.standard_normal(500) + 1j * rng.standard_normal(500))).tolist():
+        assert kp.modulus(z).hex() == abs(z).hex()
+    assert kp.modulus(complex(1e308, 1e308)) == abs(complex(1e308, 1e308))
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    assert kp.modulus(complex(1.5e308, 1.5e308)) == kp.modulus(complex(-1.7e308, -1e308)) == float("inf")
+
+
 def test_kp_residual_zero_for_trivial_shape():
     assert kp_residual(np.zeros(8), (0.05, 0.03, 0.02), 8) == 0.0
 
