@@ -54,10 +54,6 @@ class SingularSystem(NumericalFailure):
     """The Baker-Akhiezer linear system is singular at this truncation."""
 
 
-# Depth of the tabulated D_s values: a fourth derivative taken entirely in
-# t_3 shifts the index by 12.
-_TABLE_DEPTH = 12
-
 _NUMERIC = (int, float, complex, np.number)
 
 # Terms of the Sato shift t - [z^{-1}] that are kept.
@@ -184,10 +180,10 @@ def _shape_weights(coeffs: bytes, N: int) -> np.ndarray:
 class ABForm:
     """The tabulated bilinear pairings ``D_s`` of a shape at a time vector.
 
-    ``table[s]`` holds ``D_s`` for ``s = 0.._TABLE_DEPTH``; every partial
-    derivative of the base value ``A = D_0`` with respect to the times is
-    another table slot, ``d^alpha A = D_{w(alpha)}`` (see :func:`_weight`),
-    because each ``d/dt_k`` shifts the Schur index by ``k``.
+    ``table[s]`` holds ``D_s`` for the slots ``s = 0.._TABLE_DEPTH`` that
+    :func:`omega1_and_partials` reads; every partial derivative of ``A = D_0``
+    in the times is another slot, ``d^alpha A = D_{w(alpha)}`` (see
+    :func:`_weight`), because each ``d/dt_k`` shifts the Schur index by ``k``.
     """
 
     table: tuple
@@ -225,6 +221,10 @@ _PLAN = tuple(
     (_weight(alpha) + 1, tuple((b, shift, _JET.index(rest)) for b, shift, rest in _leibniz_terms(alpha)))
     for alpha in _JET
 )
+
+# Depth of the tabulated D_s values: the deepest slot the plan reads, D_10,
+# which d_3^3 omega_1 reads as D_{w + 1} with w = 9.
+_TABLE_DEPTH = max(slot for slot, _ in _PLAN)
 
 
 def omega1_and_partials(ab: ABForm) -> dict:

@@ -386,10 +386,6 @@ class PhasePoly:
     def _sum(self, other, negate):
         """self + other, or self - other when ``negate``."""
         self._check(other)
-        if not other._terms:
-            return self
-        if not self._terms and not negate:
-            return other
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             prev = out.get(mono)
@@ -414,7 +410,7 @@ class PhasePoly:
 
     def __mul__(self, other):
         if not isinstance(other, PhasePoly):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         acc = {}
         _product_into(acc, _raw(self._terms), _raw(other._terms))

@@ -13,9 +13,10 @@ and nothing else.  All arithmetic follows one truncation contract:
 
 Coefficients are ordinarily ``complex`` (stored in a ``complex128`` numpy
 array).  Any coefficient ring with Python arithmetic (``fractions.Fraction``,
-sympy expressions, the exact phase-space polynomials from
-:mod:`shapeflow.observables`) also works; such series fall back to object
-arrays and pure-Python loops, which keeps symbolic identity checks exact.
+sympy expressions) also works for ``*``, ``+``, ``-``, ``scale``,
+``reciprocal`` and ``exp_series``; such series fall back to object arrays
+and pure-Python loops, which keeps symbolic identity checks exact.
+``evaluate`` is numeric only.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ def _conv(a, b, keep, numeric):
         return np.convolve(a, b)[:keep]
     out = [0] * keep
     for i, ai in enumerate(a):
-        if i >= keep:
-            break
         for j, bj in enumerate(b):
             if i + j >= keep:
                 break
@@ -76,10 +75,6 @@ class TruncatedSeries:
 
     def __init__(self, coefficients):
         self.coeffs, self._numeric = _pack(coefficients)
-
-    @classmethod
-    def zero(cls, order):
-        return cls([0.0] * (order + 1))
 
     @classmethod
     def constant(cls, value, order):
@@ -113,9 +108,6 @@ class TruncatedSeries:
         a, b, _ = self._common(other)
         return TruncatedSeries([x - y for x, y in zip(a, b)])
 
-    def __neg__(self):
-        return TruncatedSeries([-x for x in self.coeffs])
-
     def scale(self, s):
         return TruncatedSeries([x * s for x in self.coeffs])
 
@@ -124,10 +116,7 @@ class TruncatedSeries:
             a, b, n = self._common(other)
             numeric = self._numeric and other._numeric
             return TruncatedSeries(_conv(a, b, n + 1, numeric))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented
 
     def reciprocal(self):
         """Series r with (self * r) == 1 on this window.
@@ -136,7 +125,7 @@ class TruncatedSeries:
         """
         a = self.coeffs
         a0 = a[0]
-        if (self._numeric and a0 == 0) or (not self._numeric and _is_zero(a0)):
+        if a0 == 0:
             raise ZeroConstantTerm("reciprocal needs a nonzero z^0 coefficient")
         unit = a0 == 1
         r = [1 if unit else 1 / a0]
@@ -148,44 +137,18 @@ class TruncatedSeries:
         return TruncatedSeries(r)
 
     def differentiate(self):
-        """d/dz, window shrinks by one (constant series maps to zero series)."""
-        if self.order == 0:
-            return TruncatedSeries([0 * self.coeffs[0]])
+        """d/dz; the window shrinks by one, so the series needs order >= 1."""
         return TruncatedSeries(
             [k * self.coeffs[k] for k in range(1, self.order + 1)]
         )
 
     def evaluate(self, z):
-        """Horner evaluation at a point (or numpy array of points)."""
-        if self._numeric:
-            zz = np.asarray(z, dtype=complex)
-            acc = np.zeros_like(zz)
-            for ck in self.coeffs[::-1]:
-                acc = acc * zz + ck
-            return complex(acc) if acc.ndim == 0 else acc
-        acc = 0
+        """Horner evaluation of a numeric series at a point (or numpy array of points)."""
+        zz = np.asarray(z, dtype=complex)
+        acc = np.zeros_like(zz)
         for ck in self.coeffs[::-1]:
-            acc = acc * z + ck
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            x == y for x, y in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-
-def _is_zero(x):
-    try:
-        return x == 0
-    except TypeError:  # pragma: no cover - exotic coefficient rings
-        return False
+            acc = acc * zz + ck
+        return complex(acc) if acc.ndim == 0 else acc
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -194,7 +157,7 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     Uses the differential recurrence E' = a' E, so (exp a)' = a' exp(a) holds
     exactly on the window.  Raises NonzeroConstantTerm otherwise.
     """
-    if not _is_zero(a.coeff(0)):
+    if a.coeff(0) != 0:
         raise NonzeroConstantTerm("exp_series needs a zero constant term")
     from fractions import Fraction
 

@@ -128,8 +128,6 @@ def commutator(x: VectorFieldOnF0, y: VectorFieldOnF0) -> VectorFieldOnF0:
     if x.window != y.window:
         raise WindowMismatch("fields declared over different windows")
     w = x.window
-    if x is y:
-        return VectorFieldOnF0(w, {})
     xs, ys = x._raw_components(), y._raw_components()
     zero = PhasePoly.zero(w)
     comps = {}

@@ -115,3 +115,40 @@ def test_quadrature_checks_fail_on_nan(monkeypatch, capsys, at):
     details = _failing("quadrature", capsys)
     assert set(details) == {"quadrature_identity_map", "quadrature_sample_map"}
     assert details["quadrature_sample_map"] == "quadrature sup-error nan exceeds 1e-10"
+
+
+# A check whose identity fails: the exercised function, as checks imports it,
+# doubles its result on the arguments ``wrong`` picks.  The recursive field
+# is L_-3, which only witt_recursive_fields builds; iota is wrong only on
+# corrected G_0, after the three Gbar lifts have passed.
+@pytest.mark.parametrize(
+    "suite, name, wrong, failing",
+    [
+        ("witt", "commutator", lambda x, y: True, {
+            "witt_structure_constants": "[L_1, L_2] != (2-1) L_3 on window 12",
+            "witt_recursive_fields": "[L_-3, L_3] != 6 L_0 on window 4",
+        }),
+        ("witt", "kirillov_L", lambda k, window: k == -3, {
+            "witt_recursive_fields": "[L_-3, L_3] != 6 L_0 on window 4",
+        }),
+        ("bracket", "poisson_bracket", lambda r1, r2: True, {
+            "bracket_generating_coefficients": "{G_1, G_2} != (2-1) G_3 at window 12",
+        }),
+        ("bracket", "iota", lambda p: True, {
+            "bracket_observable_lift": "lift of G_1 differs from L_1",
+        }),
+        ("bracket", "iota", lambda p: p == checks.corrected_G(0, p.window), {
+            "bracket_observable_lift": "lift of corrected G_0 differs from L_0",
+        }),
+    ],
+    ids=["commutator", "kirillov_L", "poisson_bracket", "iota-gbar", "iota-corrected"],
+)
+def test_identity_checks_fail_on_a_wrong_result(monkeypatch, capsys, suite, name, wrong, failing):
+    right = getattr(checks, name)
+
+    def doubled(*args):
+        out = right(*args)
+        return out.scale(2) if wrong(*args) else out
+
+    monkeypatch.setattr(checks, name, doubled)
+    assert _failing(suite, capsys) == failing

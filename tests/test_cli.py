@@ -280,6 +280,71 @@ def test_unknown_config_key_or_both_alternatives_is_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("evolve", _without(IDENTITY_CONFIG, "driver"), "config needs a 'driver' object"),
+        ("evolve", dict(IDENTITY_CONFIG, driver={"pieces": []}), "no pieces"),
+        ("evolve", dict(IDENTITY_CONFIG, horizon=0.0), "horizon, step, and order must be positive"),
+        ("evolve", dict(IDENTITY_CONFIG, step=-0.01), "horizon, step, and order must be positive"),
+        ("evolve", dict(IDENTITY_CONFIG, order=0), "horizon, step, and order must be positive"),
+        ("evolve", dict(IDENTITY_CONFIG, m_neg=-1), "psibar window bounds must be nonnegative"),
+        ("evolve", dict(IDENTITY_CONFIG, n_psi=-1), "psibar window bounds must be nonnegative"),
+        ("evolve", dict(IDENTITY_CONFIG, psibar0=1.0), "psibar0 must be a JSON list"),
+        ("evolve", dict(IDENTITY_CONFIG, psibar0=[[1.0, 0.0, 0.0]] * 5), "psibar0 entries must be numbers or [re, im]"),
+        ("graph-dump", {"c": {"re": 0.3}}, "c must be a JSON list"),
+        ("kp", dict(KP_CONFIG, f_source={"c": 0.3}), "f_source.c must be a JSON list"),
+        ("kp", _without(KP_CONFIG, "f_source"), "config needs an 'f_source' object"),
+        ("tau", dict(KP_CONFIG, f_source=[0.3]), "config needs an 'f_source' object"),
+        ("kp", dict(KP_CONFIG, f_source={}), "f_source must supply 'c' or 'snapshot_csv'"),
+        ("kp", dict(KP_CONFIG, f_source={"snapshot_csv": "trajectory.csv"}), "snapshot f_source needs 'at_t'"),
+        ("tau", dict(KP_CONFIG, f_source={"snapshot_csv": ["trajectory.csv"], "at_t": 0.1}),
+         "f_source.snapshot_csv must be a path string, got ['trajectory.csv']"),
+        ("tau", dict(KP_CONFIG, f_source={"snapshot_csv": "missing.csv", "at_t": 0.1}),
+         "cannot read snapshot CSV: [Errno 2] No such file or directory: 'missing.csv'"),
+        ("kp", _without(KP_CONFIG, "t_rows"), "config needs 't_rows' or 't_grid'"),
+        ("kp", dict(KP_CONFIG, t_rows=[]), "t_rows must be a nonempty list of [t1, t2, t3] rows"),
+        ("tau", dict(KP_CONFIG, t_rows=0.05), "t_rows must be a nonempty list of [t1, t2, t3] rows"),
+        ("kp", dict(KP_CONFIG, t_rows=[[0.01, 0.02, 0.03, 0.04]]), "each t_rows entry must list 1 to 3 times"),
+        ("tau", dict(KP_CONFIG, t_rows=[0.05]), "each t_rows entry must list 1 to 3 times"),
+        ("kp", dict(_without(KP_CONFIG, "t_rows"), t_grid=[0.05]), "t_grid must be an object with t1/t2/t3 lists"),
+        ("tau", dict(_without(KP_CONFIG, "t_rows"), t_grid={"t2": []}), "t_grid.t2 must be a nonempty list"),
+    ],
+)
+def test_config_refusal_is_one_line_naming_its_rule(tmp_path, capsys, monkeypatch, command, config, message):
+    _no_computation(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "kp", "tau", "graph-dump"])
+def test_command_without_config_is_config_error(tmp_path, capsys, monkeypatch, command):
+    _no_computation(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == ["config error: this command requires --config <path>"]
+    assert not out.exists()
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch):
+    # the tests may run as root, which may write anywhere, so access is denied here
+    _no_computation(monkeypatch)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    out = tmp_path / "out"
+    assert cli.main(["check", "witt", "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: output directory {str(out)!r} is unusable: {str(tmp_path)!r} is not writable"
+    ]
+    assert not out.exists()
+
+
 def test_tau_reads_a_kp_config(tmp_path):
     path = write_config(tmp_path, dict(KP_CONFIG, convergence_pair=True))
     assert cli.main(["tau", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
@@ -990,8 +1055,10 @@ def _snapshot_text(order):
         # coefficient columns start at c_1
         ("t,re_c_-3,im_c_-3\n0.1,0.5,0.0\n", "column for c_-3"),
         ("t,re_c_0,im_c_0\n0.1,0.5,0.0\n", "column for c_0"),
+        ("t\n0.1\n", "snapshot CSV lacks re_c_*/im_c_* columns"),
     ],
-    ids=["missing-column", "short-row", "huge-order", "order-above-window", "negative-index", "zero-index"],
+    ids=["missing-column", "short-row", "huge-order", "order-above-window", "negative-index", "zero-index",
+         "no-coefficient-columns"],
 )
 @pytest.mark.parametrize("command", ["kp", "tau"])
 def test_malformed_snapshot_csv_is_config_error(tmp_path, capsys, command, text, message):
@@ -1630,9 +1697,8 @@ _REPR = "a __repr__, for debugging and test failure messages"
 # which caller outside the commands needs it.
 UNREACHED = {
     **{f"series:{name}": _SERIES for name in (
-        "TruncatedSeries.__add__", "TruncatedSeries.__eq__", "TruncatedSeries.__mul__",
-        "TruncatedSeries.__neg__", "TruncatedSeries.__repr__", "TruncatedSeries.__rmul__",
-        "TruncatedSeries.reciprocal", "TruncatedSeries.zero", "_conv", "_is_zero", "exp_series",
+        "TruncatedSeries.__add__", "TruncatedSeries.__mul__", "TruncatedSeries.reciprocal",
+        "_conv", "exp_series",
     )},
     "cli:_workers": "reads a --parallel count, which no digest run gives; ROADMAP deletes the thread pool",
     "kp:baker_akhiezer": _KP_ORACLE,

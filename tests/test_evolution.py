@@ -229,6 +229,19 @@ def test_evolve_refuses_a_negative_window_bound_before_any_step(m_neg, width):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "horizon, step",
+    [(0.01, 0.0), (0.01, -1e-3), (0.01, np.nan), (-0.01, 1e-3), (np.inf, 1e-3), (1.0, 1e-320)],
+    ids=["zero-step", "negative-step", "nan-step", "negative-horizon", "infinite-horizon", "infinite-count"],
+)
+def test_evolve_refuses_a_step_or_horizon_before_any_step(horizon, step):
+    # the CLI refuses these before evolve sees them; the library refuses them too
+    s0 = ShapeState.initial(4, m_neg=1, n_psi=1)
+    with pytest.raises(InvalidInput, match=r"^need step > 0 and a finite horizon / step >= 0$") as info:
+        evolve(s0, HerglotzDriver.single_atom(), horizon=horizon, step=step)
+    assert type(info.value) is InvalidInput
+
+
 def test_g0_keeps_the_bits_of_its_generator_sum():
     # g0 pairs k c_k with psibar_k by _pairing, H's loop; it was the sum of
     # k * c[k - 1] * psi(k) over k = 1..min(n_psi, order), started at int 0
@@ -499,6 +512,15 @@ def test_divergence_guard_watches_psibar():
     s0 = ShapeState.initial(4, m_neg=1, n_psi=1, psibar=np.full(3, 1e200 + 0j))
     rec = evolve(s0, HerglotzDriver.single_atom(0.0), horizon=0.01, step=1e-3)
     assert np.isfinite(rec.gbar).all() and np.isfinite(rec.hamiltonian).all()
+
+
+def test_evolve_fails_closed_when_gbar_overflows():
+    # the state passes its own guard, but Gbar_0 = psibar_0 + 2 c_1 psibar_1 overflows
+    s0 = ShapeState(0.0, np.array([0.9 + 0j]), np.array([1e308, 1e308], dtype=complex), m_neg=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        StepRejected, match="^Gbar or H is not finite along the trajectory$"
+    ):
+        evolve(s0, HerglotzDriver.single_atom(), horizon=0.0, step=1e-3)
 
 
 def test_csv_dump_is_deterministic(tmp_path):

@@ -204,6 +204,11 @@ def test_schur_trivial_times():
     assert np.all(S[1:] == 0.0)
 
 
+def test_schur_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="^Schur order must be >= 0$"):
+        schur((0.1, 0.0, 0.0), -1)
+
+
 def test_schur_exact_path_agrees_with_float_path():
     exact = schur((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 10)
     floats = schur((0.5, 1 / 3, 0.2), 10)
@@ -296,10 +301,10 @@ def test_shape_weights_are_cached_per_shape_and_window():
 
 @pytest.mark.parametrize("N", [1, 5, 11, 16, 32])
 def test_a_form_table_keeps_the_bits_of_the_zero_padded_lag_gather(N):
-    # the table was a[lags] @ v with a the Schur values after 12 zeros and
-    # lags[s, q] = q - s + 12; the Toeplitz gather is the same matrix with one
-    # appended zero in place of the twelve; below N = 11 it has more rows
-    # than columns
+    # the table was a[lags] @ v with a the Schur values after _TABLE_DEPTH
+    # zeros and lags[s, q] = q - s + _TABLE_DEPTH; the Toeplitz gather is the
+    # same matrix with one appended zero in place of those; below
+    # N = _TABLE_DEPTH - 1 it has more rows than columns
     rng = np.random.default_rng(N)
     for trial in range(4):
         c = 0.5 ** np.arange(1, N + 1) * (rng.normal(size=N) + 1j * rng.normal(size=N))
@@ -307,7 +312,7 @@ def test_a_form_table_keeps_the_bits_of_the_zero_padded_lag_gather(N):
         t = GeneralizedTimes(tuple(rng.normal(size=3) * 0.1) + ((-0.0,) if trial == 3 else ()))
         v = kp._shape_weights(c.tobytes(), N)
         lags = np.arange(N + 2) - np.arange(kp._TABLE_DEPTH + 1)[:, None] + kp._TABLE_DEPTH
-        old = np.concatenate([np.zeros(12), schur(t, N + 1)])[lags] @ v
+        old = np.concatenate([np.zeros(kp._TABLE_DEPTH), schur(t, N + 1)])[lags] @ v
         assert np.array(ABForm.build(c, t, N).table).tobytes() == old.tobytes()
 
 

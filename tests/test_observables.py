@@ -1,5 +1,6 @@
 """Exact bracket algebra tests for the phase-space observables."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -563,3 +564,67 @@ def test_out_of_window_coefficient_and_diff_are_zero():
     for kind, idx in [("c", 0), ("c", 7), ("psi", -4), ("psi", 7)]:
         assert p.diff(kind, idx).is_zero()
     assert p.diff("c", 6) == psi(6)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+OTHER = BracketWindow(n_c=4, m_neg=1, n_psi=4)
+
+
+@pytest.mark.parametrize("n_c, m_neg, n_psi", [(0, 0, 1), (1, 0, 0), (1, -1, 1)])
+def test_window_bounds_are_checked(n_c, m_neg, n_psi):
+    with pytest.raises(ValueError, match=r"^window needs n_c >= 1, n_psi >= 1, m_neg >= 0$"):
+        BracketWindow(n_c=n_c, m_neg=m_neg, n_psi=n_psi)
+
+
+@pytest.mark.parametrize(
+    "j, window, error, message",
+    [
+        (1, W, ValueError, r"^corrected coefficients are defined for j in \{0, -1, -2\}$"),
+        (-3, W, ValueError, r"^corrected coefficients are defined for j in \{0, -1, -2\}$"),
+        (-2, BracketWindow(n_c=1, m_neg=0, n_psi=4), IndexOutOfWindow, r"^window too small for G_-2$"),
+    ],
+)
+def test_corrected_G_refuses_an_index_or_a_window(j, window, error, message):
+    with pytest.raises(error, match=message) as info:
+        corrected_G(j, window)
+    assert type(info.value) is error
+
+
+def test_vector_field_components_are_checked():
+    with pytest.raises(WindowMismatch, match="^component window differs from field window$"):
+        VectorFieldOnF0(W, {1: PhasePoly.c(1, OTHER)})
+    with pytest.raises(ValueError, match="^components must be polynomials in c only$"):
+        VectorFieldOnF0(W, {1: c(1) * psi(2)})
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_across_windows_raises(op):
+    with pytest.raises(WindowMismatch, match="^operands declared over different windows$"):
+        op(c(1), PhasePoly.c(1, OTHER))
+
+
+def test_constructor_sums_tuple_keys_that_name_one_monomial():
+    # the variables of a monomial listed in another order, or one variable
+    # listed twice, pack to one key, and their coefficients add
+    swapped = PhasePoly(W, {(((0, 1), 1), ((1, 2), 1)): 1, (((1, 2), 1), ((0, 1), 1)): QC(0, 2)})
+    assert swapped == (c(1) * psi(2)).scale(QC(1, 2))
+    assert PhasePoly(W, {(((0, 1), 2),): 3, (((0, 1), 1), ((0, 1), 1)): -3}).is_zero()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_another_type_is_a_type_error(op):
+    # a scalar multiplies through scale; neither order of operands takes one
+    for other in (2, Fraction(1, 2), 0.5j):
+        with pytest.raises(TypeError):
+            op(c(1), other)
+        with pytest.raises(TypeError):
+            op(other, c(1))
+
+
+def test_equality_with_another_type_or_window_is_false():
+    field = iota(gbar_coefficient(1, W))
+    assert c(1) != 1 and QC(1) != "1" and field != c(1)
+    assert field != iota(gbar_coefficient(1, OTHER))
+    assert repr(PhasePoly.zero(W)) == "PhasePoly(0)"

@@ -1,5 +1,6 @@
 """Tests for the truncated series window arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -183,3 +184,22 @@ def test_taylor_evaluate_matches_polyval():
 def test_coeff_out_of_window_is_zero():
     s = TruncatedSeries([1, 2, 3])
     assert s.coeff(5) == 0
+
+
+def test_series_needs_a_coefficient():
+    with pytest.raises(ValueError, match="^series needs at least one coefficient$"):
+        TruncatedSeries([])
+    # so a constant has no derivative on its window
+    with pytest.raises(ValueError, match="^series needs at least one coefficient$"):
+        TruncatedSeries([5.0]).differentiate()
+
+
+@pytest.mark.parametrize("other", [2, 0.5j, Fraction(1, 3)])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_a_non_series_is_a_type_error(op, other):
+    # a scalar multiplies through scale; neither order of operands takes one
+    s = TruncatedSeries([1, 2, 3])
+    with pytest.raises(TypeError):
+        op(s, other)
+    with pytest.raises(TypeError):
+        op(other, s)

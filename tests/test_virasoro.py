@@ -52,6 +52,11 @@ def test_window_too_small():
         kirillov_L(-4, BracketWindow(n_c=4, m_neg=0, n_psi=4))
 
 
+def test_L_minus_one_needs_c_2():
+    with pytest.raises(WindowTooSmall, match="^L_-1 needs c indices up to 2$"):
+        kirillov_L(-1, BracketWindow(n_c=1, m_neg=0, n_psi=1))
+
+
 def test_commutator_window_mismatch_and_self():
     other = BracketWindow(n_c=8, m_neg=0, n_psi=8)
     with pytest.raises(WindowMismatch):
@@ -169,6 +174,11 @@ def test_quadrature_matches_closed_forms():
         want = _field_closed_form(f, k)
         sup = np.abs(np.polyval(got[::-1], zs) - want.evaluate(zs)).max()
         assert sup < 1e-10, (k, sup)
+
+
+def test_closed_form_has_no_degree_below_minus_one():
+    with pytest.raises(ValueError, match="^-2$"):
+        _field_closed_form(TruncatedSeries([0.0, 1.0, 0.2]), -2)
 
 
 def test_quadrature_low_coefficients_exact():
