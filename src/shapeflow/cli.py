@@ -143,11 +143,12 @@ def _load_config(path) -> dict:
     if not path:
         raise InvalidInput("this command requires --config <path>")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer past int's digit limit, or too deep nesting
         raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidInput("config root must be a JSON object")
@@ -190,11 +191,10 @@ def _check_out_dir(path, filenames):
     in which no ``filenames`` entry is taken by a directory.
 
     Checked before any computation; the directory itself is made only by
-    :func:`_publish`, so a run that fails before it leaves nothing behind.
+    :func:`_publish`, once every file is written, so a run that fails leaves
+    nothing behind.
     """
-    probe = os.path.abspath(path)
-    while not os.path.lexists(probe):
-        probe = os.path.dirname(probe)
+    probe = _nearest_existing(path)
     if not os.path.isdir(probe):
         raise InvalidInput(f"output directory {path!r} is unusable: {probe!r} is not a directory")
     if not os.access(probe, os.W_OK | os.X_OK):
@@ -205,6 +205,14 @@ def _check_out_dir(path, filenames):
             raise InvalidInput(f"output file {target!r} is unusable: it is a directory")
 
 
+def _nearest_existing(path):
+    """The absolute form of ``path`` or of its nearest parent that exists."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    return probe
+
+
 def _outputs(args) -> list:
     """The names of the files ``args.command`` writes, from ``_COMMANDS``."""
     return [name.format(**vars(args)) for name in _COMMANDS[args.command][3]]
@@ -212,19 +220,24 @@ def _outputs(args) -> list:
 
 def _publish(args, writers) -> list:
     """Write the command's output files, one ``write(fh)`` per name in
-    ``_outputs(args)``, and return their paths.  The files are staged beside
-    their targets and renamed into place once every writer has finished; a
-    failed write leaves none of them and is an InvalidInput."""
+    ``_outputs(args)``, and return their paths.  The files are staged in the
+    output directory, or in its nearest existing parent while it does not
+    exist, so the renames stay on one filesystem.  Once every writer has
+    finished, the directory is made and the files are renamed into place; a
+    failed write leaves none of them and no new directory, and is an
+    InvalidInput."""
     out_dir = args.out or "."
-    paths = [os.path.join(out_dir, name) for name in _outputs(args)]
+    names = _outputs(args)
+    paths = [os.path.join(out_dir, name) for name in names]
+    stage = _nearest_existing(out_dir)
     staged, path = [], paths[0]
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        for path, write in zip(paths, writers, strict=True):
+        for path, name, write in zip(paths, names, writers, strict=True):
             # "x" refuses a taken name; unlike mkstemp's 0600, the umask sets the mode
-            with open(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp", "x") as fh:
+            with open(os.path.join(stage, f"{name}.{os.getpid()}-{threading.get_ident()}.tmp"), "x") as fh:
                 staged.append(fh.name)
                 write(fh)
+        os.makedirs(out_dir, exist_ok=True)
         for tmp, path in zip(staged, paths):
             os.replace(tmp, path)
     except BaseException as exc:
@@ -345,9 +358,9 @@ def cmd_check(args) -> int:
 def _read_snapshot(path, at_t) -> np.ndarray:
     """Shape coefficients from a trajectory CSV row nearest to at_t."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InvalidInput(f"cannot read snapshot CSV: {exc}") from exc
     if len(rows) < 2:
         raise InvalidInput("snapshot CSV has no data rows")

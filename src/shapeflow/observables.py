@@ -8,7 +8,13 @@ Phase coordinates are the map coefficients ``c_1..c_Nc`` of
 
 (only ``m >= 1`` pairs with a ``c``; lower psibar indices are central).
 Coefficients are exact rational-complex numbers, so every bracket identity
-here is an equality of polynomials, not a tolerance check.
+here is an equality of polynomials, not a tolerance check.  A polynomial
+stores each coefficient as its pair of parts ``(re, im)``, each an ``int``
+or a non-integral ``Fraction``, and every arithmetic result is built from
+such pairs by ``_collect``, which puts the parts in that normal form.
+``QC`` is the exact scalar at the public boundary: scalars enter as ``QC``
+(or any number ``QC.from_number`` takes), and ``coefficient`` and ``terms``
+hand coefficients out as ``QC``; arithmetic happens on polynomials.
 
 Monomials are stored as packed ``int`` keys.  Each variable of a window owns
 a 16-bit field holding its exponent (c_1..c_Nc in the low fields, then
@@ -86,10 +92,11 @@ def _exact(x):
 
 
 class QC:
-    """Exact rational-complex scalar re + i*im.
+    """Exact rational-complex scalar re + i*im, the public form of a coefficient.
 
-    int or Fraction parts; integral Fractions are stored as int, so integer
-    arithmetic never builds a Fraction.  Floats enter exactly.
+    int or Fraction parts; integral Fractions are stored as int, the normal
+    form of a stored pair.  Floats enter exactly.  A QC does no arithmetic:
+    scale a polynomial by it instead.
     """
 
     __slots__ = ("re", "im")
@@ -106,21 +113,6 @@ class QC:
             return cls(x.real, x.imag)
         return cls(x)
 
-    def __add__(self, other):
-        return _qc(_normal(self.re + other.re), _normal(self.im + other.im))
-
-    def __sub__(self, other):
-        return _qc(_normal(self.re - other.re), _normal(self.im - other.im))
-
-    def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return _qc(_normal(a * c), 0)
-        return _qc(_normal(a * c - b * d), _normal(a * d + b * c))
-
-    def __neg__(self):
-        return _qc(-self.re, -self.im)
-
     def __eq__(self, other):
         if isinstance(other, QC):
             return self.re == other.re and self.im == other.im
@@ -131,21 +123,10 @@ class QC:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
     def __repr__(self):
         if self.im == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
-
-
-def _qc(re, im):
-    """QC from parts already in normal form."""
-    q = object.__new__(QC)
-    q.re = re
-    q.im = im
-    return q
 
 
 # A tuple monomial is a sorted tuple of ((kind, index), exponent) with kind 0
@@ -224,35 +205,29 @@ class BracketWindow:
 def _add_part(acc, key, re, im):
     """acc[key] += (re, im)."""
     part = acc.get(key)
-    if part is None:
-        acc[key] = [re, im]
-    else:
-        part[0] += re
-        part[1] += im
-
-
-def _raw(terms):
-    """Terms as a list of (key, re, im)."""
-    return [(k, q.re, q.im) for k, q in terms.items()]
+    acc[key] = (re, im) if part is None else (part[0] + re, part[1] + im)
 
 
 def _raw_diff(terms, shift, sign=1):
-    """sign * d/dx of terms as a list of (key, re, im); x sits at ``shift``."""
+    """sign * d/dx of stored terms as ``{key: (re, im)}``; x sits at ``shift``.
+
+    Distinct monomials keep distinct keys, so no two terms meet.
+    """
     unit, mask = 1 << shift, _MAX_EXP
-    out = []
-    for k, q in terms.items():
+    out = {}
+    for k, (re, im) in terms.items():
         e = (k >> shift) & mask
         if e:
             e *= sign
-            out.append((k - unit, q.re * e, q.im * e))
+            out[k - unit] = (re * e, im * e)
     return out
 
 
 def _product_into(acc, left, right):
-    """acc[k1 + k2] += x1 * x2 over two raw term lists."""
+    """acc[k1 + k2] += x1 * x2 over two ``{key: (re, im)}`` term dicts."""
     get = acc.get
-    for k1, a, b in left:
-        for k2, c, d in right:
+    for k1, (a, b) in left.items():
+        for k2, (c, d) in right.items():
             key = k1 + k2
             part = get(key)
             if part is None:
@@ -263,29 +238,28 @@ def _product_into(acc, left, right):
 
 
 def _collect(window, acc):
-    """PhasePoly of accumulated raw parts {key: [re, im]}, one QC per nonzero term.
+    """PhasePoly of accumulated part pairs ``{key: (re, im)}``, the one place every
+    arithmetic result is built: zero terms go and each part is put in normal
+    form.
 
     Raises ExponentOverflow when a key has a guard bit set.
     """
     if functools.reduce(operator.or_, acc, 0) & window._keys.guard:
         raise ExponentOverflow(f"a monomial exponent reached {_MAX_EXP + 1}")
-    # _qc and _normal inlined: every result term of a kernel passes here
-    new = object.__new__
-    terms = {}
-    for key, (re, im) in acc.items():
-        if re or im:
-            q = terms[key] = new(QC)
-            q.re = re if type(re) is int else _normal(re)
-            q.im = im if type(im) is int else _normal(im)
-    return PhasePoly._trusted(window, terms)
+    # _normal inlined for the int parts that most terms have
+    return PhasePoly._trusted(window, {
+        key: (re if type(re) is int else _normal(re), im if type(im) is int else _normal(im))
+        for key, (re, im) in acc.items()
+        if re or im
+    })
 
 
 class PhasePoly:
-    """Polynomial in the phase variables with exact QC coefficients.
+    """Polynomial in the phase variables with exact rational-complex coefficients.
 
     The public constructor checks every index against the window and
-    normalizes every coefficient; arithmetic on checked operands builds its
-    result with ``_trusted`` and skips both.
+    normalizes every coefficient; arithmetic on checked operands skips the
+    index checks, and each result passes ``_collect``.
     """
 
     __slots__ = ("window", "_terms")
@@ -293,7 +267,7 @@ class PhasePoly:
     def __init__(self, window, terms=None):
         self.window = window
         keys = window._keys
-        clean = {}
+        acc = {}
         for mono, coeff in (terms or {}).items():
             coeff = QC.from_number(coeff)
             if not coeff:
@@ -305,15 +279,12 @@ class PhasePoly:
                     raise ExponentOverflow(f"exponent {e} exceeds {_MAX_EXP}")
                 if (kind, idx) not in keys.shift:
                     raise IndexOutOfWindow(f"variable index {idx} outside window")
-            key = keys.encode(mono)
-            if key in clean:
-                coeff = clean[key] + coeff
-            clean[key] = coeff
-        self._terms = {k: q for k, q in clean.items() if q}
+            _add_part(acc, keys.encode(mono), coeff.re, coeff.im)
+        self._terms = _collect(window, acc)._terms
 
     @classmethod
     def _trusted(cls, window, terms):
-        """Wrap packed terms that are already clean: nonzero QC, in-window keys."""
+        """Wrap packed terms that are already clean: nonzero normal pairs, in-window keys."""
         poly = object.__new__(cls)
         poly.window = window
         poly._terms = terms
@@ -333,7 +304,7 @@ class PhasePoly:
     def c(cls, n, window):
         if not window.has_c(n):
             raise IndexOutOfWindow(f"c_{n} outside window")
-        return cls._trusted(window, {1 << window._keys.shift[(_C, n)]: QC(1)})
+        return cls._trusted(window, {1 << window._keys.shift[(_C, n)]: (1, 0)})
 
     # -- inspection ----------------------------------------------------------
 
@@ -343,12 +314,12 @@ class PhasePoly:
     def coefficient(self, mono):
         """Exact coefficient of a tuple monomial (QC(0) when absent or out of window)."""
         key = self.window._keys.encode(mono)
-        return self._terms.get(key, QC(0))
+        return QC(*self._terms.get(key, (0, 0)))
 
     def terms(self):
         """The terms keyed by tuple monomials."""
         decode = self.window._keys.decode
-        return {decode(k): q for k, q in self._terms.items()}
+        return {decode(k): QC(re, im) for k, (re, im) in self._terms.items()}
 
     def uses_psi(self):
         mask = self.window._keys.psi_mask
@@ -386,34 +357,24 @@ class PhasePoly:
     def _sum(self, other, negate):
         """self + other, or self - other when ``negate``."""
         self._check(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = -coeff if negate else coeff
-            else:
-                total = prev - coeff if negate else prev + coeff
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
-        return PhasePoly._trusted(self.window, out)
+        acc = dict(self._terms)
+        sign = -1 if negate else 1
+        for key, (re, im) in other._terms.items():
+            _add_part(acc, key, sign * re, sign * im)
+        return _collect(self.window, acc)
 
     def scale(self, s):
         s = QC.from_number(s)
-        if not s:
-            return PhasePoly.zero(self.window)
-        # a product of nonzero exact scalars is nonzero
-        return PhasePoly._trusted(
-            self.window, {m: c * s for m, c in self._terms.items()}
-        )
+        acc = {}
+        _product_into(acc, self._terms, {0: (s.re, s.im)})
+        return _collect(self.window, acc)
 
     def __mul__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self._check(other)
         acc = {}
-        _product_into(acc, _raw(self._terms), _raw(other._terms))
+        _product_into(acc, self._terms, other._terms)
         return _collect(self.window, acc)
 
     def __eq__(self, other):
@@ -446,9 +407,7 @@ class PhasePoly:
         shift = self.window._keys.shift.get((_C if kind == "c" else _PSI, idx))
         if shift is None:
             return PhasePoly.zero(self.window)
-        # distinct monomials keep distinct keys
-        acc = {k: [re, im] for k, re, im in _raw_diff(self._terms, shift)}
-        return _collect(self.window, acc)
+        return _collect(self.window, _raw_diff(self._terms, shift))
 
     def evaluate(self, c_values=None, psi_values=None):
         """Numeric value at a phase point.
@@ -460,8 +419,8 @@ class PhasePoly:
         psi_values = psi_values or {}
         decode = self.window._keys.decode
         total = 0j
-        for key, coeff in self._terms.items():
-            val = complex(coeff)
+        for key, (re, im) in self._terms.items():
+            val = complex(re) + 1j * complex(im)
             for (kind, idx), e in decode(key):
                 base = c_values.get(idx, 0) if kind == _C else psi_values.get(idx, 0)
                 val *= complex(base) ** e
@@ -497,10 +456,10 @@ def gbar_coefficient(k: int, window: BracketWindow) -> PhasePoly:
     if not window.has_psi(k):
         raise IndexOutOfWindow(f"Gbar_{k} not representable in window")
     shift = window._keys.shift
-    terms = {1 << shift[(_PSI, k)]: QC(1)}
+    terms = {1 << shift[(_PSI, k)]: (1, 0)}
     for j in range(1, window.n_c + 1):
         if window.has_psi(k + j):
-            terms[(1 << shift[(_C, j)]) + (1 << shift[(_PSI, k + j)])] = QC(j + 1)
+            terms[(1 << shift[(_C, j)]) + (1 << shift[(_PSI, k + j)])] = (j + 1, 0)
     return PhasePoly._trusted(window, terms)
 
 
@@ -516,15 +475,13 @@ def reciprocal_coefficients(n: int, window: BracketWindow) -> list:
         raise IndexOutOfWindow(f"coefficient {n} needs c indices up to {n}")
     shift = window._keys.shift
     table = [PhasePoly.constant(1, window)]
-    raws = [[(0, 1, 0)]]
     for m in range(1, n + 1):
         acc = {}
         for j in range(1, m + 1):
             unit = 1 << shift[(_C, j)]
-            for k, re, im in raws[m - j]:
+            for k, (re, im) in table[m - j]._terms.items():
                 _add_part(acc, k + unit, -re, -im)
         table.append(_collect(window, acc))
-        raws.append(_raw(table[m]._terms))
     return table
 
 
@@ -563,8 +520,8 @@ def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
         else:
             if w.has_c(k + 2):
                 _add_part(acc, cu[k + 2] + psi, k + 3, 0)
-                for key, q in a[k + 2]._terms.items():
-                    _add_part(acc, key + psi, -q.re, -q.im)
+                for key, (re, im) in a[k + 2]._terms.items():
+                    _add_part(acc, key + psi, -re, -im)
             if w.has_c(k):
                 _add_part(acc, 2 * cu[1] + cu[k] + psi, 1, 0)
                 _add_part(acc, cu[2] + cu[k] + psi, -4, 0)
@@ -593,9 +550,9 @@ class VectorFieldOnF0:
         return self.components.get(n, PhasePoly.zero(w))
 
     def _raw_components(self):
-        """(shift of c_n, raw terms of X_n) for each component, in order."""
+        """(shift of c_n, stored terms of X_n) for each component, in order."""
         shift = self.window._keys.shift
-        return [(shift[(_C, n)], _raw(p._terms)) for n, p in self.components.items()]
+        return [(shift[(_C, n)], p._terms) for n, p in self.components.items()]
 
     def scale(self, s):
         return VectorFieldOnF0(

@@ -122,8 +122,9 @@ def commutator(x: VectorFieldOnF0, y: VectorFieldOnF0) -> VectorFieldOnF0:
     commutator(L_k, L_n) = (n - k) L_{k+n}.
 
     Component n is ``sum_m (y_m dx_n/dc_m - x_m dy_n/dc_m)``, built as one exact
-    accumulation: both derivatives go into one dict of raw parts, with the
-    raw terms of every component listed once per call.
+    accumulation: both products go into one dict of ``(re, im)`` parts, read
+    straight from the stored terms of each component, and ``_collect`` turns
+    it into the component.
     """
     if x.window != y.window:
         raise WindowMismatch("fields declared over different windows")

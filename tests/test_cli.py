@@ -324,6 +324,40 @@ def test_config_refusal_is_one_line_naming_its_rule(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+# files that cannot be read as UTF-8 text, JSON or CSV: the command, which of
+# its input files is bad, that file's bytes and the start of the error line
+UNREADABLE_CONFIG = "config error: config is not valid JSON: "
+UNREADABLE_SNAPSHOT = "config error: cannot read snapshot CSV: "
+SNAPSHOT_HEADER = b"t,re_c_1,im_c_1\n0.0,"
+
+
+@pytest.mark.parametrize(
+    "command, kind, content, message",
+    [
+        *((command, "config", b"\xff{}", UNREADABLE_CONFIG) for command in ("evolve", "kp", "tau", "graph-dump")),
+        ("graph-dump", "config", b'{"c": ' + b"[" * 100000 + b"]" * 100000 + b"}", UNREADABLE_CONFIG),
+        ("graph-dump", "config", b'{"n": ' + b"1" * 5000 + b"}", UNREADABLE_CONFIG),
+        ("kp", "snapshot", SNAPSHOT_HEADER + b"\xff\xfe,0\n", UNREADABLE_SNAPSHOT),
+        ("tau", "snapshot", SNAPSHOT_HEADER + b"1" * 131073 + b",0\n", UNREADABLE_SNAPSHOT),
+    ],
+    ids=["utf8-evolve", "utf8-kp", "utf8-tau", "utf8-graph-dump", "deep", "long-int", "snapshot-utf8", "snapshot-field"],
+)
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, monkeypatch, command, kind, content, message):
+    _no_computation(monkeypatch)
+    path = tmp_path / f"input.{kind}"
+    path.write_bytes(content)
+    config = str(path)
+    if kind == "snapshot":
+        config = write_config(tmp_path, dict(KP_CONFIG, f_source={"snapshot_csv": str(path), "at_t": 0.0}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "kp", "tau", "graph-dump"])
 def test_command_without_config_is_config_error(tmp_path, capsys, monkeypatch, command):
     _no_computation(monkeypatch)
@@ -1280,13 +1314,21 @@ def _break_last_writer(monkeypatch, failure):
     monkeypatch.setattr(cli, "_publish", broken_publish)
 
 
-@pytest.mark.parametrize("failure, code", WRITE_FAILURES, ids=["OSError", "NonFiniteOutput"])
-def test_failed_write_leaves_no_output_and_no_temporary(tmp_path, capsys, monkeypatch, failure, code):
+@pytest.mark.parametrize(
+    "failure, code, out_dir",
+    [(*failure, out_dir) for out_dir in ("out", "a/b/out", "existing") for failure in WRITE_FAILURES],
+    ids=[f"{name}{suffix}" for suffix in ("", "-nested", "-existing") for name in ("OSError", "NonFiniteOutput")],
+)
+def test_failed_write_leaves_no_output_and_no_temporary(tmp_path, capsys, monkeypatch, failure, code, out_dir):
     # evolve's second file fails after its first is staged: neither lands,
-    # and both staged files are gone
+    # both staged files are gone, and no directory is made; an --out that
+    # existed before the run stays, empty
     _break_last_writer(monkeypatch, failure)
-    out = tmp_path / "out"
-    assert cli.main(["evolve", "--config", write_config(tmp_path, IDENTITY_CONFIG), "--out", str(out)]) == code
+    config = write_config(tmp_path, IDENTITY_CONFIG)
+    out = tmp_path / out_dir
+    if out_dir == "existing":
+        out.mkdir()
+    assert cli.main(["evolve", "--config", config, "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     if code == cli.EXIT_CONFIG_ERROR:
@@ -1295,7 +1337,9 @@ def test_failed_write_leaves_no_output_and_no_temporary(tmp_path, capsys, monkey
     else:
         want = "numerical failure: injected"
     assert captured.err.splitlines() == [want]
-    assert list(out.iterdir()) == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", *([out_dir] if out_dir == "existing" else [])]
+    if out.exists():
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUTS))
@@ -1709,7 +1753,7 @@ UNREACHED = {
     "grassmannian:IndexSet.virtual_dimension": _SEGAL_WILSON,
     "grassmannian:GraphOperator.index_set": _SEGAL_WILSON,
     "grassmannian:GraphOperator.index_set.<locals>.order": _SEGAL_WILSON,
-    "observables:QC.__add__": "a repeated monomial in PhasePoly(...) sums its coefficients here; no digest run repeats one",
+    "observables:QC.__eq__": "PhasePoly compares its stored (re, im) pairs, so only a caller of coefficient or terms compares QCs",
     "observables:PhasePoly.coefficient": _TUPLE_KEYS,
     "observables:PhasePoly.terms": _TUPLE_KEYS,
     "observables:PhasePoly.__repr__": _REPR,

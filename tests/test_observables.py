@@ -1,12 +1,16 @@
 """Exact bracket algebra tests for the phase-space observables."""
 
+import ast
+import glob
 import operator
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapeflow import observables
 from shapeflow.observables import (
     QC,
     BracketWindow,
@@ -84,15 +88,26 @@ def test_cancelled_terms_are_dropped():
 
 
 # ---------------------------------------------------------------------------
-# QC normal form
+# QC and stored-pair normal form
+
+
+def _const(value):
+    return PhasePoly.constant(value, W)
+
+
+def _stored(poly):
+    """The one stored (re, im) pair of a nonzero constant."""
+    ((key, pair),) = poly._terms.items()
+    assert key == 0
+    return pair
 
 
 def test_qc_integer_parts_stay_int():
     q = QC(3, -2)
     assert type(q.re) is int and type(q.im) is int
-    prod = q * q + QC(1) - QC(0, 5)
-    assert (prod.re, prod.im) == (6, -17)
-    assert type(prod.re) is int and type(prod.im) is int
+    re, im = _stored(_const(q) * _const(q) + _const(1) - _const(QC(0, 5)))
+    assert (re, im) == (6, -17)
+    assert type(re) is int and type(im) is int
     assert type(QC(True).re) is int
 
 
@@ -101,9 +116,9 @@ def test_qc_integral_fraction_is_stored_as_int():
     assert q.re == 2 and type(q.re) is int
     assert q.im == -3 and type(q.im) is int
     # a Fraction sum that lands on an integer is normalized too
-    half = QC(Fraction(1, 2))
-    assert type((half + half).re) is int
-    assert type((half * QC(4)).re) is int
+    half = _const(Fraction(1, 2))
+    assert type(_stored(half + half)[0]) is int
+    assert type(_stored(half * _const(4))[0]) is int
     assert isinstance(QC(Fraction(1, 3)).re, Fraction)
 
 
@@ -157,10 +172,29 @@ def _build(spec, w, form):
     return poly
 
 
+def _construct(spec, w, form):
+    """The public constructor on tuple keys in drawn order, so that two keys
+    can name one monomial and their coefficients add."""
+    return PhasePoly(w, {
+        tuple(((kind, idx), 1) for kind, idx in variables): QC(form(re), form(im))
+        for re, im, variables in spec
+    })
+
+
 def _int_parts(poly):
+    return all(type(x) is int for pair in poly._terms.values() for x in pair)
+
+
+def _normal_parts(poly):
+    """Every stored part is an int or a Fraction that is not integral."""
     return all(
-        type(q.re) is int and type(q.im) is int for q in poly.terms().values()
+        type(x) is int or type(x) is Fraction and x.denominator != 1
+        for pair in poly._terms.values()
+        for x in pair
     )
+
+
+_SCALARS = (3, Fraction(-3, 2), 0.75, QC(Fraction(1, 3), -2))
 
 
 @given(st.data())
@@ -171,15 +205,23 @@ def test_results_agree_across_coefficient_forms(data):
     q_spec = data.draw(_poly_spec(w))
     x_spec = {n: data.draw(_poly_spec(w, c_only=True)) for n in (1, 2, 3)}
     y_spec = {n: data.draw(_poly_spec(w, c_only=True)) for n in (1, 3)}
+    # one spec term per tuple key, so the constructor sees every term
+    unique = list({tuple(v): (re, im, v) for re, im, v in p_spec}.values())
+    variables = [("c", n) for n in range(1, w.n_c + 1)] + [("psi", m) for m in range(-w.m_neg, w.n_psi + 1)]
     results = []
     for form in _FORMS:
         p, q = _build(p_spec, w, form), _build(q_spec, w, form)
         x = VectorFieldOnF0(w, {n: _build(sp, w, form) for n, sp in x_spec.items()})
         y = VectorFieldOnF0(w, {n: _build(sp, w, form) for n, sp in y_spec.items()})
-        prod, bracket, field = p * q, poisson_bracket(p, q), commutator(x, y)
-        assert all(map(_int_parts, [prod, bracket, *field.components.values()]))
+        built = _construct(unique, w, form)
+        assert built == _build(unique, w, form)
+        exact = [p * q, poisson_bracket(p, q), *commutator(x, y).components.values()]
+        exact += [p + q, p - q, built, *(p.diff(kind, idx) for kind, idx in variables)]
+        scaled = [p.scale(s) for s in _SCALARS]
+        assert all(map(_int_parts, exact))
+        assert all(map(_normal_parts, scaled))
         assert (p - p).terms() == {}
-        results.append((prod, bracket, field))
+        results.append(exact + scaled)
     assert results[0] == results[1] == results[2]
 
 
@@ -616,7 +658,7 @@ def test_constructor_sums_tuple_keys_that_name_one_monomial():
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 def test_arithmetic_with_another_type_is_a_type_error(op):
     # a scalar multiplies through scale; neither order of operands takes one
-    for other in (2, Fraction(1, 2), 0.5j):
+    for other in (2, Fraction(1, 2), 0.5j, QC(2)):
         with pytest.raises(TypeError):
             op(c(1), other)
         with pytest.raises(TypeError):
@@ -628,3 +670,16 @@ def test_equality_with_another_type_or_window_is_false():
     assert c(1) != 1 and QC(1) != "1" and field != c(1)
     assert field != iota(gbar_coefficient(1, OTHER))
     assert repr(PhasePoly.zero(W)) == "PhasePoly(0)"
+
+
+def test_only_observables_reads_stored_terms():
+    # the stored (re, im) form of a coefficient has one owner; every other
+    # module goes through PhasePoly's methods or observables' kernels
+    package = os.path.dirname(observables.__file__)
+    readers = []
+    for path in sorted(glob.glob(os.path.join(package, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        if any(isinstance(node, ast.Attribute) and node.attr == "_terms" for node in ast.walk(tree)):
+            readers.append(os.path.relpath(path, package))
+    assert readers == ["observables.py"]
