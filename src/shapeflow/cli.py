@@ -21,7 +21,7 @@ command takes only the flags it reads.  Exit codes:
 1  check failure;
 2  config or usage error: an unusable ``--out`` directory, or an output file
    whose name a directory takes, found before any computation, and an output
-   file that could not be written;
+   file or a standard output that could not be written;
 3  numerical failure, with nothing written.
 
 The CLI only parses the inputs, bounds their sizes (``MAX_*``) and checks
@@ -660,25 +660,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
-    if args.dump_identities:
-        from . import checks
-        for record in checks.catalogue():
-            print(json.dumps(record, sort_keys=True))
-        return EXIT_OK
-    if args.command is None:
+    if args.command is None and not args.dump_identities:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG_ERROR
-    handler = _COMMANDS[args.command][0]
     try:
-        if args.out is not None:
-            _check_out_dir(args.out or ".", _outputs(args))
-        # overflow and NaN are caught by the finiteness checks before any
-        # write, and reported once as a numerical failure
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return handler(args)
+        if args.dump_identities:
+            from . import checks
+            for record in checks.catalogue():
+                print(json.dumps(record, sort_keys=True))
+            code = EXIT_OK
+        else:
+            if args.out is not None:
+                _check_out_dir(args.out or ".", _outputs(args))
+            # overflow and NaN are caught by the finiteness checks before any
+            # write, and reported once as a numerical failure
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()
+        return code
     except InvalidInput as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
+    except OSError as exc:
+        # every file error is an InvalidInput by now, so this one is stdout's;
+        # with stdout gone, the interpreter's flush at exit reports nothing
+        sys.stdout = None
+        print(f"config error: standard output could not be written: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR

@@ -281,7 +281,8 @@ def generating_function(state: ShapeState) -> np.ndarray:
     coef = _cmul(np.arange(2.0, len(shifted) + 2), state.c[: len(shifted)])
     # terms past the window become -0.0, which leaves every sum unchanged
     terms = np.where(inside, _cmul(coef[:, None], shifted), complex(-0.0, -0.0))
-    return np.add.accumulate(np.vstack([psz, terms]))[-1]
+    # a copy, so no state keeps the whole running-sum table alive
+    return np.add.accumulate(np.vstack([psz, terms]))[-1].copy()
 
 
 def g0(state: ShapeState) -> complex:

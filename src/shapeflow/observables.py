@@ -158,11 +158,12 @@ class _KeyLayout:
         }
 
     def encode(self, mono):
-        """Packed key of a tuple monomial; None when it has no key in this window."""
+        """Packed key of a tuple monomial, a repeated variable's exponents summed;
+        None when it has no key in this window, a sum above 2**15 - 1 included."""
         key = 0
         for var, e in mono:
             s = self.shift.get(var)
-            if s is None or not 1 <= e <= _MAX_EXP:
+            if s is None or not 1 <= e <= _MAX_EXP - ((key >> s) & _MAX_EXP):
                 return None
             key += e << s
         return key
@@ -279,7 +280,10 @@ class PhasePoly:
                     raise ExponentOverflow(f"exponent {e} exceeds {_MAX_EXP}")
                 if (kind, idx) not in keys.shift:
                     raise IndexOutOfWindow(f"variable index {idx} outside window")
-            _add_part(acc, keys.encode(mono), coeff.re, coeff.im)
+            key = keys.encode(mono)
+            if key is None:
+                raise ExponentOverflow(f"a variable's exponents sum past {_MAX_EXP}")
+            _add_part(acc, key, coeff.re, coeff.im)
         self._terms = _collect(window, acc)._terms
 
     @classmethod

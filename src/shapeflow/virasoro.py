@@ -16,7 +16,6 @@ the numerical cross-check for the closed forms.
 from __future__ import annotations
 
 import contextvars
-import threading
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -222,13 +221,15 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
     The grid, f(w), f'(w) and the boundary test are computed once for all k,
     and the k that need the same number n_z of interior points share one
     pass over them.  Each pass splits its n_z points in two halves: the
-    calling thread takes the first and one worker thread the second, and
-    the worker is joined before the pass ends, whether it returns or
-    raises.  Each half takes its points ``_ROWS`` at a time: each block of
-    f(w) - f(z) is formed and tested once, then divided into each k's
-    weights and averaged in two (_ROWS, Q) buffers of that thread's own, so
-    memory is O(_ROWS * Q) rather than O(n_z * Q) whatever the number of
-    k, 1 MiB in all.  The transforms run once both halves are done.  Every
+    calling thread takes the first, and a one-worker ``concurrent.futures``
+    pool the second, in a copy of the caller's context so numpy's error
+    state holds there too.  The worker is joined before the pass goes on,
+    whether either half returns or raises; when both raise, the caller's
+    error is the one raised.  Each half takes its points ``_ROWS`` at a
+    time: each block of f(w) - f(z) is formed and tested once, then divided
+    into each k's weights and averaged in two (_ROWS, Q) buffers of that
+    thread's own, so memory is O(_ROWS * Q) rather than O(n_z * Q) whatever
+    the number of k, 1 MiB in all.  The transforms run once both halves are done.  Every
     element, row mean and transform is computed exactly as on the whole
     n_z-by-Q matrix for one k, so each result is the same to the bit.
 
@@ -277,6 +278,7 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
     if _has_close_pair(fw, 1e-8):
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
+    import concurrent.futures
     out = [None] * len(ks)
     # finite values can still overflow below; the test after ends that in one error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,27 +289,15 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
             means = np.empty((len(members), n_z), dtype=complex)
             # n_z is a power of two >= 128, so both halves are whole blocks
             half = n_z // 2
-            failed = []
-
-            def upper_half():
-                try:
-                    _row_means(fw, fz, weights, means, half, n_z)
-                except Exception as exc:
-                    failed.append(exc)
-
             # the worker runs in a copy of this context, so the error state
-            # above holds there too
-            worker = threading.Thread(
-                target=contextvars.copy_context().run, args=(upper_half,)
-            )
-            worker.start()
-            try:
+            # above holds there too; leaving the block joins it
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                upper = pool.submit(
+                    contextvars.copy_context().run,
+                    _row_means, fw, fz, weights, means, half, n_z,
+                )
                 _row_means(fw, fz, weights, means, 0, half)
-            finally:
-                worker.join()
-            # an error of either half ends the call only after the join
-            if failed:
-                raise failed[0]
+            upper.result()
             fz2 = fz**2
             for i, mean in zip(members, means):
                 lam = np.fft.fft(fz2 * mean) / n_z

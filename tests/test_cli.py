@@ -1639,6 +1639,62 @@ def test_module_entry_point_runs():
     assert len(lines) == len(checks.CHECKS)
 
 
+def _unwritable_stdout_run(tmp_path, argv, stdout):
+    """Exit code and stderr lines of ``python -m shapeflow argv`` on ``stdout``."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapeflow", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc.returncode, proc.stderr.splitlines()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [*sorted(OUTPUTS), "--dump-identities"])
+def test_unwritable_stdout_is_config_error(tmp_path, command):
+    configs = {"evolve": IDENTITY_CONFIG, "kp": KP_CONFIG, "tau": KP_CONFIG, "graph-dump": {"c": [0.3], "n": 1, "N": 4}}
+    if command in configs:
+        argv = [command, "--config", write_config(tmp_path, configs[command]), "--out", "out"]
+    else:
+        argv = ["check", "witt"] if command == "check" else [command]
+    with open("/dev/full", "w") as full:
+        code, err = _unwritable_stdout_run(tmp_path, argv, full)
+    assert code == cli.EXIT_CONFIG_ERROR
+    (line,) = err
+    assert line == "config error: standard output could not be written: [Errno 28] No space left on device"
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_stdout_in_process_is_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert cli.main(["check", "witt"]) == cli.EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "config error: standard output could not be written: [Errno 28] No space left on device"
+
+
+def test_closed_stdout_pipe_is_config_error(tmp_path):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        config = write_config(tmp_path, {"c": [0.3, 0.1], "n": 3, "N": 32})
+        code, err = _unwritable_stdout_run(tmp_path, ["graph-dump", "--config", config], write)
+    finally:
+        os.close(write)
+    assert code == cli.EXIT_CONFIG_ERROR
+    (line,) = err
+    assert line == "config error: standard output could not be written: [Errno 32] Broken pipe"
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "shapeflow")
 
@@ -1797,6 +1853,21 @@ def test_only_publish_opens_files_for_writing():
         with open(path) as fh:
             visit(ast.parse(fh.read()), os.path.relpath(path, PACKAGE)[: -len(".py")].replace(os.sep, "."))
     assert found == ["cli._publish"]
+
+
+def test_no_module_starts_a_thread_by_hand():
+    # every worker runs under concurrent.futures, which joins it and
+    # re-raises its error; threading.Thread and _thread.start_new_thread
+    # leave both to the caller
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in ("Thread", "start_new_thread"):
+                found.append(f"{os.path.relpath(path, PACKAGE)}:{node.lineno}")
+    assert found == []
 
 
 def test_every_package_def_is_reached_by_the_digest_run_or_says_why(digest_run):

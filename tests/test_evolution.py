@@ -1,5 +1,7 @@
 """Trajectory tests: closed-form oracles, conservation, integrator order."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -401,12 +403,29 @@ def test_generating_function_matches_observables():
     psibar = rng.normal(size=10) + 1j * rng.normal(size=10)
     s = ShapeState(0.3, c, psibar, m_neg=3)
     g = generating_function(s)
+    # a view would keep the whole running-sum table of its state alive
+    assert g.base is None
     w = BracketWindow(n_c=6, m_neg=3, n_psi=6)
     cvals = {n: c[n - 1] for n in range(1, 7)}
     pvals = {m: s.psi(m) for m in range(-3, 7)}
     for k in range(-3, 7):
         expected = gbar_coefficient(k, w).evaluate(cvals, pvals)
         assert abs(g[k + 3] - expected) < 1e-13
+
+
+def test_evolve_memory_per_state_stays_at_its_record():
+    # N = 16 and the psibar window [-8, 8]: a state's c, psibar and Gbar rows
+    # take about 1.7 KB; each running-sum table kept alive would add 4.6 KB
+    d = HerglotzDriver((DriverPiece(0.0, (Atom(0.7, 0.5), Atom(2.4, 0.3), Atom(4.9, 0.2))),))
+    s0 = ShapeState.initial(16, 8, 8, np.random.default_rng(7).normal(size=17))
+    evolve(s0, d, 0.01, 0.001)
+    tracemalloc.start()
+    try:
+        evolve(s0, d, 0.2, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 201, peak
 
 
 def test_pseudo_hamiltonian_trivial_and_pairing():

@@ -598,6 +598,19 @@ def test_exponent_overflow_raises_and_never_carries():
         PhasePoly(W, {(((0, 1), 2**15),): 1})
 
 
+def test_repeated_variable_sums_its_exponents_and_never_carries():
+    # entries of one variable add up; a sum past 2**15 - 1 raises where it
+    # would carry into the field of c_2
+    assert PhasePoly(W, {(((0, 1), 1),) * 2: 1}) == c(1) * c(1)
+    for count in (2, 3):
+        with pytest.raises(ExponentOverflow):
+            PhasePoly(W, {(((0, 1), 2**15 - 1),) * count: 1})
+    # no polynomial holds such a monomial, so it never aliases a stored key
+    p = PhasePoly(W, {(((0, 1), 2**15 - 3), ((0, 2), 1)): 1})
+    assert p.coefficient((((0, 1), 2**15 - 1),) * 3) == QC(0)
+    assert p.coefficient((((0, 1), 2**15 - 3), ((0, 2), 1))) == QC(1)
+
+
 def test_out_of_window_coefficient_and_diff_are_zero():
     p = c(1) * psi(-3) + c(6) * psi(6)
     for mono in [(((0, 7), 1),), (((1, -4), 1),), (((1, 7), 1),), (((0, 0), 1),)]:
