@@ -22,13 +22,20 @@ composed by Horner, each product one call of numpy's correlate core (the C
 routine behind ``np.convolve``) against w reversed, run only on the window
 that product needs; every kept coefficient is the dot product
 ``np.convolve`` would take, so the bits are those of the full-window
-Horner.  ``evolve`` computes the driver moments once per driver piece,
-records each state's piece and takes each state's H from the dc of the
-first RK4 stage at it, and ``ShapeState.f`` evaluates the map by Horner's
-rule.  ``g0`` is the numeric
-G_0 = sum_k k c_k psibar_k, the conserved partner of H (H + G_0 is constant
-within a driver piece).  The tests keep :mod:`shapeflow.series` as the
-reference the kernel must match bit for bit.
+Horner.  Phi's sum and U's sum share one pass over those windows, with one
+correlate call per sum and product.  Horner's new constant term is written
+as q_k + 0.0 instead of added to the product's entry 0: that entry is the
+dot against w_0 = 0, which is +0 whenever the product is finite, so the bits
+are those of the addition.  ``evolve`` prepares the driver moments and their
+Horner lists once per driver piece and records each state's piece.  Its RK4
+stages carry c and psibar as one stacked vector; the first stage at each
+grid state is :func:`rhs`, whose dc is Phi[2:] there, and H pairs it with
+that state's psibar.  Gbar, H and ``g0`` run over fixed-size blocks of
+``_BLOCK`` states, each sum in its one-state order, so no temporary outlives
+its block.  ``map_values`` evaluates maps by Horner's rule.  ``g0`` is
+the numeric G_0 = sum_k k c_k psibar_k, the conserved partner of H (H + G_0
+is constant within a driver piece).  The tests keep
+:mod:`shapeflow.series` as the reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ __all__ = [
     "g0",
     "pseudo_hamiltonian",
     "taylor_values",
+    "map_values",
+    "state_blocks",
 ]
 
 _DIVERGENCE_GUARD = 1e6
@@ -99,14 +108,6 @@ class ShapeState:
             raise InvalidInput(f"psibar must have {width} entries for the window [-{m_neg}, {n_psi}], got shape {psibar.shape}")
         return cls(t=0.0, c=np.zeros(order, dtype=complex), psibar=psibar, m_neg=m_neg)
 
-    def psi(self, m):
-        return self.psibar[m + self.m_neg]
-
-    def f(self, z):
-        """f(z) = z (1 + sum c_n z^n) at a point or array."""
-        z = np.asarray(z, dtype=complex)
-        return z * taylor_values(np.concatenate([[1.0 + 0j], self.c]), z)
-
 
 def _check_bounds(m_neg, n_psi):
     """InvalidInput unless the psibar window -m_neg..n_psi has nonnegative bounds."""
@@ -115,76 +116,117 @@ def _check_bounds(m_neg, n_psi):
 
 
 def taylor_values(coeffs: np.ndarray, z) -> np.ndarray:
-    """sum_j coeffs[j] z^j by Horner's rule, at a point or array.
+    """sum_j coeffs[..., j] z^j by Horner's rule, at a point or array.
 
-    Rounds exactly like ``TruncatedSeries.evaluate``.
+    Each leading axis of ``coeffs`` holds one polynomial per row, and every
+    row is evaluated at every z, ahead of z's axes.  Rounds exactly like
+    ``TruncatedSeries.evaluate``: the steps are ``np.polyval``'s.
     """
-    return np.polyval(coeffs[::-1], z)
+    z = np.asanyarray(z)
+    coeffs = np.asarray(coeffs)
+    # the coefficients of each power, highest first, each against every z
+    columns = np.moveaxis(coeffs, -1, 0)[::-1].reshape(coeffs.shape[-1:] + coeffs.shape[:-1] + (1,) * z.ndim)
+    y = np.zeros(coeffs.shape[:-1] + z.shape, dtype=z.dtype)
+    for column in columns:
+        y = y * z + column
+    return y
 
 
-def _w_reversed(state: ShapeState) -> np.ndarray:
-    """w = e^{-t} f as a window of order N+1 (constant term zero), reversed."""
-    w = np.concatenate([[0.0 + 0j], np.exp(-state.t) * np.concatenate([[1.0], state.c])])
-    return w[::-1].copy()
+def map_values(c: np.ndarray, z) -> np.ndarray:
+    """f(z) = z (1 + sum c_n z^n) of the map with coefficients c = c_1..c_N,
+    at a point or array; each leading axis of ``c`` holds one map per row,
+    and every row is evaluated at every z, ahead of z's axes."""
+    c = np.asarray(c)
+    z = np.asarray(z, dtype=complex)
+    return z * taylor_values(np.concatenate([np.ones(c.shape[:-1] + (1,), dtype=complex), c], axis=-1), z)
 
 
-def _power_sum(q, wr: np.ndarray) -> np.ndarray:
-    """sum_{k>=1} q_k w^k by Horner (q[0] is q_1), truncated to w's window.
+# Gbar, H, g0 and the CSV rows go this many states at a time: at N = 16 and
+# the psibar window [-8, 8] a block's temporaries take about 20 KB
+_BLOCK = 64
+# f's first two coefficients, 0 and 1
+_F_HEAD = np.array([0j, 1.0])
+_F_HEAD.flags.writeable = False
 
-    ``wr`` is w reversed and q has at most len(w) - 1 entries.  As w_0 = 0,
+
+def _horner_order(q) -> list:
+    """q_1..q_K as Horner takes them, q_K first, as Python complex.
+
+    Every entry after the first is q_k + 0.0, the value :func:`_power_sums`
+    writes as a product's new constant term.
+    """
+    return [complex(q[-1]), *(q[-2::-1] + 0.0).tolist()]
+
+
+def _horner_lists(pk) -> tuple:
+    """The Horner lists of 1 - p(w) = -sum_k p_k w^k and U = -sum_k (k+1) p_k w^k
+    for the driver moments pk = p_1..p_{N+1}."""
+    return _horner_order(-pk), _horner_order(-np.arange(2, len(pk) + 2) * pk)
+
+
+def _power_sums(qa: list, qb: list, wr: np.ndarray):
+    """sum_{k>=1} qa_k w^k and sum_{k>=1} qb_k w^k by Horner, truncated to w's window.
+
+    ``qa`` and ``qb`` come from :func:`_horner_order` and have one length,
+    at most len(w) - 1; ``wr`` is w reversed, with w_0 = 0.  The two sums
+    take each window of w in turn, one correlate call per sum.  As w_0 = 0,
     a product with m more after it matters only below len(w) - m, so each
     runs on that window, one entry wider than the last.  Every kept entry is
     the dot product ``np.convolve`` would take, with the same length,
     operands and order; the entry just past the window only ever meets w_0
-    and is set to zero, which a dot product's +0 start absorbs.  So the bits
-    agree wherever the full-window result is finite: an infinite entry past
-    the window would have made it NaN.
+    and is set to zero, which a dot product's +0 start absorbs.  Entry 0 is
+    the dot against w_0 alone, +0 for a finite product, so writing
+    q_k + 0.0 there gives the bits of adding q_k.  So the bits agree
+    wherever the full-window result is finite: an infinite entry past the
+    window would have made it NaN.
     """
     keep = len(wr)
-    n = keep - len(q) + 1
-    acc = np.zeros(n, dtype=complex)
-    acc[0] = q[-1]
-    for qk in q[-2::-1].tolist():
-        acc = _correlate(acc, wr[keep - n :], "full")[: n + 1]
-        acc[n] = 0
-        acc[0] += qk
+    n = keep - len(qa) + 1
+    a = np.zeros(n, dtype=complex)
+    b = np.zeros(n, dtype=complex)
+    a[0], b[0] = qa[0], qb[0]
+    for x, y in zip(qa[1:], qb[1:]):
+        window = wr[keep - n :]
+        a = _correlate(a, window, "full")[: n + 1]
+        b = _correlate(b, window, "full")[: n + 1]
+        a[n] = b[n] = 0
+        a[0], b[0] = x, y
         n += 1
-    return _correlate(acc, wr, "full")[:keep]
+    return _correlate(a, wr, "full")[:keep], _correlate(b, wr, "full")[:keep]
 
 
-def _phi(state: ShapeState, pk, wr: np.ndarray) -> np.ndarray:
-    """Phi = f (1 - p(w)) to order N+1, with 1 - p(w) = -sum_k p_k w^k."""
-    f = np.concatenate([[0.0 + 0j, 1.0], state.c])
-    return _correlate(f, _power_sum(-pk, wr)[::-1], "full")[: len(wr)]
+def _phi_and_u(t: float, c: np.ndarray, lists: tuple):
+    """Taylor windows of Phi = f (1 - p(w)) (order N+1) and U = -sum_k (k+1) p_k w^k.
 
-
-def _phi_and_u(state: ShapeState, pk):
-    """Taylor windows of Phi (order N+1) and U = -sum_k (k+1) p_k w^k.
-
-    ``pk`` holds the driver moments p_1..p_{N+1}; both are Horner passes
-    over powers of w = e^{-t} f.
+    ``lists`` are the driver piece's :func:`_horner_lists`; both sums are
+    one Horner pass over powers of w = e^{-t} f.
     """
-    wr = _w_reversed(state)
-    return _phi(state, pk, wr), _power_sum(-np.arange(2, state.order + 3) * pk, wr)
+    f = np.concatenate([_F_HEAD, c])
+    wr = np.exp(-t) * f[::-1]  # w reversed; w_0 = e^{-t} * 0 = +0
+    one_minus_p, u = _power_sums(*lists, wr)
+    return _correlate(f, one_minus_p[::-1], "full")[: len(wr)], u
 
 
 @functools.lru_cache(maxsize=16)
 def _shift_table(size: int, jmax: int):
-    """The index and inside-mask tables of :func:`_shifted`, read-only."""
+    """The index table of the psibar gather in :func:`_derivatives` and its
+    zero padding, both read-only: row j-1 reads index i + j, past the window
+    a zero."""
     idx = np.add.outer(np.arange(1, jmax + 1), np.arange(size))
-    inside = idx < size
-    idx.flags.writeable = inside.flags.writeable = False
-    return idx, inside
+    pad = np.zeros(jmax, dtype=complex)
+    idx.flags.writeable = pad.flags.writeable = False
+    return idx, pad
 
 
-def _shifted(psz: np.ndarray, jmax: int):
-    """Row j-1 holds psibar at index i + j for every i, zero past the window.
-
-    Also returns where i + j is still inside the window.
-    """
-    idx, inside = _shift_table(len(psz), jmax)
-    padded = np.concatenate([psz, np.zeros(jmax, dtype=complex)])
-    return padded[idx], inside
+def _derivatives(t: float, y: np.ndarray, order: int, lists: tuple) -> np.ndarray:
+    """dc and dpsibar, stacked like y = c ‖ psibar, at time t on the piece of ``lists``."""
+    psz = y[order:]
+    phi, u = _phi_and_u(t, y[:order], lists)
+    idx, pad = _shift_table(len(psz), min(order, len(psz) - 1))
+    # dpsibar_m = 0 - U_1 psibar_{m+1} - U_2 psibar_{m+2} - ..., in increasing j;
+    # a sum that starts at +0 never becomes -0, so the zero padding is inert
+    terms = u[1 : len(idx) + 1, None] * np.concatenate([psz, pad])[idx]
+    return np.concatenate([phi[2:], np.subtract.reduce(terms, axis=0, initial=0)])  # dc_n/dt = Phi_{n+1}
 
 
 def rhs(state: ShapeState, d: HerglotzDriver, pk=None):
@@ -195,15 +237,18 @@ def rhs(state: ShapeState, d: HerglotzDriver, pk=None):
     """
     if pk is None:
         pk = d.moments(state.t, state.order + 1)
-    phi, u = _phi_and_u(state, pk)
-    dc = phi[2:]  # dc_n/dt = Phi_{n+1}
-    psz = state.psibar
-    shifted, _ = _shifted(psz, min(state.order, len(psz) - 1))
-    # dpsibar_m = 0 - U_1 psibar_{m+1} - U_2 psibar_{m+2} - ..., in increasing j;
-    # a sum that starts at +0 never becomes -0, so the zero padding is inert
-    terms = u[1 : len(shifted) + 1, None] * shifted
-    dpsi = np.subtract.reduce(terms, axis=0, initial=0)
-    return dc, dpsi
+    y = np.concatenate([state.c, state.psibar])
+    k = _derivatives(state.t, y, state.order, _horner_lists(pk))
+    return k[: state.order], k[state.order :]
+
+
+def state_blocks(states):
+    """(lo, hi, c, psibar) per block of at most ``_BLOCK`` states, lo..hi-1 of
+    a sequence of states of one order and window, with the block's c and
+    psibar stacked as rows."""
+    for lo in range(0, len(states), _BLOCK):
+        block = states[lo : lo + _BLOCK]
+        yield lo, lo + len(block), np.array([s.c for s in block]), np.array([s.psibar for s in block])
 
 
 @dataclass
@@ -233,10 +278,11 @@ class TrajectoryRecord:
         """Deterministic CSV dump to the open file ``fh``: t, c, psibar, Gbar, H (Re/Im split).
 
         ``extra_columns`` maps a column name to one real value per step;
-        these are appended after the energy columns.
+        these are appended after the energy columns.  The rows are formatted
+        and written a block of states at a time.
         """
         s0 = self.states[0]
-        extra = dict(extra_columns or {})
+        extra = {name: np.asarray(values, dtype=float) for name, values in (extra_columns or {}).items()}
         cols = ["t"]
         cols += [f"{p}_c_{n}" for n in range(1, s0.order + 1) for p in ("re", "im")]
         cols += [
@@ -248,13 +294,11 @@ class TrajectoryRecord:
         cols += ["re_H", "im_H"]
         cols += list(extra)
         fh.write(",".join(cols) + "\n")
-        for i, s in enumerate(self.states):
-            values = np.concatenate(
-                [s.c, s.psibar, self.gbar[i], self.hamiltonian[i : i + 1]]
-            )
-            row = [float(s.t), *values.view(float).tolist()]  # re, im pairs
-            row += [float(extra[name][i]) for name in extra]
-            fh.write(",".join(map(repr, row)) + "\n")
+        for lo, hi, c, psz in state_blocks(self.states):
+            values = np.concatenate([c, psz, self.gbar[lo:hi], self.hamiltonian[lo:hi, None]], axis=1)
+            times = [float(s.t) for s in self.states[lo:hi]]
+            rows = np.column_stack([times, values.view(float), *(v[lo:hi] for v in extra.values())])
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
 
 
 def _cmul(a, b):
@@ -269,32 +313,64 @@ def _cmul(a, b):
     return out
 
 
-def generating_function(state: ShapeState) -> np.ndarray:
+def _per_state(states, compute):
+    """``compute(c, psibar)`` for one state, or for a sequence of states of one
+    order and window a block at a time, each block's values, one per stacked
+    row, written into one table."""
+    one = isinstance(states, ShapeState)
+    rows = [states] if one else states
+    out = None
+    for lo, hi, c, psz in state_blocks(rows):
+        values = compute(c, psz)
+        if out is None:
+            out = np.empty((len(rows), *values.shape[1:]), dtype=complex)
+        out[lo:hi] = values
+    return out[0].copy() if one else out
+
+
+def generating_function(states) -> np.ndarray:
     """Coefficients Gbar_k, k = -m_neg..n_psi, of Gbar(z) = f'(z) psibar(z).
 
     Gbar_k = psibar_k + sum_{j=1}^{min(N, n_psi-k)} (j+1) c_j psibar_{k+j} is
     the coefficient of z^{k-1}; it is stored like psibar, at index k + m_neg.
-    Each Gbar_k adds its terms in increasing j.
+    Each Gbar_k adds its terms in increasing j.  Given a nonempty sequence
+    of states of one order and window, returns the table [i, k + m_neg],
+    computed ``_BLOCK`` states at a time.
     """
-    psz = state.psibar
-    shifted, inside = _shifted(psz, min(state.order, len(psz) - 1))
-    coef = _cmul(np.arange(2.0, len(shifted) + 2), state.c[: len(shifted)])
-    # terms past the window become -0.0, which leaves every sum unchanged
-    terms = np.where(inside, _cmul(coef[:, None], shifted), complex(-0.0, -0.0))
-    # a copy, so no state keeps the whole running-sum table alive
-    return np.add.accumulate(np.vstack([psz, terms]))[-1].copy()
+    return _per_state(states, _gbar_rows)
 
 
-def g0(state: ShapeState) -> complex:
-    """The value of ``corrected_G(0) = sum_k k c_k psibar_k`` at a state, k <= min(n_psi, order)."""
-    return _pairing(np.arange(1, state.order + 1) * state.c, state)
+def _gbar_rows(c: np.ndarray, psz: np.ndarray) -> np.ndarray:
+    """Gbar rows of stacked states (c, psibar); see :func:`generating_function`."""
+    width = psz.shape[1]
+    jmax = min(c.shape[1], width - 1)
+    coef = _cmul(np.arange(2.0, jmax + 2), c[:, :jmax])
+    out = psz.copy()
+    for j in range(1, jmax + 1):  # Gbar_k has terms up to j = n_psi - k only
+        out[:, : width - j] += _cmul(coef[:, j - 1, None], psz[:, j:])
+    return out
 
 
-def _pairing(dc: np.ndarray, state: ShapeState) -> complex:
-    """H = sum_{m>=1} Phi_{m+1} psibar_m in increasing m, from dc = Phi[2:]."""
-    total = 0j
-    for m in range(1, min(state.order, state.n_psi) + 1):
-        total += dc[m - 1] * state.psi(m)
+def g0(states):
+    """The value of ``corrected_G(0) = sum_k k c_k psibar_k`` at a state, k <= min(n_psi, order).
+
+    Given a nonempty sequence of states of one order and window, returns
+    the array of their values, computed ``_BLOCK`` states at a time.
+    """
+    m_neg = (states if isinstance(states, ShapeState) else states[0]).m_neg
+    return _per_state(states, lambda c, psz: _pairing(np.arange(1, c.shape[1] + 1) * c, psz, m_neg))
+
+
+def _pairing(dc: np.ndarray, psz: np.ndarray, m_neg: int) -> np.ndarray:
+    """H = sum_{m>=1} Phi_{m+1} psibar_m in increasing m, from dc = Phi[2:].
+
+    Each row of ``dc`` pairs with the same row of ``psz``, a block of
+    psibar windows with offset m_neg; the sums start at +0 and round each
+    product like scalar math.
+    """
+    total = np.zeros(len(dc), dtype=complex)
+    for m in range(1, min(dc.shape[1], psz.shape[1] - 1 - m_neg) + 1):
+        total += _cmul(dc[:, m - 1], psz[:, m_neg + m])
     return total
 
 
@@ -307,7 +383,8 @@ def pseudo_hamiltonian(state: ShapeState, d: HerglotzDriver, pk=None) -> complex
     """
     if pk is None:
         pk = d.moments(state.t, state.order + 1)
-    return _pairing(_phi(state, pk, _w_reversed(state))[2:], state)
+    phi, _ = _phi_and_u(state.t, state.c, _horner_lists(pk))
+    return _pairing(phi[None, 2:], state.psibar[None, :], state.m_neg)[0]
 
 
 def _check_state(state: ShapeState, psi_bound: float):
@@ -357,60 +434,61 @@ def evolve(
         )
     starts = [p.t_start for p in d.pieces]
     slack = SWITCH_SLACK * step
+    order, m_neg = state0.order, state0.m_neg
 
     @functools.cache
-    def moments_of(i):  # p_1..p_{N+1} of piece i, computed once per piece
-        return d.moments(starts[i], state0.order + 1)
+    def moments_of(i):  # p_1..p_{N+1} of piece i and their Horner lists, once per piece
+        pk = d.moments(starts[i], order + 1)
+        return pk, _horner_lists(pk)
 
-    state = ShapeState(state0.t, state0.c.copy(), state0.psibar.copy(), state0.m_neg)
+    # the stacked c || psibar of the current state; each state's c and psibar
+    # are views of its own y
+    y = np.concatenate([state0.c, state0.psibar])
+    state = ShapeState(state0.t, y[:order], y[order:], m_neg)
     # psibar is linear in its start, so its guard scales with it; the cap keeps
     # an infinite |psibar| outside the guard
     psi_peak = max(1.0, np.abs(state.psibar).max(initial=0.0))
     psi_bound = min(_DIVERGENCE_GUARD * psi_peak, np.finfo(float).max)
     _check_state(state, psi_bound)
     states = [state]
-    times = [state.t]
     pieces = [d.piece_index(state.t, slack)]
-    ham = []
+    # dc of each step's first RK4 stage, Phi[2:] at its grid state, as far as H pairs it
+    first_dc = np.empty((n_steps, min(order, state0.n_psi)), dtype=complex)
     for k in range(n_steps):
         t_end = state0.t + (k + 1) * step  # avoid additive time drift
         # each RK4 step runs on one piece: the piece of the grid state it
         # starts from, and a switch strictly inside the step splits it into
         # an RK4 step to the switch and one on from it
         cuts = [s for s in starts if state.t + slack < s < t_end - slack]
-        piece = pieces[-1]
+        t, piece = state.t, pieces[-1]
         for j, end in enumerate([*cuts, t_end]):
-            state, dc = _rk4_step(state, d, moments_of(piece), end - state.t if cuts else step)
-            if j == 0:  # the first stage ran at the grid state on its piece: dc is Phi[2:] there
-                ham.append(_pairing(dc, states[-1]))
-            state.t = end
+            pk, lists = moments_of(piece)
+            if j == 0:  # the first stage runs at the grid state, on its piece
+                k1 = np.concatenate(rhs(state, d, pk))
+                first_dc[k] = k1[: first_dc.shape[1]]
+            else:
+                k1 = _derivatives(t, y, order, lists)
+            y = _rk4_step(t, y, order, lists, end - t if cuts else step, k1)
+            t = end
             piece = d.piece_index(end, slack)
+        state = ShapeState(t, y[:order], y[order:], m_neg)
         _check_state(state, psi_bound)
         states.append(state)
-        times.append(state.t)
         pieces.append(piece)
-    ham.append(pseudo_hamiltonian(state, d, moments_of(pieces[-1])))
-    gbar = np.array([generating_function(s) for s in states])
-    ham = np.array(ham)
+    gbar = generating_function(states)
+    ham = np.empty(len(states), dtype=complex)
+    for lo, hi, _, psz in state_blocks(states[:-1]):
+        ham[lo:hi] = _pairing(first_dc[lo:hi], psz, m_neg)
+    ham[-1] = pseudo_hamiltonian(state, d, moments_of(pieces[-1])[0])
     if not (np.isfinite(gbar).all() and np.isfinite(ham).all()):
         raise StepRejected("Gbar or H is not finite along the trajectory")
-    return TrajectoryRecord(np.array(times), states, gbar, ham, np.array(pieces))
+    times = np.array([s.t for s in states])
+    return TrajectoryRecord(times, states, gbar, ham, np.array(pieces))
 
 
-def _rk4_step(state: ShapeState, d: HerglotzDriver, pk, h: float):
-    """The state one RK4 step of size h on, and the first stage's dc."""
-
-    def at(dt, dc, dpsi):
-        return ShapeState(
-            state.t + dt, state.c + dc, state.psibar + dpsi, state.m_neg
-        )
-
-    k1c, k1p = rhs(state, d, pk)
-    k2c, k2p = rhs(at(h / 2, h / 2 * k1c, h / 2 * k1p), d, pk)
-    k3c, k3p = rhs(at(h / 2, h / 2 * k2c, h / 2 * k2p), d, pk)
-    k4c, k4p = rhs(at(h, h * k3c, h * k3p), d, pk)
-    return at(
-        h,
-        h / 6 * (k1c + 2 * k2c + 2 * k3c + k4c),
-        h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
-    ), k1c
+def _rk4_step(t: float, y: np.ndarray, order: int, lists: tuple, h: float, k1: np.ndarray):
+    """The stacked state one RK4 step of size h on from (t, y), given the first stage k1."""
+    k2 = _derivatives(t + h / 2, y + h / 2 * k1, order, lists)
+    k3 = _derivatives(t + h / 2, y + h / 2 * k2, order, lists)
+    k4 = _derivatives(t + h, y + h * k3, order, lists)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)

@@ -22,7 +22,7 @@ import sympy as sp
 
 from shapeflow.checks import _field_closed_form
 from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
-from shapeflow.evolution import ShapeState, evolve, g0
+from shapeflow.evolution import ShapeState, evolve, g0, map_values
 from shapeflow.grassmannian import step2_graph
 from shapeflow.kp import (
     ABForm,
@@ -97,7 +97,7 @@ def test_02_single_atom_matches_implicit_solution():
     for j, z in enumerate(zs):
         t = 0.1 * (j + 1)
         state = ref.states[int(round(t / 1e-3))]
-        w = np.exp(-t) * state.f(z)
+        w = np.exp(-t) * map_values(state.c, z)
         worst = max(worst, abs(koebe_side(w) - np.exp(-t) * koebe_side(z)))
 
     # halving the step cuts the endpoint error about sixteenfold
@@ -322,13 +322,13 @@ def test_14_energy_difference_constant():
     s0 = ShapeState.initial(16, m_neg=8, n_psi=8)
     s0.psibar[s0.m_neg + 1] = 1.0
     rec = evolve(s0, d, horizon=1.0, step=1e-3)
-    g0s = np.array([g0(s) for s in rec.states])
+    g0s = g0(rec.states)
     # The change of energy balances the change of G_0: H(t) - H(0) equals
     # G_0(0) - G_0(t), so H + G_0 stays at -sum_k p_k psibar_k(0) = -2.
     total = rec.hamiltonian + g0s
     drift = np.abs(total - total[0]).max()
     pk = d.moments(0.0, 8)
-    expected = -sum(pk[k - 1] * s0.psi(k) for k in range(1, 9))
+    expected = -sum(pk[k - 1] * s0.psibar[s0.m_neg + k] for k in range(1, 9))
     offset = np.abs(total - expected).max()
     ok = drift < 1e-7 and offset < 1e-7 and abs(expected - (-2.0)) < 1e-14
     verdict(14, "energy-difference", ok, f"drift={drift:.2e} offset={offset:.2e}")

@@ -1656,18 +1656,21 @@ def _unwritable_stdout_run(tmp_path, argv, stdout):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("command", [*sorted(OUTPUTS), "--dump-identities"])
+@pytest.mark.parametrize("command", [*sorted(OUTPUTS), "--dump-identities", "--help", "kp --help"])
 def test_unwritable_stdout_is_config_error(tmp_path, command):
+    # every command publishes, then prints: a run with --out leaves its files
     configs = {"evolve": IDENTITY_CONFIG, "kp": KP_CONFIG, "tau": KP_CONFIG, "graph-dump": {"c": [0.3], "n": 1, "N": 4}}
     if command in configs:
         argv = [command, "--config", write_config(tmp_path, configs[command]), "--out", "out"]
     else:
-        argv = ["check", "witt"] if command == "check" else [command]
+        argv = ["check", "witt", "--out", "out"] if command == "check" else command.split()
     with open("/dev/full", "w") as full:
         code, err = _unwritable_stdout_run(tmp_path, argv, full)
     assert code == cli.EXIT_CONFIG_ERROR
     (line,) = err
     assert line == "config error: standard output could not be written: [Errno 28] No space left on device"
+    if "--out" in argv:
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(OUTPUTS[command])
 
 
 class _FullStdout(io.StringIO):
@@ -1676,10 +1679,18 @@ class _FullStdout(io.StringIO):
 
 
 def test_unwritable_stdout_in_process_is_config_error(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdout", _FullStdout())
-    assert cli.main(["check", "witt"]) == cli.EXIT_CONFIG_ERROR
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == "config error: standard output could not be written: [Errno 28] No space left on device"
+    for argv in (["check", "witt"], ["--help"], ["kp", "--help"]):
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "config error: standard output could not be written: [Errno 28] No space left on device"
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: shapeflow [-h]"), (["kp", "--help"], "usage: shapeflow kp [-h]")])
+def test_help_is_printed_to_stdout(capsys, argv, usage):
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
 
 
 def test_closed_stdout_pipe_is_config_error(tmp_path):

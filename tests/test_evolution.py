@@ -8,13 +8,17 @@ import pytest
 from shapeflow import InvalidInput
 from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
 from shapeflow.evolution import (
+    _BLOCK,
     ShapeState,
     StepRejected,
+    _horner_lists,
+    _horner_order,
     _phi_and_u,
-    _power_sum,
+    _power_sums,
     evolve,
     g0,
     generating_function,
+    map_values,
     pseudo_hamiltonian,
     rhs,
     taylor_values,
@@ -40,6 +44,11 @@ def random_driver(rng, n_atoms=3):
 
 def koebe_side(x):
     return x / (1 + x) ** 2
+
+
+def psi(state, m):
+    """psibar_m of the state."""
+    return state.psibar[m + state.m_neg]
 
 
 # -- reference kernel ---------------------------------------------------------
@@ -83,16 +92,43 @@ def oracle_hamiltonian(state, d):
     phi, _ = oracle_phi_and_u(state, d)
     total = 0j
     for m in range(1, min(state.order, state.n_psi) + 1):
-        total += phi.coeff(m + 1) * state.psi(m)
+        total += phi.coeff(m + 1) * psi(state, m)
     return total
+
+
+def rk4_states(s0, d, horizon, step):
+    """The states of classical RK4 from ``rhs`` on ShapeState stages, with
+    evolve's rule for switches: a switch inside a step splits it, and each
+    part runs on the moments of the piece it starts on."""
+    starts = [p.t_start for p in d.pieces]
+    slack = 1e-9 * step
+    states = [s0]
+    for k in range(round(horizon / step)):
+        state, t_end = states[-1], s0.t + (k + 1) * step
+        cuts = [t for t in starts if state.t + slack < t < t_end - slack]
+        for end in [*cuts, t_end]:
+            pk = d.moments(starts[d.piece_index(state.t, slack)], s0.order + 1)
+            h = end - state.t if cuts else step
+
+            def at(dt, dc, dpsi, state=state):
+                return ShapeState(state.t + dt, state.c + dc, state.psibar + dpsi, state.m_neg)
+
+            k1 = rhs(state, d, pk)
+            k2 = rhs(at(h / 2, h / 2 * k1[0], h / 2 * k1[1]), d, pk)
+            k3 = rhs(at(h / 2, h / 2 * k2[0], h / 2 * k2[1]), d, pk)
+            k4 = rhs(at(h, h * k3[0], h * k3[1]), d, pk)
+            state = at(h, *(h / 6 * (a + 2 * b + 2 * c + e) for a, b, c, e in zip(k1, k2, k3, k4)))
+            state.t = end
+        states.append(state)
+    return states
 
 
 def oracle_gbar(state):
     out = []
     for k in range(-state.m_neg, state.n_psi + 1):
-        acc = state.psi(k)
+        acc = psi(state, k)
         for j in range(1, min(state.order, state.n_psi - k) + 1):
-            acc += (j + 1) * state.c[j - 1] * state.psi(k + j)
+            acc += (j + 1) * state.c[j - 1] * psi(state, k + j)
         out.append(acc)
     return np.array(out)
 
@@ -113,7 +149,7 @@ def test_array_kernel_matches_series_oracle_bit_for_bit(order):
         s = ShapeState(float(rng.uniform(0, 2)), c, psibar, m_neg=m_neg)
         pk = d.moments(s.t, order + 1)
 
-        phi, u = _phi_and_u(s, pk)
+        phi, u = _phi_and_u(s.t, s.c, _horner_lists(pk))
         phi_ref, u_ref = oracle_phi_and_u(s, d)
         assert same_bits(phi, phi_ref.coeffs) and same_bits(u, u_ref.coeffs)
         dc, dpsi = rhs(s, d)
@@ -144,6 +180,11 @@ def _signed_entries(rng, size):
     return parts.view(complex)[:, 0]  # keeps the sign of each zero part
 
 
+def twice(z):
+    """2 z, each real part doubled, so every sign of zero is kept."""
+    return (2.0 * z.view(float)).view(complex)
+
+
 def test_windowed_power_sum_matches_full_window_horner_bit_for_bit():
     # windows of 3..258 entries and q of up to len(w) - 1 entries, as the
     # kernel calls it; w_0 is +0 like every w the kernel builds
@@ -155,7 +196,10 @@ def test_windowed_power_sum_matches_full_window_horner_bit_for_bit():
         w[0] = 0.0
         ref = full_window_power_sum(q, w)
         assert np.isfinite(ref).all()
-        assert same_bits(_power_sum(q, w[::-1].copy()), ref), (keep, n_q)
+        # the fused pass takes 2q as its second sequence: doubling every real
+        # part is exact, so its full-window sum is 2 * ref to the bit
+        fused = _power_sums(_horner_order(q), _horner_order(twice(q)), w[::-1].copy())
+        assert same_bits(fused[0], ref) and same_bits(fused[1], twice(ref)), (keep, n_q)
 
 
 def test_kernel_keeps_the_signed_zeros_of_psibar():
@@ -169,6 +213,12 @@ def test_kernel_keeps_the_signed_zeros_of_psibar():
         d = random_driver(rng, n_atoms=1 + trial % 3)
         assert same_bits(generating_function(s), oracle_gbar(s))
         assert all(same_bits(a, b) for a, b in zip(rhs(s, d), oracle_rhs(s, d)))
+    # a sequence of states goes _BLOCK at a time, each row with its state's bits
+    m_neg, n_psi = 4, 5
+    states = [ShapeState(0.0, 0.3 * _signed_entries(rng, 9), _signed_entries(rng, m_neg + n_psi + 1), m_neg) for _ in range(201)]
+    rows = [oracle_gbar(s) for s in states]
+    for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 201):
+        assert same_bits(generating_function(states[:count]), rows[:count]), count
 
 
 def test_taylor_values_match_series_evaluate_bit_for_bit():
@@ -179,6 +229,10 @@ def test_taylor_values_match_series_evaluate_bit_for_bit():
         z = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.random(33))
         assert same_bits(taylor_values(coeffs, z), TruncatedSeries(coeffs).evaluate(z))
         assert same_bits(taylor_values(coeffs, z[0]), TruncatedSeries(coeffs).evaluate(z[0]))
+    # rows of coefficients on a leading axis, and the maps built on them, keep each row's bits
+    rows = rng.normal(size=(70, 17)) + 1j * rng.normal(size=(70, 17))
+    assert same_bits(taylor_values(rows, z), [TruncatedSeries(r).evaluate(z) for r in rows])
+    assert same_bits(map_values(rows, z), [map_values(r, z) for r in rows])
 
 
 @pytest.mark.parametrize("order, m_neg, n_psi", [(8, 8, 8), (16, 8, 9), (16, 0, 17)])
@@ -250,6 +304,7 @@ def test_g0_keeps_the_bits_of_its_generator_sum():
     rng = np.random.default_rng(2024)
     signed_zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
     for order, m_neg, n_psi in [(1, 0, 0), (4, 0, 4), (8, 3, 5), (16, 8, 8), (6, 0, 12), (12, 0, 3)]:
+        run = []
         for _ in range(5):
             s = ShapeState.initial(order, m_neg, n_psi, rng.normal(size=m_neg + n_psi + 1) + 1j * rng.normal(size=m_neg + n_psi + 1))
             s.c = rng.normal(size=order) + 1j * rng.normal(size=order)
@@ -259,8 +314,13 @@ def test_g0_keeps_the_bits_of_its_generator_sum():
             kmax = min(s.n_psi, s.order)
             for c in (s.c.copy(), np.full(order, complex(-0.0, -0.0))):  # all-zero terms too
                 s.c = c
-                old = sum(k * s.c[k - 1] * s.psi(k) for k in range(1, kmax + 1))
+                old = sum(k * s.c[k - 1] * psi(s, k) for k in range(1, kmax + 1))
                 assert np.complex128(g0(s)).tobytes() == np.complex128(old).tobytes()
+                run.append((ShapeState(s.t, s.c.copy(), s.psibar.copy(), m_neg), old))
+        # a sequence of states of the window goes _BLOCK at a time, each value with its state's bits
+        run *= 201 // len(run) + 1
+        for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 201):
+            assert same_bits(g0([r[0] for r in run[:count]]), [r[1] for r in run[:count]]), count
 
 
 def test_identity_driver_is_frozen():
@@ -290,7 +350,7 @@ def test_implicit_solution_atom_at_zero():
     for i, z in enumerate(zs):
         t_idx = 100 * (i + 1)
         s = rec.states[t_idx]
-        w = np.exp(-s.t) * s.f(z)
+        w = np.exp(-s.t) * map_values(s.c, z)
         err = abs(koebe_side(w) - np.exp(-s.t) * koebe_side(z))
         worst = max(worst, err)
     assert worst < 1e-8
@@ -395,6 +455,10 @@ def test_record_hamiltonian_is_each_states_own_bit_for_bit(t_start, horizon):
     for s, i, h in zip(rec.states, rec.pieces, rec.hamiltonian):
         pk = d.moments(d.pieces[i].t_start, s.order + 1)
         assert same_bits(h, pseudo_hamiltonian(s, d, pk)), s.t
+    # the stacked stages on each piece's Horner lists, prepared once, take
+    # the steps of the public rhs on that piece's moments
+    for s, ref in zip(rec.states, rk4_states(_switch_start(), d, horizon, 1e-3), strict=True):
+        assert s.t == ref.t and same_bits(s.c, ref.c) and same_bits(s.psibar, ref.psibar), s.t
 
 
 def test_generating_function_matches_observables():
@@ -407,7 +471,7 @@ def test_generating_function_matches_observables():
     assert g.base is None
     w = BracketWindow(n_c=6, m_neg=3, n_psi=6)
     cvals = {n: c[n - 1] for n in range(1, 7)}
-    pvals = {m: s.psi(m) for m in range(-3, 7)}
+    pvals = {m: psi(s, m) for m in range(-3, 7)}
     for k in range(-3, 7):
         expected = gbar_coefficient(k, w).evaluate(cvals, pvals)
         assert abs(g[k + 3] - expected) < 1e-13
@@ -449,7 +513,7 @@ def test_energy_conservation_has_plus_sign():
     s0.psibar[s0.m_neg + 1] = 1.0  # psibar_1 = 1
     d = HerglotzDriver.single_atom(0.0)
     rec = evolve(s0, d, horizon=1.0, step=1e-3)
-    g0s = np.array([g0(s) for s in rec.states])
+    g0s = g0(rec.states)
     total = rec.hamiltonian + g0s
     np.testing.assert_allclose(total, -2.0 * np.ones_like(total), atol=1e-9)
     np.testing.assert_allclose(rec.hamiltonian, -2 * np.exp(-rec.times), atol=1e-9)
@@ -465,10 +529,10 @@ def test_energy_conservation_has_plus_sign():
     psibar = rng.normal(size=17) + 1j * rng.normal(size=17)
     s0 = ShapeState.initial(16, m_neg=8, n_psi=8, psibar=psibar)
     rec = evolve(s0, d2, horizon=1.0, step=1e-3)
-    g0s = np.array([g0(s) for s in rec.states])
+    g0s = g0(rec.states)
     total = rec.hamiltonian + g0s
     pk = d2.moments(0.0, 8)
-    expected = -sum(pk[k - 1] * s0.psi(k) for k in range(1, 9))
+    expected = -sum(pk[k - 1] * psi(s0, k) for k in range(1, 9))
     assert np.abs(total - expected).max() < 1e-7
 
 
@@ -482,7 +546,7 @@ def test_bracket_consistency_with_finite_differences():
     i = 100
     s = rec.states[i]
     w = BracketWindow(n_c=8, m_neg=0, n_psi=8)
-    phi, _ = _phi_and_u(s, d.moments(s.t, 9))
+    phi, _ = _phi_and_u(s.t, s.c, _horner_lists(d.moments(s.t, 9)))
     ham = PhasePoly.zero(w)
     for m in range(1, 9):
         ham = ham + PhasePoly(w, {(((1, m), 1),): QC.from_number(complex(phi[m + 1]))})
@@ -506,9 +570,9 @@ def test_corrected_G0_observable_matches_inline_sum():
     s = ShapeState(0.0, c, np.concatenate([[0.0] * 0, psibar]), m_neg=0)
     w = BracketWindow(n_c=8, m_neg=0, n_psi=8)
     val = corrected_G(0, w).evaluate(
-        {n: c[n - 1] for n in range(1, 9)}, {m: s.psi(m) for m in range(0, 9)}
+        {n: c[n - 1] for n in range(1, 9)}, {m: psi(s, m) for m in range(0, 9)}
     )
-    inline = sum(k * c[k - 1] * s.psi(k) for k in range(1, 9))
+    inline = sum(k * c[k - 1] * psi(s, k) for k in range(1, 9))
     assert abs(val - inline) < 1e-13
 
 
