@@ -12,6 +12,8 @@ Herglotz transform is identically 1 (the trivial driver).
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +79,21 @@ class HerglotzDriver:
             pieces.append(DriverPiece(t_start, tuple(atoms)))
         return cls(pieces=tuple(pieces))
 
+    @functools.cached_property
+    def starts(self) -> tuple:
+        """The pieces' start times, read once; InvalidMeasure unless they strictly increase."""
+        starts = tuple(p.t_start for p in self.pieces)
+        if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
+            raise InvalidMeasure("t_start values must be strictly increasing")
+        return starts
+
     def piece_index(self, t, slack=0.0):
-        """The piece in force at t, the last to start by t + slack; else InvalidMeasure."""
-        started = [i for i, p in enumerate(self.pieces) if p.t_start <= t + slack]
-        if not started:
+        """The piece in force at t, the last to start by t + slack, found by
+        bisection; else InvalidMeasure, as for pieces out of order."""
+        starts = self.starts
+        if not (starts and t + slack >= starts[0]):  # NaN fails too
             raise InvalidMeasure(f"no driver piece covers t={t}")
-        return started[-1]
+        return bisect.bisect_right(starts, t + slack) - 1
 
     def moments(self, t, N):
         """Coefficients p_1..p_N of p(z,t): p_k = 2 sum_j mu_j e^{-ik theta_j}.
@@ -116,13 +127,14 @@ class HerglotzDriver:
         Re p > 0 on the open disc, so no value of p is probed.
         """
         problems = []
-        starts = [p.t_start for p in self.pieces]
         if not self.pieces:
             problems.append("no pieces")
-        elif starts[0] != 0.0:
+        elif self.pieces[0].t_start != 0.0:
             problems.append("first piece must start at t=0")
-        if not all(b > a for a, b in zip(starts, starts[1:])):  # NaN fails too
-            problems.append("t_start values must be strictly increasing")
+        try:
+            self.starts
+        except InvalidMeasure as exc:
+            problems.append(str(exc))
         for i, piece in enumerate(self.pieces):
             problems.extend(f"piece {i}: {msg}" for msg in piece.check())
         return problems

@@ -32,14 +32,16 @@ stages carry c and psibar as one stacked vector; the first stage at each
 grid state is :func:`rhs`, whose dc is Phi[2:] there, and H pairs it with
 that state's psibar.  Gbar, H and ``g0`` run over fixed-size blocks of
 ``_BLOCK`` states, each sum in its one-state order, so no temporary outlives
-its block.  ``map_values`` evaluates maps by Horner's rule.  ``g0`` is
-the numeric G_0 = sum_k k c_k psibar_k, the conserved partner of H (H + G_0
-is constant within a driver piece).  The tests keep
+its block.  Horner's rule for ``map_values``, the psibar gather and the
+scalar-rounded products come from :mod:`shapeflow.arrays`.  ``g0``
+is the numeric G_0 = sum_k k c_k psibar_k, the conserved partner of H (H +
+G_0 is constant within a driver piece).  The tests keep
 :mod:`shapeflow.series` as the reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -47,6 +49,7 @@ import numpy as np
 from numpy._core.multiarray import correlate as _correlate  # np.convolve's core
 
 from . import InvalidInput, NumericalFailure
+from .arrays import _cmul, _hankel_table, taylor_values
 from .driver import HerglotzDriver
 
 __all__ = [
@@ -58,7 +61,6 @@ __all__ = [
     "generating_function",
     "g0",
     "pseudo_hamiltonian",
-    "taylor_values",
     "map_values",
     "state_blocks",
 ]
@@ -113,23 +115,6 @@ def _check_bounds(m_neg, n_psi):
     """InvalidInput unless the psibar window -m_neg..n_psi has nonnegative bounds."""
     if m_neg < 0 or n_psi < 0:
         raise InvalidInput(f"psibar window m_neg = {m_neg}, n_psi = {n_psi}: both bounds must be nonnegative")
-
-
-def taylor_values(coeffs: np.ndarray, z) -> np.ndarray:
-    """sum_j coeffs[..., j] z^j by Horner's rule, at a point or array.
-
-    Each leading axis of ``coeffs`` holds one polynomial per row, and every
-    row is evaluated at every z, ahead of z's axes.  Rounds exactly like
-    ``TruncatedSeries.evaluate``: the steps are ``np.polyval``'s.
-    """
-    z = np.asanyarray(z)
-    coeffs = np.asarray(coeffs)
-    # the coefficients of each power, highest first, each against every z
-    columns = np.moveaxis(coeffs, -1, 0)[::-1].reshape(coeffs.shape[-1:] + coeffs.shape[:-1] + (1,) * z.ndim)
-    y = np.zeros(coeffs.shape[:-1] + z.shape, dtype=z.dtype)
-    for column in columns:
-        y = y * z + column
-    return y
 
 
 def map_values(c: np.ndarray, z) -> np.ndarray:
@@ -207,25 +192,14 @@ def _phi_and_u(t: float, c: np.ndarray, lists: tuple):
     return _correlate(f, one_minus_p[::-1], "full")[: len(wr)], u
 
 
-@functools.lru_cache(maxsize=16)
-def _shift_table(size: int, jmax: int):
-    """The index table of the psibar gather in :func:`_derivatives` and its
-    zero padding, both read-only: row j-1 reads index i + j, past the window
-    a zero."""
-    idx = np.add.outer(np.arange(1, jmax + 1), np.arange(size))
-    pad = np.zeros(jmax, dtype=complex)
-    idx.flags.writeable = pad.flags.writeable = False
-    return idx, pad
-
-
 def _derivatives(t: float, y: np.ndarray, order: int, lists: tuple) -> np.ndarray:
     """dc and dpsibar, stacked like y = c ‖ psibar, at time t on the piece of ``lists``."""
     psz = y[order:]
     phi, u = _phi_and_u(t, y[:order], lists)
-    idx, pad = _shift_table(len(psz), min(order, len(psz) - 1))
-    # dpsibar_m = 0 - U_1 psibar_{m+1} - U_2 psibar_{m+2} - ..., in increasing j;
-    # a sum that starts at +0 never becomes -0, so the zero padding is inert
-    terms = u[1 : len(idx) + 1, None] * np.concatenate([psz, pad])[idx]
+    jmax = min(order, len(psz) - 1)
+    # dpsibar_m = 0 - U_1 psibar_{m+1} - U_2 psibar_{m+2} - ..., in increasing j, read from
+    # psibar and jmax zeros; a sum that starts at +0 never becomes -0, so the zeros are inert
+    terms = u[1 : jmax + 1, None] * np.concatenate([psz, np.zeros(jmax, dtype=complex)])[_hankel_table(jmax, len(psz))]
     return np.concatenate([phi[2:], np.subtract.reduce(terms, axis=0, initial=0)])  # dc_n/dt = Phi_{n+1}
 
 
@@ -299,18 +273,6 @@ class TrajectoryRecord:
             times = [float(s.t) for s in self.states[lo:hi]]
             rows = np.column_stack([times, values.view(float), *(v[lo:hi] for v in extra.values())])
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
-
-
-def _cmul(a, b):
-    """a * b as (ar br - ai bi) + i (ar bi + ai br), rounded like scalar math.
-
-    numpy's SIMD loop for complex arrays may fuse the multiply-adds, which
-    moves the last bits; the split form gives the scalar result exactly.
-    """
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _per_state(states, compute):
@@ -407,9 +369,11 @@ def evolve(
     n_psi <= order (see the module docstring), and the horizon must be a
     whole number of steps, to 1e-9 relative, so the last state sits at the
     horizon; else InvalidInput, as for step <= 0, horizon < 0 or an infinite
-    step count, all before any step.  Raises StepRejected when a state leaves
-    the divergence guard (|c| above 1e6, or |psibar| above 1e6 times its
-    starting peak) or when a state, a Gbar coefficient or H is not finite.
+    step count, and InvalidMeasure when the driver's pieces do not start in
+    strictly increasing order, all before any step.  Raises StepRejected
+    when a state leaves the divergence guard (|c| above 1e6, or |psibar|
+    above 1e6 times its starting peak) or when a state, a Gbar coefficient
+    or H is not finite.
 
     Each RK4 step runs on one driver piece.  A switch strictly inside a step
     splits it into a step to the switch on the old piece and one from the
@@ -432,7 +396,7 @@ def evolve(
         raise InvalidInput(
             f"horizon {horizon} is not a whole number of steps of {step} ({steps:.6g} steps)"
         )
-    starts = [p.t_start for p in d.pieces]
+    starts = d.starts  # InvalidMeasure for pieces out of order
     slack = SWITCH_SLACK * step
     order, m_neg = state0.order, state0.m_neg
 
@@ -458,9 +422,10 @@ def evolve(
         t_end = state0.t + (k + 1) * step  # avoid additive time drift
         # each RK4 step runs on one piece: the piece of the grid state it
         # starts from, and a switch strictly inside the step splits it into
-        # an RK4 step to the switch and one on from it
-        cuts = [s for s in starts if state.t + slack < s < t_end - slack]
+        # an RK4 step to the switch and one on from it; every start after
+        # that piece's lies past state.t + slack
         t, piece = state.t, pieces[-1]
+        cuts = starts[piece + 1 : bisect.bisect_left(starts, t_end - slack, piece + 1)]
         for j, end in enumerate([*cuts, t_end]):
             pk, lists = moments_of(piece)
             if j == 0:  # the first stage runs at the grid state, on its piece

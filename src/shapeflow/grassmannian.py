@@ -14,18 +14,19 @@ closed form for every order n, producing an operator T_n whose graph
 contains every G built from the same map.  The graph's place in Segal &
 Wilson's Grassmannian is its index set S_W, a finite symmetric-difference
 description of a subset of the integers, and the virtual dimension read off
-it; no command reports them, and the tests pin both.
+it; no command reports them, and the tests pin both.  The Toeplitz and
+Hankel gathers come from :mod:`shapeflow.arrays`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import InvalidInput, NumericalFailure, WindowTooSmall
+from .arrays import _hankel_table, _upper_toeplitz
 
 __all__ = [
     "GraphOperator",
@@ -118,36 +119,6 @@ def fprime_reciprocal(f_coeffs, N: int):
     """
     _, d, exact = _band(f_coeffs, N)
     return _unit_reciprocal(d[: N + 1], exact)
-
-
-def _upper_toeplitz(band, rows=None):
-    """The ``rows`` x ``len(band)`` (square by default) upper-triangular
-    Toeplitz matrix whose entry (i, j) is band[j - i].
-
-    One gather from ``band`` with a zero appended; the zero is that of the
-    band's dtype, ``0j`` for complex and the int ``0`` for object bands, as
-    ``np.triu`` writes.
-    """
-    padded = np.concatenate([band, np.zeros(1, dtype=band.dtype)])
-    return padded[_toeplitz_table(len(band), len(band) if rows is None else rows)]
-
-
-@functools.lru_cache(maxsize=16)
-def _toeplitz_table(size: int, rows: int) -> np.ndarray:
-    """Read-only index of ``_upper_toeplitz``: ``j - i`` on and above the
-    diagonal, ``size`` (the appended zero) below it."""
-    lag = np.arange(size) - np.arange(rows)[:, None]
-    lag[lag < 0] = size
-    lag.flags.writeable = False
-    return lag
-
-
-@functools.lru_cache(maxsize=16)
-def _hankel_table(rows: int, cols: int) -> np.ndarray:
-    """Read-only ``idx[i, j] = i + j + 1``: ``x[idx]`` is the Hankel block of x from x_1."""
-    idx = np.arange(rows)[:, None] + np.arange(1, cols + 1)
-    idx.flags.writeable = False
-    return idx
 
 
 def c_blocks(f_coeffs, n: int, N: int):

@@ -43,7 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from . import NumericalFailure, WindowTooSmall
-from .grassmannian import GraphOperator, _hankel_table, _upper_toeplitz, fprime_reciprocal
+from .arrays import _hankel_table, _upper_toeplitz
+from .grassmannian import GraphOperator, fprime_reciprocal
 
 
 class NearSingularA(NumericalFailure):

@@ -10,7 +10,8 @@ recursively from commutators, using the convention
 
 `schaeffer_spencer` computes the same tangent vectors analytically, as a
 contour integral over the boundary driven by the vector field -i z^k, and is
-the numerical cross-check for the closed forms.
+the numerical cross-check for the closed forms; it evaluates f with
+:func:`shapeflow.arrays.taylor_values`, so no check loads the flow layer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import taylor_values
+from .arrays import taylor_values
 from .observables import (
     BracketWindow,
     PhasePoly,

@@ -1866,6 +1866,45 @@ def test_only_publish_opens_files_for_writing():
     assert found == ["cli._publish"]
 
 
+ARRAY_PRIMITIVES = {"_cmul", "_hankel_table", "_toeplitz_table", "_upper_toeplitz", "taylor_values"}
+
+
+def test_array_primitives_have_one_home_that_loads_no_other_module():
+    # the scalar-rounded primitives are defined, and listed in __all__, by
+    # arrays.py alone, which imports nothing from the package but its root,
+    # so every layer may load it
+    modules = {
+        os.path.relpath(path, PACKAGE)[: -len(".py")].replace(os.sep, "."): path
+        for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True))
+    }
+    homes, loaded = set(), []
+    for module, path in modules.items():
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                if "__all__" in names:
+                    names |= {e.value for e in node.value.elts}
+            else:
+                names = set()
+            homes |= {(name, module) for name in names & ARRAY_PRIMITIVES}
+            if module != "arrays":
+                continue
+            if isinstance(node, ast.Import):
+                loaded += [a.name for a in node.names if a.name.partition(".")[0] == "shapeflow"]
+            elif isinstance(node, ast.ImportFrom):
+                source = "." * node.level + (node.module or "")
+                if source in (".", "shapeflow"):  # the root: its names, but no submodule
+                    loaded += [a.name for a in node.names if a.name in modules]
+                elif node.level or source.partition(".")[0] == "shapeflow":
+                    loaded.append(source)
+    assert homes == {(name, "arrays") for name in ARRAY_PRIMITIVES}
+    assert loaded == []
+
+
 def test_no_module_starts_a_thread_by_hand():
     # every worker runs under concurrent.futures, which joins it and
     # re-raises its error; threading.Thread and _thread.start_new_thread

@@ -93,6 +93,17 @@ def test_piece_index_is_the_last_piece_to_start_by_t_plus_slack():
     assert (d.moments(start, 3) == 2).all() and (d.moments(grid, 3) == 0).all()
 
 
+def test_piece_index_refuses_pieces_out_of_order():
+    # the last piece to start by t is found by bisection, which needs the
+    # starts in order: a driver validate() refuses is refused by its words
+    for starts in ((0.0, 0.8, 0.4), (0.0, 0.5, 0.5), (0.0, float("nan"))):
+        d = HerglotzDriver(tuple(DriverPiece(t) for t in starts))
+        for read in (lambda: d.piece_index(0.6), lambda: d.moments(0.6, 3)):
+            with pytest.raises(InvalidMeasure) as refused:
+                read()
+            assert [str(refused.value)] == d.validate()
+
+
 def test_theta_whose_multiples_overflow_is_an_invalid_measure():
     # k theta passes the largest float for some k <= N: the moments would be
     # NaN, so the piece is refused by name, with no numpy warning on the way

@@ -1,12 +1,15 @@
 """Trajectory tests: closed-form oracles, conservation, integrator order."""
 
+import io
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from shapeflow import InvalidInput
-from shapeflow.driver import Atom, DriverPiece, HerglotzDriver
+from shapeflow.arrays import taylor_values
+from shapeflow.driver import Atom, DriverPiece, HerglotzDriver, InvalidMeasure
 from shapeflow.evolution import (
     _BLOCK,
     ShapeState,
@@ -21,7 +24,6 @@ from shapeflow.evolution import (
     map_values,
     pseudo_hamiltonian,
     rhs,
-    taylor_values,
 )
 from shapeflow.observables import (
     QC,
@@ -459,6 +461,54 @@ def test_record_hamiltonian_is_each_states_own_bit_for_bit(t_start, horizon):
     # the steps of the public rhs on that piece's moments
     for s, ref in zip(rec.states, rk4_states(_switch_start(), d, horizon, 1e-3), strict=True):
         assert s.t == ref.t and same_bits(s.c, ref.c) and same_bits(s.psibar, ref.psibar), s.t
+
+
+class _NoMoments(HerglotzDriver):
+    def moments(self, t, N):
+        raise AssertionError(f"a step read the moments at t={t}")
+
+
+def test_evolve_refuses_pieces_out_of_order_before_any_step():
+    # the step from 0.010 to 0.011 would take its cuts in list order, one
+    # RK4 sub-step with h = 0.0101 - 0.0105 < 0, and record piece 2 from 0.011
+    pieces = (DriverPiece(0.0, (Atom(0.0, 1.0),)), DriverPiece(0.0105), DriverPiece(0.0101, (Atom(1.0, 1.0),)))
+    (problem,) = HerglotzDriver(pieces).validate()
+    with pytest.raises(InvalidMeasure) as refused:
+        evolve(_switch_start(), _NoMoments(pieces), horizon=0.02, step=1e-3)
+    assert str(refused.value) == problem == "t_start values must be strictly increasing"
+
+
+class _CountingPieces(Sequence):
+    """A driver's pieces that count every element read."""
+
+    def __init__(self, pieces):
+        self._pieces, self.reads = pieces, 0
+
+    def __len__(self):
+        return len(self._pieces)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self._pieces[i]
+
+
+def test_evolve_looks_up_its_piece_without_a_scan_per_step():
+    # 4999 more pieces past the horizon change no byte, and the run reads
+    # the pieces as often at 5 steps as at 500: once per piece, not per step
+    s0 = _switch_start()
+    first = DriverPiece(0.0, (Atom(0.7, 1.0),))
+    later = [DriverPiece(1.0 + i, (Atom(0.1, 1.0),)) for i in range(4999)]
+
+    def run(pieces, steps):
+        out = io.StringIO()
+        rec = evolve(s0, HerglotzDriver(pieces), horizon=steps * 1e-3, step=1e-3)
+        rec.to_csv(out)
+        return out.getvalue(), rec.pieces.tolist()
+
+    counted = {steps: _CountingPieces([first, *later]) for steps in (5, 500)}
+    assert run(counted[500], 500) == run((first,), 500)
+    run(counted[5], 5)
+    assert counted[5].reads == counted[500].reads <= 3 * len(counted[5])
 
 
 def test_generating_function_matches_observables():

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from shapeflow.arrays import _hankel_table, _upper_toeplitz
 from shapeflow.grassmannian import (
     GraphOperator,
     _band,
     _conjugate_all,
-    _hankel_table,
-    _upper_toeplitz,
     IndexSet,
     InverseCheckFailed,
     UnsupportedOrder,

@@ -510,33 +510,55 @@ def test_recurrence_matches_symbolic_oracle_on_random_tables():
 
 EXACT_LAYER = {"shapeflow.observables", "shapeflow.virasoro", "shapeflow.checks", "shapeflow.series"}
 
+# One interpreter imports numpy, which loads no module the probes look for,
+# then runs each probe in a fork of itself and writes the modules it holds.
+_FORK_PROBES = """
+import json, os, sys
+import numpy
+for code, cwd, out in json.loads(sys.argv[1]):
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.chdir(cwd)
+            exec(code, {"__name__": "__probe__"})
+            with open(out, "w") as fh:
+                fh.write(" ".join(sorted(sys.modules)))
+            status = 0
+        except BaseException:
+            import traceback
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(status)
+    if os.waitpid(pid, 0)[1]:
+        sys.exit(f"probe failed: {code!r}")
+"""
 
-def _fresh_modules(code, cwd=None):
-    """The modules a fresh interpreter holds after running ``code``."""
+
+def _fresh_modules(probes, tmp_path):
+    """The modules each probe's code holds after it runs, by label; ``probes``
+    maps a label to (code, cwd), and each runs in a fresh fork of one child
+    interpreter that has imported numpy and no ``shapeflow`` module."""
     src = os.path.join(ROOT, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    outs = {label: tmp_path / f"modules_{i}.txt" for i, label in enumerate(probes)}
+    spec = [(code, str(cwd), str(outs[label])) for label, (code, cwd) in probes.items()]
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _FORK_PROBES, json.dumps(spec)],
         capture_output=True,
         text=True,
         timeout=120,
-        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return {label: set(out.read_text().split()) for label, out in outs.items()}
 
 
 def test_cli_import_leaves_sympy_unloaded(tmp_path):
     # each command loads only its layer, and the numeric runtime never
     # loads the exact layer
-    loaded = _fresh_modules("import shapeflow.cli")
-    assert "sympy" not in loaded and "concurrent.futures" not in loaded
-    assert {m for m in loaded if m.startswith("shapeflow.")} == {"shapeflow.cli"}
-    for module in ("kp", "evolution", "grassmannian"):
-        assert not _fresh_modules(f"import shapeflow.{module}") & EXACT_LAYER, module
-
     flow = {
         "driver": {"pieces": [{"t_start": 0.0, "atoms": [{"theta": 0.0, "mu": 1.0}]}]},
         "horizon": 0.01,
@@ -548,18 +570,37 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
     sweep = {"f_source": {"c": [0.3]}, "n": 2, "N": 4, "t_rows": [[0.05]]}
     graph = {"c": [0.3], "n": 2, "N": 4}
     numeric = {"shapeflow.evolution", "shapeflow.driver"}
-    runs = [
-        ("evolve", flow, "shapeflow.evolution", {"shapeflow.kp", "shapeflow.grassmannian"}),
-        ("kp", sweep, "shapeflow.kp", numeric),
-        ("tau", sweep, "shapeflow.kp", numeric),
-        ("graph-dump", graph, "shapeflow.grassmannian", numeric),
-    ]
-    for command, config, used, unused in runs:
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        run = f"from shapeflow import cli\nassert cli.main([{command!r}, '--config', 'config.json']) == 0"
-        loaded = _fresh_modules(run, cwd=tmp_path)
-        assert used in loaded, command
-        assert not loaded & (EXACT_LAYER | unused), command
+    runs = {
+        "evolve": (flow, "shapeflow.evolution", EXACT_LAYER | {"shapeflow.kp", "shapeflow.grassmannian"}),
+        "kp": (sweep, "shapeflow.kp", EXACT_LAYER | numeric),
+        "tau": (sweep, "shapeflow.kp", EXACT_LAYER | numeric),
+        "graph-dump": (graph, "shapeflow.grassmannian", EXACT_LAYER | numeric),
+        "check witt": (None, "shapeflow.checks", numeric | {"shapeflow.kp"}),
+        "check quadrature": (None, "shapeflow.checks", numeric | {"shapeflow.kp"}),
+        "--dump-identities": (None, "shapeflow.checks", numeric | {"shapeflow.kp"}),
+    }
+    modules = ("cli", "arrays", "kp", "evolution", "grassmannian")
+    probes = {module: (f"import shapeflow.{module}", tmp_path) for module in modules}
+    for command, (config, _, _) in runs.items():
+        argv = command.split()
+        (tmp_path / command).mkdir()
+        if config is not None:
+            (tmp_path / command / "config.json").write_text(json.dumps(config))
+            argv += ["--config", "config.json"]
+        probes[command] = (f"from shapeflow import cli\nassert cli.main({argv!r}) == 0", tmp_path / command)
+    loaded = _fresh_modules(probes, tmp_path)
+
+    def package(label):
+        return {m for m in loaded[label] if m.startswith("shapeflow.")}
+
+    assert "sympy" not in loaded["cli"] and "concurrent.futures" not in loaded["cli"]
+    assert package("cli") == {"shapeflow.cli"}
+    assert package("arrays") == {"shapeflow.arrays"}
+    for module in ("kp", "evolution", "grassmannian"):
+        assert not loaded[module] & EXACT_LAYER, module
+    for command, (_, used, unused) in runs.items():
+        assert used in loaded[command], command
+        assert not loaded[command] & unused, command
 
 
 def test_kp_residual_random_decaying_shapes():
