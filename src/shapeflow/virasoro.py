@@ -54,6 +54,11 @@ _Q = 2048
 # block buffers take 1 MiB, where one whole n_z-by-Q temporary takes 4 MiB or
 # more
 _ROWS = 8
+# fewest interior points of the quadrature: the images of k <= -2 are not
+# polynomials, and their aliasing on |z| = r = 1/2 is r^n_z times the growth
+# of L's coefficients, r^64 = 2^-64 (5e-20) here, below double roundoff; a
+# multiple of 2 * _ROWS, so both halves of a pass are whole blocks
+_MIN_INTERIOR = 64
 
 
 def _c(n, window):
@@ -214,8 +219,14 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
         L(z) = f(z)^2 * (1/2pi) \\oint (w f'(w)/f(w))^2 w^k / (f(w) - f(z)) dtheta
 
     by the trapezoid rule on Q = 2048 (``_Q``) uniform boundary points,
-    evaluates it on the interior circle |z| = 1/2, and recovers Taylor
-    coefficients by a discrete Fourier transform.  The coefficients are
+    evaluates it at n_z uniform points of the interior circle |z| = r = 1/2,
+    and recovers Taylor coefficients by a discrete Fourier transform.  n_z
+    is 64 (``_MIN_INTERIOR``), doubled until it is at least 2(d + 1) for the
+    output degree d.  For k >= -1 the image is a polynomial of degree d, so
+    the transform aliases nothing; for k <= -2 it is not, and coefficient j
+    picks up the coefficients j + n_z, j + 2 n_z, ..., damped by
+    r^{n_z} <= 2^-64 (5e-20) times their growth over L_j, below double
+    roundoff, which is why 64 points suffice.  The coefficients are
     reliable where |L_j| 2^{-j} is above roundoff; for |z| <= 1/2 the
     re-evaluated series is spectrally accurate.
 
@@ -257,7 +268,7 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
         raise QuadratureDegenerate("the quadrature overflows")
     passes = {}  # n_z -> positions in ks, in order of first use
     for i, order_out in enumerate(orders):
-        n_z = 128
+        n_z = _MIN_INTERIOR
         while n_z < 2 * (order_out + 1):
             n_z *= 2
         passes.setdefault(n_z, []).append(i)
@@ -288,7 +299,8 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
             fz = fzs[n_z]
             weights = [squared * w ** ks[i] for i in members]
             means = np.empty((len(members), n_z), dtype=complex)
-            # n_z is a power of two >= 128, so both halves are whole blocks
+            # n_z is _MIN_INTERIOR times a power of two, so both halves are
+            # whole blocks
             half = n_z // 2
             # the worker runs in a copy of this context, so the error state
             # above holds there too; leaving the block joins it

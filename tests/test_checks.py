@@ -114,6 +114,7 @@ def test_quadrature_checks_fail_on_nan(monkeypatch, capsys, at):
     monkeypatch.setattr(checks, "schaeffer_spencer", with_nan)
     details = _failing("quadrature", capsys)
     assert set(details) == {"quadrature_identity_map", "quadrature_sample_map"}
+    assert details["quadrature_identity_map"].endswith(", |error| = nan")
     assert details["quadrature_sample_map"] == "quadrature sup-error nan exceeds 1e-10"
 
 

@@ -201,15 +201,19 @@ def test_quadrature_rejects_folded_boundary():
         schaeffer_spencer(f.coeffs, [1])
 
 
-def whole_matrix_schaeffer_spencer(f, k, Q=2048):
-    """Reference quadrature: the n_z-by-Q matrix of f(w) - f(z) built at once."""
+def whole_matrix_schaeffer_spencer(f, k, Q=2048, n_min=64):
+    """Reference quadrature: the n_z-by-Q matrix of f(w) - f(z) built at once.
+
+    n_z is n_min doubled until it is at least 2(d + 1) for the output degree
+    d; the default n_min is the kernel's own rule.
+    """
     r = 0.5
     w = np.exp(1j * 2 * np.pi * np.arange(Q) / Q)
     f = np.asarray(f, dtype=complex)
     fw = np.polyval(f[::-1], w)
     fpw = np.polyval((np.arange(1, len(f)) * f[1:])[::-1], w)
     order_out = len(f) - 1 + max(k, 0)
-    n_z = 128
+    n_z = n_min
     while n_z < 2 * (order_out + 1):
         n_z *= 2
     fz = np.polyval(f[::-1], r * np.exp(2j * np.pi * np.arange(n_z) / n_z))
@@ -224,7 +228,7 @@ def seeded_map(rng, order):
     return np.concatenate([[0.0, 1.0], 0.5**j / j * np.exp(2j * np.pi * rng.uniform(size=j.size))])
 
 
-# order 20 keeps n_z = 128 interior points for every k below and order 70
+# order 20 keeps n_z = 64 interior points for every k below and order 70
 # needs 256; order 60 takes 128 for k <= 3 and 256 for k = 5, so one call
 # on all of them makes two passes
 @pytest.mark.parametrize("order", [20, 60, 70])
@@ -240,11 +244,50 @@ def test_quadrature_matches_whole_matrix_bit_for_bit(order):
         assert shared.tobytes() == got.tobytes(), k
 
 
+# maps of degree 2 and 3, whose 64 interior points are set by the floor of
+# the rule alone; f' vanishes near the unit circle for the first
+LOW_DEGREE_MAPS = ([0, 1, 0.49], [0, 1, -0.45j, 0.02], [0, 1, 0.3, 0.05j])
+
+
+# The images of k <= -2 are power series, not polynomials, so they alias
+# into the transform, and no closed form in checks covers them.  Component n
+# of L_k is coefficient n + 1 of the variation.  The window holds every
+# nonzero c of the maps below, and its components n <= 12 + k are those of
+# the untruncated field.  Two maps are also zero-padded to 16 coefficients,
+# where the output degree, not the floor, sets n_z.
+@pytest.mark.parametrize("k", [-2, -3])
+@pytest.mark.parametrize("f, size, tol", [
+    *((f, len(f), 1e-13) for f in LOW_DEGREE_MAPS),
+    *((f, 16, 2e-14) for f in LOW_DEGREE_MAPS[:2]),
+])
+def test_quadrature_matches_kirillov_fields_below_minus_one(k, f, size, tol):
+    f = np.concatenate([np.asarray(f, dtype=complex), np.zeros(size - len(f))])
+    field = kirillov_L(k, BracketWindow(n_c=12, m_neg=0, n_psi=1))
+    c = {n: f[n + 1] for n in range(1, size - 1)}
+    (got,) = schaeffer_spencer(f, [k])
+    n_max = min(size - 2, 12 + k)
+    want = [field.component(n).evaluate(c) for n in range(1, n_max + 1)]
+    np.testing.assert_allclose(got[2 : n_max + 2], want, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("k", [-2, -3])
+@pytest.mark.parametrize("f", LOW_DEGREE_MAPS)
+def test_quadrature_below_minus_one_matches_dense_reference(k, f):
+    # 1024 interior points push the aliasing of the reference far below
+    # roundoff; the kernel's 64 must match it on |z| = 1/2
+    (got,) = schaeffer_spencer(f, [k])
+    want = whole_matrix_schaeffer_spencer(f, k, n_min=1024)
+    zs = 0.5 * np.exp(2j * np.pi * np.arange(257) / 257)
+    ref = np.polyval(want[::-1], zs)
+    sup = np.abs(np.polyval(got[::-1], zs) - ref).max()
+    assert sup <= 1e-14 * np.abs(ref).max(), sup
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_quadrature_collision_in_any_row_block(where):
     # f = z - (2/3) z^2 has f(1) == f(1/2); rotating the map by the angle of
     # interior point i moves that collision onto row i of the quadrature
-    n_z = 128
+    n_z = 64
     i = {"first": 0, "middle": n_z // 2, "last": n_z - 1}[where]
     f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / n_z)]
     with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
@@ -261,8 +304,8 @@ def test_quadrature_leaves_no_thread_behind(where):
     if where == "none":
         schaeffer_spencer(seeded_map(np.random.default_rng(5), 70), [-1, 0, 1, 2, 3, 5])
     else:
-        i = {"first": 0, "last": 127}[where]
-        f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / 128)]
+        i = {"first": 0, "last": 63}[where]
+        f = [0.0, 1.0, -2.0 / 3.0 * np.exp(-2j * np.pi * i / 64)]
         with pytest.raises(QuadratureDegenerate, match="vanishes on the grid"):
             schaeffer_spencer(f, [-1, 0, 1, 2, 3])
     assert threading.enumerate() == before
