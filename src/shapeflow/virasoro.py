@@ -16,7 +16,6 @@ the numerical cross-check for the closed forms; it evaluates f with
 
 from __future__ import annotations
 
-import contextvars
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -49,15 +48,14 @@ class QuadratureDegenerate(RuntimeError):
 
 # boundary points of the trapezoid rule in schaeffer_spencer
 _Q = 2048
-# interior evaluation points per block of the quadrature matrix, in each of
-# the two threads that share a pass: at Q = 2048 the two threads' four complex
-# block buffers take 1 MiB, where one whole n_z-by-Q temporary takes 4 MiB or
-# more
+# interior evaluation points per block of the quadrature matrix: at Q = 2048
+# the calling thread's two complex block buffers take 0.5 MiB, where one whole
+# n_z-by-Q temporary takes 4 MiB or more
 _ROWS = 8
 # fewest interior points of the quadrature: the images of k <= -2 are not
 # polynomials, and their aliasing on |z| = r = 1/2 is r^n_z times the growth
 # of L's coefficients, r^64 = 2^-64 (5e-20) here, below double roundoff; a
-# multiple of 2 * _ROWS, so both halves of a pass are whole blocks
+# multiple of _ROWS, so the blocks tile the rows
 _MIN_INTERIOR = 64
 
 
@@ -178,12 +176,12 @@ def _field_degrees(k) -> list:
     return [int(j) for j in ks]
 
 
-def _row_means(fw, fz, weights, means, first: int, stop: int) -> None:
-    """Row means of weight / (f(w) - f(z)) into columns first..stop-1 of ``means``.
+def _row_means(fw, fz, weights, means) -> None:
+    """Row means of weight / (f(w) - f(z)) into ``means``.
 
     Row j of ``means`` belongs to ``weights[j]``.  The rows go ``_ROWS`` at
-    a time through two (_ROWS, Q) buffers of this call's own, and each
-    block is tested before any division, as ``schaeffer_spencer`` documents.
+    a time through two (_ROWS, Q) buffers, and each block is tested before
+    any division, as ``schaeffer_spencer`` documents.
     """
     Q = len(fw)
     denom = np.empty((_ROWS, Q), dtype=complex)
@@ -191,8 +189,8 @@ def _row_means(fw, fz, weights, means, first: int, stop: int) -> None:
     # |f(w) - f(z)| takes the first half of each quotient row until the
     # division overwrites it
     size = quot.view(float)[:, :Q]
-    # first and stop are multiples of _ROWS, so the blocks tile the rows
-    for start in range(first, stop, _ROWS):
+    # len(fz) is a multiple of _ROWS, so the blocks tile the rows
+    for start in range(0, len(fz), _ROWS):
         rows = slice(start, start + _ROWS)
         np.subtract(fw[None, :], fz[rows, None], out=denom)
         np.abs(denom, out=size)
@@ -201,9 +199,9 @@ def _row_means(fw, fz, weights, means, first: int, stop: int) -> None:
         for weight, mean in zip(weights, means):
             np.divide(weight[None, :], denom, out=quot)
             np.add.reduce(quot, axis=1, out=mean[rows])
-    # row sums divided by Q are what ndarray.mean computes; dividing once
-    # per half spares its Python overhead on every block
-    means[:, first:stop] /= Q
+    # row sums divided by Q are what ndarray.mean computes; one division at
+    # the end spares its Python overhead on every block
+    means /= Q
 
 
 def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
@@ -232,17 +230,11 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
 
     The grid, f(w), f'(w) and the boundary test are computed once for all k,
     and the k that need the same number n_z of interior points share one
-    pass over them.  Each pass splits its n_z points in two halves: the
-    calling thread takes the first, and a one-worker ``concurrent.futures``
-    pool the second, in a copy of the caller's context so numpy's error
-    state holds there too.  The worker is joined before the pass goes on,
-    whether either half returns or raises; when both raise, the caller's
-    error is the one raised.  Each half takes its points ``_ROWS`` at a
-    time: each block of f(w) - f(z) is formed and tested once, then divided
-    into each k's weights and averaged in two (_ROWS, Q) buffers of that
-    thread's own, so memory is O(_ROWS * Q) rather than O(n_z * Q) whatever
-    the number of k, 1 MiB in all.  The transforms run once both halves are done.  Every
-    element, row mean and transform is computed exactly as on the whole
+    pass over them.  A pass takes its n_z points ``_ROWS`` at a time: each
+    block of f(w) - f(z) is formed and tested once, then divided into each
+    k's weights and averaged in two (_ROWS, Q) buffers, so memory is
+    O(_ROWS * Q) rather than O(n_z * Q) whatever the number of k, 0.5 MiB.
+    Every element, row mean and transform is computed exactly as on the whole
     n_z-by-Q matrix for one k, so each result is the same to the bit.
 
     Raises ValueError when k is not a sequence (a bare int included), is
@@ -290,7 +282,6 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
     if _has_close_pair(fw, 1e-8):
         raise QuadratureDegenerate("boundary images are not pairwise distinct")
 
-    import concurrent.futures
     out = [None] * len(ks)
     # finite values can still overflow below; the test after ends that in one error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,18 +290,7 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
             fz = fzs[n_z]
             weights = [squared * w ** ks[i] for i in members]
             means = np.empty((len(members), n_z), dtype=complex)
-            # n_z is _MIN_INTERIOR times a power of two, so both halves are
-            # whole blocks
-            half = n_z // 2
-            # the worker runs in a copy of this context, so the error state
-            # above holds there too; leaving the block joins it
-            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-                upper = pool.submit(
-                    contextvars.copy_context().run,
-                    _row_means, fw, fz, weights, means, half, n_z,
-                )
-                _row_means(fw, fz, weights, means, 0, half)
-            upper.result()
+            _row_means(fw, fz, weights, means)
             fz2 = fz**2
             for i, mean in zip(members, means):
                 lam = np.fft.fft(fz2 * mean) / n_z

@@ -861,8 +861,8 @@ def test_check_failure_sets_exit_code(monkeypatch, capsys):
 
 
 def test_check_quadrature_is_byte_identical_across_runs_and_threads(tmp_path, capsys):
-    # twice on this thread, then once from another: the quadrature splits
-    # its rows over a worker thread whichever thread calls it
+    # twice on this thread, then once from another: the quadrature is
+    # byte-identical whichever thread calls it
     outs = [tmp_path / name for name in ("first", "second", "thread")]
     for out in outs[:2]:
         assert cli.main(["check", "quadrature", "--out", str(out)]) == cli.EXIT_OK
