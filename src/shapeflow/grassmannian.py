@@ -11,11 +11,12 @@ closed form for every order n, producing an operator T_n whose graph
 
     W_{T_n} = span{e_0, e_1, ...}
 
-contains every G built from the same map.  The graph's place in Segal &
-Wilson's Grassmannian is its index set S_W, a finite symmetric-difference
-description of a subset of the integers, and the virtual dimension read off
-it; no command reports them, and the tests pin both.  The Toeplitz and
-Hankel gathers come from :mod:`shapeflow.arrays`.
+contains every G built from the same map.  Rows n.. of the basis are C11,
+the unit upper-triangular f' band, so e_k has order exactly k and the
+projection W -> H_+ is invertible: the graph lies in Segal & Wilson's big
+cell, with index set S_W = Z_+ and virtual dimension 0, for every c, exact
+input included.  The Toeplitz and Hankel gathers come from
+:mod:`shapeflow.arrays`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .arrays import _hankel_table, _upper_toeplitz
 
 __all__ = [
     "GraphOperator",
-    "IndexSet",
     "InverseCheckFailed",
     "UnsupportedOrder",
     "c_blocks",
@@ -45,31 +45,6 @@ class UnsupportedOrder(InvalidInput):
 
 class InverseCheckFailed(NumericalFailure):
     """C11 times its Toeplitz inverse is not the identity to 1e-12 (or is not finite)."""
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A subset S of the integers with finite symmetric difference from Z+.
-
-    `added` holds S \\ Z+ (negative members), `removed` holds Z+ \\ S.
-    """
-
-    added: frozenset
-    removed: frozenset
-
-    def __post_init__(self):
-        if any(k >= 0 for k in self.added):
-            raise ValueError("added indices must be negative")
-        if any(k < 0 for k in self.removed):
-            raise ValueError("removed indices must be nonnegative")
-
-    def virtual_dimension(self) -> int:
-        """Fredholm index of the projection H_S -> H_+: kernel minus cokernel."""
-        return len(self.added) - len(self.removed)
-
-
-def _conjugate_all(f_coeffs):
-    return [v.conjugate() for v in f_coeffs]
 
 
 def _band(f_coeffs, N):
@@ -168,7 +143,8 @@ class GraphOperator:
 
     Column k of ``basis`` is e_k and row p + n holds its coefficient of z^p,
     for powers -n..N; a coefficient window on those powers is an array of
-    length n + N + 1 laid out the same way.
+    length n + N + 1 laid out the same way.  Rows n.. are ``c11``, unit
+    upper triangular, so the graph is in the big cell: S_W = Z_+.
     """
 
     n: int
@@ -176,36 +152,6 @@ class GraphOperator:
     matrix: np.ndarray  # n x (N+1)
     c11: np.ndarray
     basis: np.ndarray  # (n+N+1) x (N+1)
-
-    def index_set(self) -> IndexSet:
-        """The orders of the basis under column reduction, relative to Z+.
-
-        This is Segal & Wilson's S_W.  A column's order is its highest power
-        with a nonzero coefficient; while that order is already a pivot, the
-        multiple of the pivot column that cancels it is subtracted and the
-        search goes on below it, so each independent column contributes a
-        new order.  In a graph basis the
-        positive part of e_k is unit upper triangular, so e_k has order k
-        exactly.  Powers in 0..N that never appear are `removed`; negative
-        orders are `added`.
-        """
-
-        def order(v, below):
-            nonzero = np.flatnonzero(v[:below])
-            return int(nonzero[-1]) if nonzero.size else -1
-
-        pivots = {}
-        for v in np.array(self.basis, dtype=complex).T:
-            r = order(v, len(v))
-            while r in pivots:
-                v = v - v[r] * pivots[r]
-                r = order(v, r)
-            if r >= 0:
-                pivots[r] = v / v[r]
-        powers = {r - self.n for r in pivots}
-        added = frozenset(p for p in powers if p < 0)
-        removed = frozenset(set(range(self.N + 1)) - powers)
-        return IndexSet(added, removed)
 
     def to_json(self) -> str:
         def ri(x):
@@ -242,7 +188,7 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
     """
     if n < 1:
         raise UnsupportedOrder(f"graphs are constructed for n >= 1, got n = {n}")
-    cbar = _conjugate_all(f_coeffs)
+    cbar = [v.conjugate() for v in f_coeffs]
     c11, c11inv = c_blocks(cbar, n, N)
     gamma = _graph_rows(cbar, n, N)
     t_n = gamma @ c11inv

@@ -13,8 +13,8 @@ stores each coefficient as its pair of parts ``(re, im)``, each an ``int``
 or a non-integral ``Fraction``, and every arithmetic result is built from
 such pairs by ``_collect``, which puts the parts in that normal form.
 ``QC`` is the exact scalar at the public boundary: scalars enter as ``QC``
-(or any number ``QC.from_number`` takes), and ``coefficient`` and ``terms``
-hand coefficients out as ``QC``; arithmetic happens on polynomials.
+(or any number ``QC.from_number`` takes), and arithmetic happens on
+polynomials.
 
 Monomials are stored as packed ``int`` keys.  Each variable of a window owns
 a 16-bit field holding its exponent (c_1..c_Nc in the low fields, then
@@ -24,8 +24,7 @@ is a guard: an exponent that reaches 2**15 raises ``ExponentOverflow``
 instead of carrying into the next variable.  The layout belongs to the
 window and is built on first use.  Tuple keys, sorted tuples of
 ``((kind, index), exponent)`` with kind 0 for c and 1 for psibar, are the
-public form: the constructor, ``coefficient`` and ``terms`` take and return
-them, and only this module reads a packed key.
+public form the constructor takes, and only this module reads a packed key.
 
 The module also houses the generating-function coefficients ``Gbar_k`` (the
 z^{k-1} coefficient of f'(z) psibar(z)), their corrected negative-index
@@ -92,7 +91,7 @@ def _exact(x):
 
 
 class QC:
-    """Exact rational-complex scalar re + i*im, the public form of a coefficient.
+    """Exact rational-complex scalar re + i*im, the public form of an input coefficient.
 
     int or Fraction parts; integral Fractions are stored as int, the normal
     form of a stored pair.  Floats enter exactly.  A QC does no arithmetic:
@@ -113,20 +112,8 @@ class QC:
             return cls(x.real, x.imag)
         return cls(x)
 
-    def __eq__(self, other):
-        if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        if self.im == 0:
-            return f"QC({self.re})"
-        return f"QC({self.re}, {self.im})"
 
 
 # A tuple monomial is a sorted tuple of ((kind, index), exponent) with kind 0
@@ -315,16 +302,6 @@ class PhasePoly:
     def is_zero(self):
         return not self._terms
 
-    def coefficient(self, mono):
-        """Exact coefficient of a tuple monomial (QC(0) when absent or out of window)."""
-        key = self.window._keys.encode(mono)
-        return QC(*self._terms.get(key, (0, 0)))
-
-    def terms(self):
-        """The terms keyed by tuple monomials."""
-        decode = self.window._keys.decode
-        return {decode(k): QC(re, im) for k, (re, im) in self._terms.items()}
-
     def uses_psi(self):
         mask = self.window._keys.psi_mask
         return any(k & mask for k in self._terms)
@@ -387,19 +364,6 @@ class PhasePoly:
         return self.window == other.window and self._terms == other._terms
 
     __hash__ = None
-
-    def __repr__(self):
-        if not self._terms:
-            return "PhasePoly(0)"
-        names = {_C: "c", _PSI: "psibar"}
-        bits = []
-        for mono, coeff in sorted(self.terms().items(), key=lambda t: t[0]):
-            factors = [
-                f"{names[kind]}_{idx}" + (f"^{e}" if e > 1 else "")
-                for (kind, idx), e in mono
-            ]
-            bits.append(f"{coeff!r}*" + "*".join(factors) if factors else repr(coeff))
-        return "PhasePoly(" + " + ".join(bits) + ")"
 
     # -- calculus ------------------------------------------------------------
 
@@ -580,9 +544,6 @@ class VectorFieldOnF0:
         return all(self.component(n) == other.component(n) for n in keys)
 
     __hash__ = None
-
-    def __repr__(self):
-        return f"VectorFieldOnF0({self.components!r})"
 
 
 def _apply_into(acc, raw_components, poly, sign=1):

@@ -8,6 +8,8 @@ import pytest
 
 from shapeflow import checks, cli
 
+from helpers import tuple_terms
+
 DUMP_IDENTITIES = """\
 {"name": "witt_structure_constants", "source": "shapeflow.virasoro:commutator", "suite": "witt"}
 {"name": "witt_recursive_fields", "source": "shapeflow.virasoro:kirillov_L", "suite": "witt"}
@@ -52,7 +54,7 @@ def test_unknown_suite_rejected():
 
 
 def _terms(field):
-    return {n: poly.terms() for n, poly in field.components.items()}
+    return {n: tuple_terms(poly) for n, poly in field.components.items()}
 
 
 @pytest.mark.parametrize(

@@ -1794,12 +1794,6 @@ def package_defs():
 
 _SERIES = "the exact oracle the kernel tests match bit for bit; ROADMAP moves series.py into the tests"
 _KP_ORACLE = "the benchmark's kp oracle (perfbench/oracles.py) calls it"
-_SEGAL_WILSON = (
-    "the graph's place in the Segal-Wilson Grassmannian, its index set S_W and virtual "
-    "dimension; no command reports them, and acceptance 08 pins them"
-)
-_TUPLE_KEYS = "the tuple-key form of PhasePoly that the observables docstring documents"
-_REPR = "a __repr__, for debugging and test failure messages"
 
 # Every package def the digest run never enters, with the reason it stays.
 # The gate below fails on an unreached def missing here and on an entry that
@@ -1816,16 +1810,6 @@ UNREACHED = {
     "kp:GeneralizedTimes.xi": _KP_ORACLE,
     "kp:GeneralizedTimes.sato_shifted": _KP_ORACLE,
     "kp:sato_psi": "the wave function as Sato's tau quotient, the tau-side check ROADMAP's KP certificate builds on",
-    "grassmannian:IndexSet.__post_init__": _SEGAL_WILSON,
-    "grassmannian:IndexSet.virtual_dimension": _SEGAL_WILSON,
-    "grassmannian:GraphOperator.index_set": _SEGAL_WILSON,
-    "grassmannian:GraphOperator.index_set.<locals>.order": _SEGAL_WILSON,
-    "observables:QC.__eq__": "PhasePoly compares its stored (re, im) pairs, so only a caller of coefficient or terms compares QCs",
-    "observables:PhasePoly.coefficient": _TUPLE_KEYS,
-    "observables:PhasePoly.terms": _TUPLE_KEYS,
-    "observables:PhasePoly.__repr__": _REPR,
-    "observables:QC.__repr__": _REPR,
-    "observables:VectorFieldOnF0.__repr__": _REPR,
 }
 
 
