@@ -17,6 +17,12 @@ exact for every representable index whenever Npsi - N <= -M
 (upper-triangular error propagation never reaches the retained indices);
 ``evolve`` refuses any other window.
 
+The truncation is a projection, bit for bit: with the same window and
+driver, the order-N run is the order-N' run (N' > N) cut to c_1..c_N, with
+the same psibar, Gbar, H and pieces.  There are two reasons.  dc_n reads
+only c_1..c_n, because f^k starts at z^k; and each kept coefficient of the
+windowed Horner products below is the same dot product at every order.
+
 Everything here works on raw ``complex128`` coefficient arrays.  p(w) is
 composed by Horner, each product one call of numpy's correlate core (the C
 routine behind ``np.convolve``) against w reversed, run only on the window

@@ -46,8 +46,19 @@ class QuadratureDegenerate(RuntimeError):
     """The contour quadrature hit a (near-)singular configuration."""
 
 
-# boundary points of the trapezoid rule in schaeffer_spencer
+# the cap of each k's boundary rule in schaeffer_spencer, whose result a k
+# that reaches it gets; f(w), f'(w) and the boundary tests run once on these
+# points, and a Q-point rule takes every (_Q/Q)-th of them, the same bits as
+# a Q-point grid, in O(_ROWS * Q) memory
 _Q = 2048
+# the first rule's points: the check maps and maps of degree 2 and 3 stop here
+_Q_START = 128
+# a rule is accepted once its row means and its half rule's (every other
+# point) agree to this, relative to the larger of the largest row mean and
+# weight, the integrand's size (the result is 0 for the identity at k <= 0);
+# the trapezoid error falls geometrically, e_Q ~ e_{Q/2}^2, so a gap of
+# 1e-10 leaves the accepted rule at roundoff
+_HALF_RULE_TOL = 1e-10
 # interior evaluation points per block of the quadrature matrix: at Q = 2048
 # the calling thread's two complex block buffers take 0.5 MiB, where one whole
 # n_z-by-Q temporary takes 4 MiB or more
@@ -176,12 +187,14 @@ def _field_degrees(k) -> list:
     return [int(j) for j in ks]
 
 
-def _row_means(fw, fz, weights, means) -> None:
-    """Row means of weight / (f(w) - f(z)) into ``means``.
+def _row_sums(fw, fz, weights, sums, halves=None) -> None:
+    """Row sums of weight / (f(w) - f(z)) into ``sums``.
 
-    Row j of ``means`` belongs to ``weights[j]``.  The rows go ``_ROWS`` at
+    Row j of ``sums`` belongs to ``weights[j]``.  The rows go ``_ROWS`` at
     a time through two (_ROWS, Q) buffers, and each block is tested before
-    any division, as ``schaeffer_spencer`` documents.
+    any division, as ``schaeffer_spencer`` documents.  When ``halves`` is
+    given, its row j takes the sums over every other point of the same
+    quotients, at the cost of one more row reduction and no division.
     """
     Q = len(fw)
     denom = np.empty((_ROWS, Q), dtype=complex)
@@ -196,12 +209,52 @@ def _row_means(fw, fz, weights, means) -> None:
         np.abs(denom, out=size)
         if not (size.min() >= 1e-8):
             raise QuadratureDegenerate("f(w) - f(z) vanishes on the grid")
-        for weight, mean in zip(weights, means):
+        for j, weight in enumerate(weights):
             np.divide(weight[None, :], denom, out=quot)
-            np.add.reduce(quot, axis=1, out=mean[rows])
-    # row sums divided by Q are what ndarray.mean computes; one division at
-    # the end spares its Python overhead on every block
-    means /= Q
+            np.add.reduce(quot, axis=1, out=sums[j, rows])
+            if halves is not None:
+                np.add.reduce(quot[:, ::2], axis=1, out=halves[j, rows])
+
+
+def _boundary_means(fw, fz, weights) -> dict:
+    """``{key: row means}`` of each weight / (f(w) - f(z)) at its own boundary rule.
+
+    ``fw`` and the weights lie on the ``_Q``-point grid, and a Q-point rule
+    takes every (_Q // Q)-th point of it.  The rules go as
+    ``schaeffer_spencer`` documents: a doubled rule divides only at its new
+    points, midway between the old, and adds their sums to the old sums;
+    the cap divides every point again and sums them in one reduction.
+    """
+    means = {}
+    keys = list(weights)
+    Q = _Q_START
+    step = _Q // Q
+    sums = np.empty((len(keys), len(fz)), dtype=complex)
+    halves = np.empty_like(sums)
+    _row_sums(fw[::step], fz, [weights[key][::step] for key in keys], sums, halves)
+    while True:
+        level, half = sums / Q, halves / (Q // 2)
+        pending = []
+        for j, key in enumerate(keys):
+            scale = max(np.abs(level[j]).max(), np.abs(weights[key][::step]).max())
+            if np.abs(level[j] - half[j]).max() <= _HALF_RULE_TOL * scale:
+                means[key] = level[j]
+            else:
+                pending.append(j)
+        if not pending:
+            return means
+        keys = [keys[j] for j in pending]
+        halves = sums[pending]
+        sums = np.empty_like(halves)
+        Q, step = 2 * Q, step // 2
+        if Q == _Q:
+            _row_sums(fw, fz, [weights[key] for key in keys], sums)
+            # row sums divided by Q are what ndarray.mean computes
+            means.update(zip(keys, sums / Q))
+            return means
+        new = slice(step, None, 2 * step)
+        _row_sums(fw[new], fz, [weights[key][new] for key in keys], sums)
+        sums += halves
 
 
 def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
@@ -216,7 +269,7 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
 
         L(z) = f(z)^2 * (1/2pi) \\oint (w f'(w)/f(w))^2 w^k / (f(w) - f(z)) dtheta
 
-    by the trapezoid rule on Q = 2048 (``_Q``) uniform boundary points,
+    by the trapezoid rule on Q uniform boundary points, chosen for each k,
     evaluates it at n_z uniform points of the interior circle |z| = r = 1/2,
     and recovers Taylor coefficients by a discrete Fourier transform.  n_z
     is 64 (``_MIN_INTERIOR``), doubled until it is at least 2(d + 1) for the
@@ -228,14 +281,27 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
     reliable where |L_j| 2^{-j} is above roundoff; for |z| <= 1/2 the
     re-evaluated series is spectrally accurate.
 
+    The boundary rule starts at Q = 128 (``_Q_START``) points.  It is
+    accepted once its row means agree with those of its half rule, every
+    other point, to 1e-10 (``_HALF_RULE_TOL``) of the larger of the largest
+    row mean and the largest weight; the error falls geometrically, e_Q ~
+    e_{Q/2}^2 (the trapezoid rule on an analytic periodic integrand), so
+    the accepted rule is at roundoff.  Otherwise Q doubles, up to a cap of
+    2048 (``_Q``) points, whose rule is taken as it is.  The half rule of a
+    doubled rule is the rule before, so a doubling divides only at its new
+    points, and at the cap the rule sums every point at once, as a fixed
+    2048-point rule does, to the bit.  Each k is decided on its own.
+
     The grid, f(w), f'(w) and the boundary test are computed once for all k,
-    and the k that need the same number n_z of interior points share one
-    pass over them.  A pass takes its n_z points ``_ROWS`` at a time: each
-    block of f(w) - f(z) is formed and tested once, then divided into each
-    k's weights and averaged in two (_ROWS, Q) buffers, so memory is
-    O(_ROWS * Q) rather than O(n_z * Q) whatever the number of k, 0.5 MiB.
-    Every element, row mean and transform is computed exactly as on the whole
-    n_z-by-Q matrix for one k, so each result is the same to the bit.
+    on 2048 points, and every rule takes a strided subset of them, the same
+    values as a grid of Q points.  The k that need the same number n_z of
+    interior points share one pass.  A pass takes its n_z points ``_ROWS``
+    at a time: each block of f(w) - f(z) is formed and tested once, then
+    divided into each k's weights and summed in two (_ROWS, Q) buffers, so
+    memory is O(_ROWS * Q) at the rule reached rather than O(n_z * Q)
+    whatever the number of k, 0.5 MiB at the cap.  Every element, row sum
+    and transform is computed as on the whole n_z-by-Q matrices for one k,
+    so each result is the same to the bit as a one-k call.
 
     Raises ValueError when k is not a sequence (a bare int included), is
     empty or holds a bool or a non-integral entry, or when f has fewer than
@@ -244,7 +310,8 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
     and f(z) overflow, when f(w) = 0 on the grid, when two boundary images
     f(w) lie closer than 1e-8 (a sort-and-sweep test, ``_has_close_pair``,
     O(Q log Q) unless many images share a real part), when f(w) - f(z)
-    nearly vanishes, or is not a number, on the grid, or when the quadrature
+    nearly vanishes, or is not a number, at a point a rule divides at (a
+    point past the rule reached is not tested), or when the quadrature
     itself overflows, which an output degree above 1074 always does.
     """
     ks = _field_degrees(k)
@@ -288,12 +355,10 @@ def schaeffer_spencer(f, k: Sequence[int]) -> list[np.ndarray]:
         squared = (w * fpw / fw) ** 2
         for n_z, members in passes.items():
             fz = fzs[n_z]
-            weights = [squared * w ** ks[i] for i in members]
-            means = np.empty((len(members), n_z), dtype=complex)
-            _row_means(fw, fz, weights, means)
+            means = _boundary_means(fw, fz, {i: squared * w ** ks[i] for i in members})
             fz2 = fz**2
-            for i, mean in zip(members, means):
-                lam = np.fft.fft(fz2 * mean) / n_z
+            for i in members:
+                lam = np.fft.fft(fz2 * means[i]) / n_z
                 out[i] = lam[: orders[i] + 1] / r ** np.arange(orders[i] + 1)
     if not all(np.isfinite(taylor).all() for taylor in out):
         raise QuadratureDegenerate("the quadrature overflows")

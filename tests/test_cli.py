@@ -598,6 +598,27 @@ def test_energy_drift_is_taken_within_each_piece(tmp_path):
         assert np.abs(np.diff(h)).max() > 1e-2
 
 
+def test_evolve_at_a_higher_order_keeps_every_lower_order_column(tmp_path):
+    # the truncated flow is a projection: the order-16 run of three_atoms is
+    # the order-32 run cut to c_1..c_16, with psibar, Gbar and H the same bits
+    with open(os.path.join(ROOT, "scripts", "configs", "three_atoms.json")) as fh:
+        config = json.load(fh)
+    tables, reports = {}, {}
+    for order in (16, 32):
+        path = write_config(tmp_path, dict(config, order=order), name=f"order{order}.json")
+        out = tmp_path / f"order{order}"
+        assert cli.main(["evolve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        header, rows = read_rows(out / "trajectory.csv")
+        tables[order] = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        reports[order] = json.loads((out / "conservation.json").read_text())
+    small, large = tables[16], tables[32]
+    assert (len(small), len(large), len(small["t"])) == (103, 135, 1001)
+    for name, column in small.items():
+        assert large[name] == column, name
+    assert reports[16].pop("order") == 16 and reports[32].pop("order") == 32
+    assert reports[16] == reports[32]
+
+
 def test_energy_drift_needs_only_the_record():
     # the switch is one ulp after the grid time 10 * 3e-4; the record says
     # which piece each state is on, so no driver or step goes in

@@ -6,6 +6,8 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeflow import InvalidInput
 from shapeflow.arrays import taylor_values
@@ -654,6 +656,66 @@ def test_evolve_fails_closed_when_gbar_overflows():
         StepRejected, match="^Gbar or H is not finite along the trajectory$"
     ):
         evolve(s0, HerglotzDriver.single_atom(), horizon=0.0, step=1e-3)
+
+
+# -- truncation is a projection ------------------------------------------------
+# dc_n reads only c_1..c_n, and each kept coefficient of the windowed Horner
+# products is the same dot product at every order, so an order-N run is the
+# order-N' run (N' > N) cut to its first N coefficients, bit for bit
+
+
+@st.composite
+def drivers(draw, horizon):
+    """1-3 pieces of 1-3 atoms; the switches lie in (0, horizon), mostly off any step grid."""
+    switch = st.one_of(
+        st.floats(horizon / 100, horizon * 0.99),
+        st.integers(1, 99).map(lambda k: k * horizon / 100),
+    )
+    starts = [0.0, *sorted(set(draw(st.lists(switch, max_size=2))))]
+    pieces = []
+    for start in starts:
+        count = draw(st.integers(1, 3))
+        thetas = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=count, max_size=count))
+        mus = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count)))
+        mus = mus / mus.sum()
+        pieces.append(DriverPiece(start, tuple(Atom(t, float(m)) for t, m in zip(thetas, mus))))
+    return HerglotzDriver(pieces=tuple(pieces))
+
+
+@st.composite
+def conserving_windows(draw, order):
+    """A psibar window (m_neg, n_psi) with m_neg + n_psi <= order, equality included, and its psibar."""
+    m_neg = draw(st.integers(0, order))
+    n_psi = draw(st.integers(0, order - m_neg))
+    parts = st.floats(-1.0, 1.0)
+    width = m_neg + n_psi + 1
+    re = draw(st.lists(parts, min_size=width, max_size=width))
+    im = draw(st.lists(parts, min_size=width, max_size=width))
+    return m_neg, n_psi, np.array(re) + 1j * np.array(im)
+
+
+@st.composite
+def projection_cases(draw):
+    order = draw(st.integers(4, 11))
+    larger = draw(st.integers(order + 1, 2 * order))
+    return order, larger, draw(conserving_windows(order)), draw(drivers(0.1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(projection_cases())
+def test_truncated_flow_is_the_higher_order_flow_cut_bit_for_bit(case):
+    order, larger, (m_neg, n_psi, psibar), d = case
+    small, large = (
+        evolve(ShapeState.initial(n, m_neg, n_psi, psibar), d, horizon=0.1, step=1e-3)
+        for n in (order, larger)
+    )
+    assert small.times.tobytes() == large.times.tobytes()
+    assert small.pieces.tolist() == large.pieces.tolist()
+    for a, b in zip(small.states, large.states, strict=True):
+        assert a.c.tobytes() == b.c[:order].tobytes(), a.t
+        assert a.psibar.tobytes() == b.psibar.tobytes(), a.t
+    assert small.gbar.tobytes() == large.gbar.tobytes()
+    assert small.hamiltonian.tobytes() == large.hamiltonian.tobytes()
 
 
 def test_csv_dump_is_deterministic(tmp_path):

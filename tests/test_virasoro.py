@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shapeflow import virasoro
 from shapeflow.checks import _field_closed_form
 from shapeflow.observables import (
     QC,
@@ -201,25 +202,52 @@ def test_quadrature_rejects_folded_boundary():
         schaeffer_spencer(f.coeffs, [1])
 
 
-def whole_matrix_schaeffer_spencer(f, k, Q=2048, n_min=64):
-    """Reference quadrature: the n_z-by-Q matrix of f(w) - f(z) built at once.
+def whole_matrix_schaeffer_spencer(f, k, Q=None, n_min=64):
+    """Reference quadrature: each matrix of quotients over f(w) - f(z) built at once.
 
     n_z is n_min doubled until it is at least 2(d + 1) for the output degree
-    d; the default n_min is the kernel's own rule.
+    d; the default n_min is the kernel's own rule.  A given Q fixes the
+    boundary rule at Q points.  Without one, the rule is the kernel's: the
+    128-point rule, doubled while its mean misses the mean over every other
+    point by more than 1e-10 of the larger of the largest mean and the
+    largest weight; a doubled rule adds the sums at its new points to the
+    old sums, and the 2048-point rule sums all its points at once.
     """
     r = 0.5
-    w = np.exp(1j * 2 * np.pi * np.arange(Q) / Q)
     f = np.asarray(f, dtype=complex)
-    fw = np.polyval(f[::-1], w)
-    fpw = np.polyval((np.arange(1, len(f)) * f[1:])[::-1], w)
     order_out = len(f) - 1 + max(k, 0)
     n_z = n_min
     while n_z < 2 * (order_out + 1):
         n_z *= 2
     fz = np.polyval(f[::-1], r * np.exp(2j * np.pi * np.arange(n_z) / n_z))
-    weight = (w * fpw / fw) ** 2 * w**k
-    vals = fz**2 * (weight[None, :] / (fw[None, :] - fz[:, None])).mean(axis=1)
-    lam = np.fft.fft(vals) / n_z
+
+    def quotients(Q):
+        """The weights of the Q-point rule and the n_z-by-Q matrix of their quotients."""
+        w = np.exp(1j * 2 * np.pi * np.arange(Q) / Q)
+        fw = np.polyval(f[::-1], w)
+        fpw = np.polyval((np.arange(1, len(f)) * f[1:])[::-1], w)
+        weight = (w * fpw / fw) ** 2 * w**k
+        return weight, weight[None, :] / (fw[None, :] - fz[:, None])
+
+    if Q is not None:
+        mean = quotients(Q)[1].mean(axis=1)
+    else:
+        Q = 128
+        weight, quot = quotients(Q)
+        sums, halves = quot.sum(axis=1), quot[:, ::2].sum(axis=1)
+        while Q < 2048:
+            scale = max(np.abs(sums / Q).max(), np.abs(weight).max())
+            if np.abs(sums / Q - halves / (Q // 2)).max() <= 1e-10 * scale:
+                break
+            Q, halves = 2 * Q, sums
+            weight, quot = quotients(Q)
+            if Q == 2048:
+                sums = quot.sum(axis=1)
+            else:
+                # the new points summed on their own, then added to the old sums
+                sums = np.ascontiguousarray(quot[:, 1::2]).sum(axis=1) + halves
+        mean = sums / Q
+    lam = np.fft.fft(fz**2 * mean) / n_z
     return lam[: order_out + 1] / r ** np.arange(order_out + 1)
 
 
@@ -230,8 +258,10 @@ def seeded_map(rng, order):
 
 # order 20 keeps n_z = 64 interior points for every k below and order 70
 # needs 256; order 60 takes 128 for k <= 3 and 256 for k = 5, so one call
-# on all of them makes two passes
-@pytest.mark.parametrize("order", [20, 60, 70])
+# on all of them makes two passes.  Orders 20 and 70 stop at the 128-point
+# boundary rule, order 40 goes up to 512 points, order 39 to 1024 and order
+# 60 to the 2048-point cap
+@pytest.mark.parametrize("order", [20, 39, 40, 60, 70])
 def test_quadrature_matches_whole_matrix_bit_for_bit(order):
     f = seeded_map(np.random.default_rng(order), order)
     ks = (-2, -1, 0, 1, 2, 3, 5)
@@ -244,9 +274,65 @@ def test_quadrature_matches_whole_matrix_bit_for_bit(order):
         assert shared.tobytes() == got.tobytes(), k
 
 
+def boundary_columns(monkeypatch, f, ks):
+    """The column counts of the row-sum calls one schaeffer_spencer call makes."""
+    columns = []
+    row_sums = virasoro._row_sums
+
+    def counted(fw, *args):
+        columns.append(len(fw))
+        return row_sums(fw, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(virasoro, "_row_sums", counted)
+        schaeffer_spencer(f, ks)
+    return columns
+
+
+def test_quadrature_at_the_cap_returns_the_fixed_rule(monkeypatch):
+    # a near-critical map: its 128-point rule misses by order one, and its
+    # 1024-point rule still misses the 2048-point rule by 7e-6
+    f = seeded_map(np.random.default_rng(60), 60)
+    for k in (-2, -1, 0, 1, 2, 3, 5):
+        # the 128-point rule, the new points of 256, 512 and 1024, then all
+        assert boundary_columns(monkeypatch, f, [k]) == [128, 128, 256, 512, 2048], k
+        (got,) = schaeffer_spencer(f, [k])
+        assert got.tobytes() == whole_matrix_schaeffer_spencer(f, k, Q=2048).tobytes(), k
+
+
+def test_quadrature_between_the_first_rule_and_the_cap(monkeypatch):
+    f = seeded_map(np.random.default_rng(2), 30)
+    zs = 0.5 * np.exp(2j * np.pi * np.arange(257) / 257)
+    for k in (-2, -1, 0, 1, 2, 3, 5):
+        # the 128-point rule, then the new points of 256 and 512
+        assert boundary_columns(monkeypatch, f, [k]) == [128, 128, 256], k
+        (got,) = schaeffer_spencer(f, [k])
+        ref = np.polyval(whole_matrix_schaeffer_spencer(f, k, Q=2048)[::-1], zs)
+        first = np.polyval(whole_matrix_schaeffer_spencer(f, k, Q=128)[::-1], zs)
+        sup = np.abs(np.polyval(got[::-1], zs) - ref).max()
+        assert sup <= 1e-14 * np.abs(ref).max(), (k, sup)
+        # negative control: the first rule alone misses by far more
+        miss = np.abs(first - ref).max()
+        assert miss > 1e-11 * np.abs(ref).max(), (k, miss)
+
+
 # maps of degree 2 and 3, whose 64 interior points are set by the floor of
 # the rule alone; f' vanishes near the unit circle for the first
 LOW_DEGREE_MAPS = ([0, 1, 0.49], [0, 1, -0.45j, 0.02], [0, 1, 0.3, 0.05j])
+
+
+# the maps of the two quadrature checks, then those of degree 2 and 3
+SMOOTH_MAPS = (
+    [0.0, 1.0] + [0.0] * 7,
+    sample_map().coeffs,
+    *LOW_DEGREE_MAPS,
+)
+
+
+@pytest.mark.parametrize("f", SMOOTH_MAPS)
+@pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3, 5])
+def test_quadrature_stops_at_the_first_boundary_rule_on_smooth_maps(monkeypatch, k, f):
+    assert boundary_columns(monkeypatch, f, [k]) == [128]
 
 
 # The images of k <= -2 are power series, not polynomials, so they alias
@@ -273,10 +359,11 @@ def test_quadrature_matches_kirillov_fields_below_minus_one(k, f, size, tol):
 @pytest.mark.parametrize("k", [-2, -3])
 @pytest.mark.parametrize("f", LOW_DEGREE_MAPS)
 def test_quadrature_below_minus_one_matches_dense_reference(k, f):
-    # 1024 interior points push the aliasing of the reference far below
-    # roundoff; the kernel's 64 must match it on |z| = 1/2
+    # 1024 interior points and 2048 boundary points push the aliasing and
+    # the trapezoid error of the reference far below roundoff; the kernel's
+    # 64 interior points and its own boundary rule must match it on |z| = 1/2
     (got,) = schaeffer_spencer(f, [k])
-    want = whole_matrix_schaeffer_spencer(f, k, n_min=1024)
+    want = whole_matrix_schaeffer_spencer(f, k, Q=2048, n_min=1024)
     zs = 0.5 * np.exp(2j * np.pi * np.arange(257) / 257)
     ref = np.polyval(want[::-1], zs)
     sup = np.abs(np.polyval(got[::-1], zs) - ref).max()
@@ -327,17 +414,20 @@ def test_quadrature_is_bit_identical_under_concurrent_callers():
     assert got == [want] * len(runs)
 
 
+# the order-40 map stops at the 256-point boundary rule; the order-60 map
+# reaches the 2048-point cap, after the half-rule sums of every smaller rule
 def test_quadrature_memory_stays_at_row_blocks():
-    f = seeded_map(np.random.default_rng(3), 40)
-    for k in ([2], [-1, 0, 1, 2, 3]):
-        schaeffer_spencer(f, k)
-        tracemalloc.start()
-        try:
+    for seed, order in ((3, 40), (60, 60)):
+        f = seeded_map(np.random.default_rng(seed), order)
+        for k in ([2], [-1, 0, 1, 2, 3]):
             schaeffer_spencer(f, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20, (k, peak)
+            tracemalloc.start()
+            try:
+                schaeffer_spencer(f, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 2**20, (order, k, peak)
 
 
 @pytest.mark.parametrize(
