@@ -103,7 +103,7 @@ def _witt_sides(pairs, w: int, n_c: int) -> list:
     return [
         (
             commutator(fields[k], fields[n]).restricted(w, c_max=w),
-            fields[k + n].scale(n - k).restricted(w, c_max=w),
+            fields[k + n].restricted(w, c_max=w).scale(n - k),
         )
         for k, n in pairs
     ]

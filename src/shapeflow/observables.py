@@ -25,6 +25,11 @@ instead of carrying into the next variable.  The layout belongs to the
 window and is built on first use.  Tuple keys, sorted tuples of
 ``((kind, index), exponent)`` with kind 0 for c and 1 for psibar, are the
 public form the constructor takes, and only this module reads a packed key.
+The bracket and a field's action differentiate only by the variables held
+in the OR of a polynomial's keys.  ``PhasePoly(...)`` and
+``VectorFieldOnF0(...)`` check windows, indices and c-only components;
+``_trusted`` wraps, unchecked, what this module and ``virasoro`` build from
+checked operands (Kirillov fields, commutators, a field's scale/restriction).
 
 The module also houses the generating-function coefficients ``Gbar_k`` (the
 z^{k-1} coefficient of f'(z) psibar(z)), their corrected negative-index
@@ -312,10 +317,9 @@ class PhasePoly:
         Used for window-interior comparisons where truncation edge terms are
         meaningless.
         """
-        drop = 0
-        for (kind, idx), s in self.window._keys.shift.items():
-            if kind == _C and idx > c_max:
-                drop |= _MAX_EXP << s
+        # c_1..c_Nc hold the low fields, so c_{j+1}..c_Nc are one run of bits
+        n_c = self.window.n_c
+        drop = (1 << _BITS * n_c) - (1 << _BITS * min(max(c_max, 0), n_c))
         kept = {k: q for k, q in self._terms.items() if not k & drop}
         return PhasePoly._trusted(self.window, kept)
 
@@ -345,6 +349,9 @@ class PhasePoly:
         return _collect(self.window, acc)
 
     def scale(self, s):
+        if isinstance(s, (int, Fraction)):
+            s = _normal(s)
+            return _collect(self.window, {k: (re * s, im * s) for k, (re, im) in self._terms.items()})
         s = QC.from_number(s)
         acc = {}
         _product_into(acc, self._terms, {0: (s.re, s.im)})
@@ -372,6 +379,8 @@ class PhasePoly:
 
         Zero for a variable outside the window.
         """
+        if kind not in ("c", "psi"):
+            raise ValueError(f"kind must be 'c' or 'psi', got {kind!r}")
         shift = self.window._keys.shift.get((_C if kind == "c" else _PSI, idx))
         if shift is None:
             return PhasePoly.zero(self.window)
@@ -403,15 +412,14 @@ def poisson_bracket(r1: PhasePoly, r2: PhasePoly) -> PhasePoly:
     w = r1.window
     shift = w._keys.shift
     t1, t2 = r1._terms, r2._terms
+    s1, s2 = functools.reduce(operator.or_, t1, 0), functools.reduce(operator.or_, t2, 0)
     acc = {}
     for n in range(1, min(w.n_c, w.n_psi) + 1):
         sc, sp = shift[(_C, n)], shift[(_PSI, n)]
-        left = _raw_diff(t1, sc)
-        if left:
-            _product_into(acc, left, _raw_diff(t2, sp))
-        left = _raw_diff(t1, sp, -1)
-        if left:
-            _product_into(acc, left, _raw_diff(t2, sc))
+        if s1 >> sc & _MAX_EXP and s2 >> sp & _MAX_EXP:
+            _product_into(acc, _raw_diff(t1, sc), _raw_diff(t2, sp))
+        if s1 >> sp & _MAX_EXP and s2 >> sc & _MAX_EXP:
+            _product_into(acc, _raw_diff(t1, sp, -1), _raw_diff(t2, sc))
     return _collect(w, acc)
 
 
@@ -435,22 +443,26 @@ def reciprocal_coefficients(n: int, window: BracketWindow) -> list:
     """Taylor coefficients a_0..a_n of z/f(z) as polynomials in the c variables.
 
     Satisfies a_0 = 1 and a_n = -sum_{j=1}^{n} c_j a_{n-j}; the product
-    c_j a_{n-j} shifts every key of a_{n-j} by the key of c_j.
+    c_j a_{n-j} shifts every key of a_{n-j} by the key of c_j.  c^lambda has
+    coefficient (-1)^len(lambda) times the orderings of lambda's parts, a
+    nonzero int, so ``{key: int}`` dicts carry the recursion and stay clean.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > window.n_c:
         raise IndexOutOfWindow(f"coefficient {n} needs c indices up to {n}")
     shift = window._keys.shift
-    table = [PhasePoly.constant(1, window)]
+    table = [{0: 1}]
     for m in range(1, n + 1):
         acc = {}
+        get = acc.get
         for j in range(1, m + 1):
             unit = 1 << shift[(_C, j)]
-            for k, (re, im) in table[m - j]._terms.items():
-                _add_part(acc, k + unit, -re, -im)
-        table.append(_collect(window, acc))
-    return table
+            for k, x in table[m - j].items():
+                k += unit
+                acc[k] = get(k, 0) - x
+        table.append(acc)
+    return [PhasePoly._trusted(window, {k: (x, 0) for k, x in t.items()}) for t in table]
 
 
 def corrected_G(j: int, window: BracketWindow) -> PhasePoly:
@@ -513,6 +525,14 @@ class VectorFieldOnF0:
                 comps[n] = poly
         self.components = comps
 
+    @classmethod
+    def _trusted(cls, window, components):
+        """Wrap c-only components built on ``window``; zero components go."""
+        field = object.__new__(cls)
+        field.window = window
+        field.components = {n: p for n, p in components.items() if p._terms}
+        return field
+
     def component(self, n):
         w = self.window
         return self.components.get(n, PhasePoly.zero(w))
@@ -523,7 +543,7 @@ class VectorFieldOnF0:
         return [(shift[(_C, n)], p._terms) for n, p in self.components.items()]
 
     def scale(self, s):
-        return VectorFieldOnF0(
+        return VectorFieldOnF0._trusted(
             self.window, {n: p.scale(s) for n, p in self.components.items()}
         )
 
@@ -533,7 +553,7 @@ class VectorFieldOnF0:
         for n, p in self.components.items():
             if n <= n_max:
                 comps[n] = p if c_max is None else p.restricted(c_max=c_max)
-        return VectorFieldOnF0(self.window, comps)
+        return VectorFieldOnF0._trusted(self.window, comps)
 
     def __eq__(self, other):
         if not isinstance(other, VectorFieldOnF0):
@@ -547,11 +567,42 @@ class VectorFieldOnF0:
 
 
 def _apply_into(acc, raw_components, poly, sign=1):
-    """acc += sign * sum_n X_n dpoly/dc_n, the field given by ``_raw_components``."""
+    """acc += sign * sum_n X_n dpoly/dc_n, the field given by ``_raw_components``,
+    over the c_n that ``poly`` holds; a one-term X_n multiplies as it goes."""
+    terms = poly._terms
+    support = functools.reduce(operator.or_, terms, 0)
+    get, mask = acc.get, _MAX_EXP
     for shift, comp in raw_components:
-        grad = _raw_diff(poly._terms, shift, sign)
-        if grad:
-            _product_into(acc, comp, grad)
+        if not support >> shift & mask:
+            continue
+        if len(comp) > 1:
+            _product_into(acc, comp, _raw_diff(terms, shift, sign))
+            continue
+        [(k0, (a, b))] = comp.items()
+        a, b, k0 = sign * a, sign * b, k0 - (1 << shift)
+        for k, (c, d) in terms.items():
+            e = k >> shift & mask
+            if e:
+                re, im = (a * c - b * d) * e, (a * d + b * c) * e
+                part = get(k + k0)
+                if part is None:
+                    acc[k + k0] = [re, im]
+                else:
+                    part[0] += re
+                    part[1] += im
+
+
+def _c_term(window, n, x, base=None, minus=None):
+    """base + x c_n - minus, base and minus given together, in one pass; c_0 is
+    the constant 1, and x c_n alone, x a nonzero int, is clean as it stands."""
+    key = 1 << window._keys.shift[(_C, n)] if n else 0
+    if base is None:
+        return PhasePoly._trusted(window, {key: (x, 0)})
+    acc = dict(base._terms)
+    _add_part(acc, key, x, 0)
+    for k, (re, im) in minus._terms.items():
+        _add_part(acc, k, -re, -im)
+    return _collect(window, acc)
 
 
 def iota(p: PhasePoly) -> VectorFieldOnF0:

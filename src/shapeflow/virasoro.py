@@ -29,6 +29,7 @@ from .observables import (
     WindowMismatch,
     WindowTooSmall,
     _apply_into,
+    _c_term,
     _collect,
     reciprocal_coefficients,
 )
@@ -70,10 +71,6 @@ _ROWS = 8
 _MIN_INTERIOR = 64
 
 
-def _c(n, window):
-    return PhasePoly.constant(1, window) if n == 0 else PhasePoly.c(n, window)
-
-
 def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
     """The field L_k as a polynomial vector field on the window's c-space.
 
@@ -86,26 +83,24 @@ def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
     """
     w = window
     n_max = w.n_c
-    if k >= 1:
+    if k >= 0:
         if n_max < k:
             raise WindowTooSmall(f"window holds no component of L_{k}")
+        # component n is (n - k + 1) c_{n-k} with c_0 = 1, and n c_n for L_0
         comps = {
-            n: _c(n - k, w).scale(n - k + 1) for n in range(k, n_max + 1)
+            n: _c_term(w, n - k, n - k + 1 if k else n) for n in range(max(k, 1), n_max + 1)
         }
-        return VectorFieldOnF0(w, comps)
-    if k == 0:
-        comps = {n: PhasePoly.c(n, w).scale(n) for n in range(1, n_max + 1)}
-        return VectorFieldOnF0(w, comps)
+        return VectorFieldOnF0._trusted(w, comps)
     if k == -1:
         if n_max < 2:
             raise WindowTooSmall("L_-1 needs c indices up to 2")
         comps = {}
         for n in range(1, n_max + 1):
-            poly = PhasePoly.c(1, w) * _c(n, w) * PhasePoly.constant(-2, w)
+            poly = PhasePoly.c(1, w) * PhasePoly.c(n, w) * PhasePoly.constant(-2, w)
             if n + 1 <= n_max:
                 poly = poly + PhasePoly.c(n + 1, w).scale(n + 2)
             comps[n] = poly
-        return VectorFieldOnF0(w, comps)
+        return VectorFieldOnF0._trusted(w, comps)
     if k == -2:
         if n_max < 3:
             raise WindowTooSmall("L_-2 needs c indices up to 3")
@@ -114,12 +109,11 @@ def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
         a = reciprocal_coefficients(n_max, w)
         comps = {}
         for n in range(1, n_max + 1):
-            poly = quad * _c(n, w)
+            poly = quad * PhasePoly.c(n, w)
             if n + 2 <= n_max:
-                poly = poly + PhasePoly.c(n + 2, w).scale(n + 3)
-                poly = poly - a[n + 2]
+                poly = _c_term(w, n + 2, n + 3, poly, a[n + 2])
             comps[n] = poly
-        return VectorFieldOnF0(w, comps)
+        return VectorFieldOnF0._trusted(w, comps)
     # k <= -3: L_k = commutator(L_{-1}, L_{k+1}) / (k + 2)
     if n_max < -k + 1:
         raise WindowTooSmall(f"L_{k} needs c indices up to {-k + 1}")
@@ -151,7 +145,7 @@ def commutator(x: VectorFieldOnF0, y: VectorFieldOnF0) -> VectorFieldOnF0:
         _apply_into(acc, ys, x.components.get(n, zero))
         _apply_into(acc, xs, y.components.get(n, zero), -1)
         comps[n] = _collect(w, acc)
-    return VectorFieldOnF0(w, comps)
+    return VectorFieldOnF0._trusted(w, comps)
 
 
 def _has_close_pair(values: np.ndarray, tol: float) -> bool:

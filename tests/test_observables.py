@@ -466,7 +466,7 @@ def test_evaluate_is_exact_on_rationals():
 # packed keys against a tuple-key reference
 
 # The reference keeps the public form: {sorted tuple monomial: (re, im)} with
-# int parts, and multiplies monomials by merging exponent dicts.
+# int or Fraction parts, and multiplies monomials by merging exponent dicts.
 
 
 def _ref_mono(exps):
@@ -522,21 +522,45 @@ def _ref_restricted(p, c_max):
     return {m: v for m, v in p.items() if all(kind != 0 or idx <= c_max for (kind, idx), _ in m)}
 
 
+def _ref_scale(p, s):
+    return _ref_mul(p, {(): (s.re, s.im) if isinstance(s, QC) else (Fraction(s), 0)})
+
+
 _WINDOWS = (BracketWindow(3, 2, 3), BracketWindow(4, 1, 2), BracketWindow(2, 3, 4))
 
 
+# a stored part: an int, or a Fraction that may be integral or not
+_PARTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+# scale factors: an int (0 and -1, 1 among them), a Fraction, a QC or a float
+_SCALES = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-5, 5),
+    st.fractions(-3, 3, max_denominator=6),
+    st.builds(QC, _PARTS, _PARTS),
+    st.floats(-4, 4, allow_nan=False),
+)
+
+
 @st.composite
-def _ref_poly(draw, w, c_only=False):
+def _ref_poly(draw, w, c_only=False, max_terms=4):
     variables = [(0, n) for n in range(1, w.n_c + 1)]
     if not c_only:
         variables += [(1, m) for m in range(-w.m_neg, w.n_psi + 1)]
     out = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         chosen = draw(st.lists(st.sampled_from(variables), max_size=3, unique=True))
         exps = {var: draw(st.integers(min_value=1, max_value=3)) for var in chosen}
-        coeff = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-        out = _ref_add(out, {_ref_mono(exps): coeff})
+        out = _ref_add(out, {_ref_mono(exps): (draw(_PARTS), draw(_PARTS))})
     return out
+
+
+def _ref_field(data, w):
+    """Components drawn with at most one term or with several, so that the
+    commutator's one-term pass and its product pass both run."""
+    return {
+        n: data.draw(_ref_poly(w, c_only=True, max_terms=data.draw(st.sampled_from([1, 4]))))
+        for n in range(1, w.n_c + 1)
+    }
 
 
 def _poly(ref, w):
@@ -558,15 +582,26 @@ def test_packed_kernels_match_tuple_reference(data):
         assert tuple_terms(got) == _ref_diff(p_ref, (kind, idx))
     c_max = data.draw(st.integers(0, w.n_c))
     assert tuple_terms(p.restricted(c_max)) == _ref_restricted(p_ref, c_max)
+    s = data.draw(_SCALES)
+    assert tuple_terms(p.scale(s)) == _ref_scale(p_ref, s)
+    assert _normal_parts(p.scale(s))
 
-    x_ref = {n: data.draw(_ref_poly(w, c_only=True)) for n in range(1, w.n_c + 1)}
-    y_ref = {n: data.draw(_ref_poly(w, c_only=True)) for n in range(1, w.n_c + 1)}
+    x_ref, y_ref = _ref_field(data, w), _ref_field(data, w)
     x = VectorFieldOnF0(w, {n: _poly(r, w) for n, r in x_ref.items()})
     y = VectorFieldOnF0(w, {n: _poly(r, w) for n, r in y_ref.items()})
     field = commutator(x, y)
+    n_max = data.draw(st.integers(0, w.n_c))
+    derived = [field, x.scale(s), x.restricted(n_max), x.restricted(n_max, c_max=c_max)]
     for n in range(1, w.n_c + 1):
         want = _ref_add(_ref_apply(y_ref, x_ref[n]), _ref_apply(x_ref, y_ref[n]), -1)
         assert tuple_terms(field.component(n)) == want
+        assert tuple_terms(x.scale(s).component(n)) == _ref_scale(x_ref[n], s)
+        kept = x_ref[n] if n <= n_max else {}
+        assert tuple_terms(x.restricted(n_max).component(n)) == kept
+        assert tuple_terms(x.restricted(n_max, c_max=c_max).component(n)) == _ref_restricted(kept, c_max)
+    # a derived field keeps no zero component, as the public constructor does
+    assert all(not q.is_zero() for f in derived for q in f.components.values())
+    assert all(_normal_parts(q) for f in derived for q in f.components.values())
 
 
 def test_terms_round_trip_through_the_constructor():
@@ -608,6 +643,13 @@ def test_repeated_variable_sums_its_exponents_and_never_carries():
     # an exponent just below the bound stays in its own field
     p = PhasePoly(W, {(((0, 1), 2**15 - 3), ((0, 2), 1)): 1})
     assert tuple_terms(p) == {(((0, 1), 2**15 - 3), ((0, 2), 1)): (1, 0)}
+
+
+@pytest.mark.parametrize("kind", ["x", "C"])
+def test_diff_refuses_an_unknown_kind(kind):
+    # only "c" and "psi" name a kind; another name is not read as psibar
+    with pytest.raises(ValueError, match=rf"^kind must be 'c' or 'psi', got '{kind}'$"):
+        c(1).diff(kind, 1)
 
 
 def test_out_of_window_coefficient_and_diff_are_zero():
@@ -691,3 +733,21 @@ def test_only_observables_reads_stored_terms():
         if any(isinstance(node, ast.Attribute) and node.attr == "_terms" for node in ast.walk(tree)):
             readers.append(os.path.relpath(path, package))
     assert readers == ["observables.py"]
+
+
+def test_only_observables_and_virasoro_build_unchecked_fields():
+    # VectorFieldOnF0._trusted skips the public constructor's window and
+    # psibar checks; only the modules that build c-only components on their
+    # own window call it
+    package = os.path.dirname(observables.__file__)
+    callers = []
+    for path in sorted(glob.glob(os.path.join(package, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_trusted"
+            and isinstance(node.value, ast.Name) and node.value.id == "VectorFieldOnF0"
+            for node in ast.walk(tree)
+        ):
+            callers.append(os.path.relpath(path, package))
+    assert callers == ["observables.py", "virasoro.py"]

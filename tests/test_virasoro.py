@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +134,52 @@ def two_pass_commutator(x, y):
         x.window,
         {n: apply_field(y, x.component(n)) - apply_field(x, y.component(n)) for n in keys},
     )
+
+
+def product_built_L(k, w):
+    """L_k from public products, sums and the two-pass bracket: the oracle of
+    the term-built fields, as the closed forms were first written."""
+    def c(n):
+        return PhasePoly.constant(1, w) if n == 0 else PhasePoly.c(n, w)
+
+    def times(x, poly):
+        return PhasePoly.constant(x, w) * poly
+
+    n_max = w.n_c
+    if k >= 1:
+        return VectorFieldOnF0(w, {n: times(n - k + 1, c(n - k)) for n in range(k, n_max + 1)})
+    if k == 0:
+        return VectorFieldOnF0(w, {n: times(n, c(n)) for n in range(1, n_max + 1)})
+    if k == -1:
+        comps = {n: times(-2, c(1) * c(n)) for n in range(1, n_max + 1)}
+        for n in range(1, n_max):
+            comps[n] = comps[n] + times(n + 2, c(n + 1))
+        return VectorFieldOnF0(w, comps)
+    if k == -2:
+        # a_m of z/f(z): a_0 = 1, a_m = -sum_j c_j a_{m-j}
+        a = [c(0)]
+        for m in range(1, n_max + 1):
+            a.append(PhasePoly.zero(w) - sum((c(j) * a[m - j] for j in range(1, m + 1)), PhasePoly.zero(w)))
+        quad = c(1) * c(1) - times(4, c(2))
+        comps = {n: quad * c(n) for n in range(1, n_max + 1)}
+        for n in range(1, n_max - 1):
+            comps[n] = comps[n] + times(n + 3, c(n + 2)) - a[n + 2]
+        return VectorFieldOnF0(w, comps)
+    field, lower = product_built_L(-2, w), product_built_L(-1, w)
+    for j in range(-3, k - 1, -1):
+        step = two_pass_commutator(lower, field)
+        field = VectorFieldOnF0(w, {n: times(Fraction(1, j + 2), p) for n, p in step.components.items()})
+    return field
+
+
+@pytest.mark.parametrize(
+    "window",
+    [BracketWindow(n_c=7, m_neg=0, n_psi=7), BracketWindow(n_c=9, m_neg=2, n_psi=9), BracketWindow(n_c=8, m_neg=0, n_psi=3)],
+)
+def test_term_built_fields_match_product_built_oracle(window):
+    # every L_k from -5 to 5, the recursion's Fraction steps included
+    for k in range(-5, 6):
+        assert kirillov_L(k, window) == product_built_L(k, window), k
 
 
 @pytest.mark.parametrize("m_neg", [0, 2])
