@@ -568,41 +568,32 @@ class VectorFieldOnF0:
 
 def _apply_into(acc, raw_components, poly, sign=1):
     """acc += sign * sum_n X_n dpoly/dc_n, the field given by ``_raw_components``,
-    over the c_n that ``poly`` holds; a one-term X_n multiplies as it goes."""
+    over the c_n that ``poly`` holds, each term of dpoly/dc_n taken as it goes."""
     terms = poly._terms
     support = functools.reduce(operator.or_, terms, 0)
     get, mask = acc.get, _MAX_EXP
     for shift, comp in raw_components:
         if not support >> shift & mask:
             continue
-        if len(comp) > 1:
-            _product_into(acc, comp, _raw_diff(terms, shift, sign))
-            continue
-        [(k0, (a, b))] = comp.items()
-        a, b, k0 = sign * a, sign * b, k0 - (1 << shift)
-        for k, (c, d) in terms.items():
-            e = k >> shift & mask
-            if e:
-                re, im = (a * c - b * d) * e, (a * d + b * c) * e
-                part = get(k + k0)
-                if part is None:
-                    acc[k + k0] = [re, im]
-                else:
-                    part[0] += re
-                    part[1] += im
+        unit = 1 << shift
+        for k1, (a, b) in comp.items():
+            a, b, k1 = sign * a, sign * b, k1 - unit
+            for k, (c, d) in terms.items():
+                e = k >> shift & mask
+                if e:
+                    re, im = (a * c - b * d) * e, (a * d + b * c) * e
+                    part = get(k + k1)
+                    if part is None:
+                        acc[k + k1] = [re, im]
+                    else:
+                        part[0] += re
+                        part[1] += im
 
 
-def _c_term(window, n, x, base=None, minus=None):
-    """base + x c_n - minus, base and minus given together, in one pass; c_0 is
-    the constant 1, and x c_n alone, x a nonzero int, is clean as it stands."""
+def _c_term(window, n, x):
+    """x c_n, x a nonzero int, as one clean term; c_0 is the constant 1."""
     key = 1 << window._keys.shift[(_C, n)] if n else 0
-    if base is None:
-        return PhasePoly._trusted(window, {key: (x, 0)})
-    acc = dict(base._terms)
-    _add_part(acc, key, x, 0)
-    for k, (re, im) in minus._terms.items():
-        _add_part(acc, k, -re, -im)
-    return _collect(window, acc)
+    return PhasePoly._trusted(window, {key: (x, 0)})
 
 
 def iota(p: PhasePoly) -> VectorFieldOnF0:

@@ -111,7 +111,7 @@ def kirillov_L(k: int, window: BracketWindow) -> VectorFieldOnF0:
         for n in range(1, n_max + 1):
             poly = quad * PhasePoly.c(n, w)
             if n + 2 <= n_max:
-                poly = _c_term(w, n + 2, n + 3, poly, a[n + 2])
+                poly = poly + _c_term(w, n + 2, n + 3) - a[n + 2]
             comps[n] = poly
         return VectorFieldOnF0._trusted(w, comps)
     # k <= -3: L_k = commutator(L_{-1}, L_{k+1}) / (k + 2)

@@ -555,8 +555,8 @@ def _ref_poly(draw, w, c_only=False, max_terms=4):
 
 
 def _ref_field(data, w):
-    """Components drawn with at most one term or with several, so that the
-    commutator's one-term pass and its product pass both run."""
+    """Components drawn with at most one term, as every component of L_k for
+    k >= 0 has, or with several, as the tails of L_-2 have."""
     return {
         n: data.draw(_ref_poly(w, c_only=True, max_terms=data.draw(st.sampled_from([1, 4]))))
         for n in range(1, w.n_c + 1)
