@@ -10,7 +10,8 @@ once more at each n without the sweep's ``convergence_pair``, ``kp`` and
 ``tau`` at n = 2 on rows of one, two and three times in place of the
 sweep's grid, ``kp`` and ``tau`` on the sweep with its shape read from the
 three_atoms trajectory at t = 0.5, ``graph-dump`` for n = 1..3 at N = 4, 16
-and 32 on a fixed shape, ``check`` for every suite, and
+and 32 and for n = 5 at N = 16 and 32 on a fixed shape (n = 5 runs the
+powers of z/f in the graph rows), ``check`` for every suite, and
 ``--dump-identities``.  Each file
 gets one line, ``sha256  relative/path``, sorted by path, so two trees
 compare with one diff:
@@ -38,6 +39,8 @@ from shapeflow.cli import main as cli_main
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 # the fixed shape of every graph-dump run: c_k = 0.4^k e^{ik}, k = 1..8
 GRAPH_SHAPE = [[0.4**k * math.cos(k), 0.4**k * math.sin(k)] for k in range(1, 9)]
+# (n, N) of the graph-dump runs
+GRAPHS = [(n, N) for n in (1, 2, 3) for N in (4, 16, 32)] + [(5, 16), (5, 32)]
 # the switched evolve runs: step 1e-3, so 0.05 is on the step grid and 0.0505 is not;
 # (name, switch time, horizon, order, m_neg = n_psi)
 SWITCHES = [
@@ -87,10 +90,9 @@ def _runs(out, cfg_dir):
     config = _write(os.path.join(cfg_dir, "snapshot.json"), dict(sweep, f_source=snapshot))
     for command in ("kp", "tau"):
         yield "sweep/snapshot", [command, "--config", config]
-    for n in (1, 2, 3):
-        for N in (4, 16, 32):
-            config = _write(os.path.join(cfg_dir, f"graph_n{n}_N{N}.json"), {"c": GRAPH_SHAPE, "n": n, "N": N})
-            yield f"graph/n{n}_N{N}", ["graph-dump", "--config", config]
+    for n, N in GRAPHS:
+        config = _write(os.path.join(cfg_dir, f"graph_n{n}_N{N}.json"), {"c": GRAPH_SHAPE, "n": n, "N": N})
+        yield f"graph/n{n}_N{N}", ["graph-dump", "--config", config]
     for suite in checks.SUITES:
         yield "check", ["check", suite]
 

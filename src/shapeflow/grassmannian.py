@@ -14,9 +14,10 @@ closed form for every order n, producing an operator T_n whose graph
 contains every G built from the same map.  Rows n.. of the basis are C11,
 the unit upper-triangular f' band, so e_k has order exactly k and the
 projection W -> H_+ is invertible: the graph lies in Segal & Wilson's big
-cell, with index set S_W = Z_+ and virtual dimension 0, for every c, exact
-input included.  The Toeplitz and Hankel gathers come from
-:mod:`shapeflow.arrays`.
+cell, with index set S_W = Z_+ and virtual dimension 0, for every c.  Input
+is numbers only, computed on ``complex128``; the exact builders that pin
+this path live in ``tests/helpers.py``.  The Toeplitz and Hankel gathers
+come from :mod:`shapeflow.arrays`.
 """
 
 from __future__ import annotations
@@ -48,34 +49,29 @@ class InverseCheckFailed(NumericalFailure):
 
 
 def _band(f_coeffs, N):
-    """(b, d, exact), the coefficient bands every block reads.
+    """(b, d), the complex128 coefficient bands every block reads.
 
     b = [1, c_1, ..., c_{N+1}] (zero past the input) holds f/z and
     d_j = (j+1) b_j for j <= N (zero past N) the f' band of C11; both have
-    length 2N + 2, so shifted rows read zeros past the window.  Exact input
-    gives object arrays of the exact values, numeric input complex128.
+    length 2N + 2, so shifted rows read zeros past the window.
     """
-    exact = any(not isinstance(v, (int, float, complex, np.number)) for v in f_coeffs)
-    b = np.zeros(2 * N + 2, dtype=object if exact else complex)
+    b = np.zeros(2 * N + 2, dtype=complex)
     b[0] = 1
     tail = list(f_coeffs)[: N + 1]
     b[1 : len(tail) + 1] = tail
     d = np.arange(1, 2 * N + 3) * b
     d[N + 1 :] = 0
-    return b, d, exact
+    return b, d
 
 
-def _unit_reciprocal(a, obj):
+def _unit_reciprocal(a):
     """Coefficients of 1/a(z) on the window of ``a``, for ``a_0 = 1``.
 
     ``r_0 = 1`` and ``r_k = -sum_{j=1..k} a_j r_{k-j}`` in plain Python
-    arithmetic: on ``complex`` for numeric input, whose values are then
-    byte-identical to :meth:`TruncatedSeries.reciprocal`, and on the raw
-    values for exact input, which stays exact.
+    ``complex`` arithmetic, so the values are byte-identical to
+    :meth:`TruncatedSeries.reciprocal`.
     """
-    if not obj:
-        a = [complex(x) for x in a]
-    tail = a[1:]
+    tail = [complex(x) for x in a[1:]]
     r = [1]
     for _ in tail:
         # r holds r_0..r_{k-1}, so reversed(r) pairs a_j with r_{k-j}
@@ -83,17 +79,16 @@ def _unit_reciprocal(a, obj):
         for x, y in zip(tail, reversed(r)):
             acc = acc + x * y
         r.append(-acc)
-    return np.array(r, dtype=object if obj else complex)
+    return np.array(r, dtype=complex)
 
 
 def fprime_reciprocal(f_coeffs, N: int):
-    """Coefficients 0..N of 1/(1 + sum_k (k+1) c_k z^k); exact inputs stay exact.
+    """Coefficients 0..N of 1/(1 + sum_k (k+1) c_k z^k) as ``complex128``.
 
-    A ``complex128`` array for numeric coefficients, an object array of the
-    exact values otherwise (see :func:`_unit_reciprocal`).
+    The c_k are numbers: a ``Fraction`` is read as its float, and a sympy
+    symbol raises ``TypeError`` from the complex conversion.
     """
-    _, d, exact = _band(f_coeffs, N)
-    return _unit_reciprocal(d[: N + 1], exact)
+    return _unit_reciprocal(_band(f_coeffs, N)[1][: N + 1])
 
 
 def c_blocks(f_coeffs, n: int, N: int):
@@ -102,23 +97,22 @@ def c_blocks(f_coeffs, n: int, N: int):
     C11 is the (N+1) x (N+1) upper unit-triangular Toeplitz band with first
     row 1, 2c_1, 3c_2, ...; C11inv is the Toeplitz band of the reciprocal
     of the derivative symbol, which inverts C11 exactly in this truncation.
-    Numeric and exact coefficients share this code; exact entries stay exact.
+    Both are ``complex128``, with :func:`fprime_reciprocal`'s input rule.
     Raises WindowTooSmall unless N >= n, the graph order the blocks serve.
     """
     if N < n:
         raise WindowTooSmall(f"window N = {N} must be at least n = {n}")
-    _, d, exact = _band(f_coeffs, N)
-    fprime = d[: N + 1]
-    return _upper_toeplitz(fprime), _upper_toeplitz(_unit_reciprocal(fprime, exact))
+    fprime = _band(f_coeffs, N)[1][: N + 1]
+    return _upper_toeplitz(fprime), _upper_toeplitz(_unit_reciprocal(fprime))
 
 
 def _graph_rows(f_coeffs, n: int, N: int):
     """Gamma, the n x (N+1) block of negative rows; the rule is step2_graph's."""
-    b, d, exact = _band(f_coeffs, N)
-    # Python scalar arithmetic on numbers too: numpy's complex vector loops
-    # fuse multiply-adds, which would move the last bits of the rows
-    b, d = b.astype(object), d.astype(object)
-    u = _unit_reciprocal(b[: N + 1], obj=True)
+    b, d = _band(f_coeffs, N)
+    u = _unit_reciprocal(b[: N + 1])
+    # Python scalar arithmetic: numpy's complex vector loops fuse
+    # multiply-adds, which would move the last bits of the rows
+    b, d, u = b.astype(object), d.astype(object), u.astype(object)
     powers = [None, u]  # powers[p] = u^p on powers 0..N
     for _ in range(2, n - 1):
         powers.append(np.convolve(powers[-1], u)[: N + 1])
@@ -134,7 +128,7 @@ def _graph_rows(f_coeffs, n: int, N: int):
         for p in range(1, r):
             terms[: N - 1 - p] -= q[p] * powers[p][p + 2 :]
         gamma[r] += terms
-    return gamma if exact else gamma.astype(complex)
+    return gamma.astype(complex)
 
 
 @dataclass
@@ -154,19 +148,11 @@ class GraphOperator:
     basis: np.ndarray  # (n+N+1) x (N+1)
 
     def to_json(self) -> str:
-        def ri(x):
-            x = complex(x)
-            return [x.real, x.imag]
-
-        payload = {
-            "n": self.n,
-            "N": self.N,
-            "T": [[ri(x) for x in row] for row in self.matrix],
-            "c11_band": [ri(self.c11[0, m]) for m in range(self.N + 1)],
-            "basis": [
-                {"lo": -self.n, "coeffs": [ri(x) for x in e]} for e in self.basis.T
-            ],
-        }
+        # every complex entry as its [re, im] pair of floats
+        T, band, basis = (np.stack([a.real, a.imag], axis=-1).tolist()
+                          for a in (self.matrix, self.c11[0], self.basis.T))
+        basis = [{"lo": -self.n, "coeffs": e} for e in basis]
+        payload = {"n": self.n, "N": self.N, "T": T, "c11_band": band, "basis": basis}
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
@@ -183,8 +169,10 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
     So Gamma[r, k-1] = d_{k+r} - Q_{-1} b_k - sum_{p=1}^{r-1} Q_p [u^p]_{k+1+p}
     (b, d from :func:`_band`).  f' and u are known on powers 0..N only, so
     terms past N are dropped: row r differs from the untruncated field
-    exactly at k > N - r.  Exact input stays exact.  Raises UnsupportedOrder
-    for n < 1 and WindowTooSmall unless N >= n, both before any computation.
+    exactly at k > N - r.  Every array is ``complex128``: a ``Fraction``
+    coefficient is read as its float, and a sympy symbol raises
+    ``TypeError`` from the complex conversion.  Raises UnsupportedOrder for
+    n < 1 and WindowTooSmall unless N >= n, both before any computation.
     """
     if n < 1:
         raise UnsupportedOrder(f"graphs are constructed for n >= 1, got n = {n}")
@@ -192,10 +180,9 @@ def step2_graph(f_coeffs, n: int, N: int) -> GraphOperator:
     c11, c11inv = c_blocks(cbar, n, N)
     gamma = _graph_rows(cbar, n, N)
     t_n = gamma @ c11inv
-    if c11.dtype != object:
-        scale = max(1.0, float(np.abs(c11inv).max()))
-        resid = np.abs(c11 @ c11inv - np.eye(N + 1)).max() / scale
-        if not resid <= 1e-12:
-            raise InverseCheckFailed(f"triangular inverse check failed: {resid:g}")
+    scale = max(1.0, float(np.abs(c11inv).max()))
+    resid = np.abs(c11 @ c11inv - np.eye(N + 1)).max() / scale
+    if not resid <= 1e-12:
+        raise InverseCheckFailed(f"triangular inverse check failed: {resid:g}")
     basis = np.vstack([gamma[::-1], c11])
     return GraphOperator(n=n, N=N, matrix=t_n, c11=c11, basis=basis)

@@ -37,7 +37,6 @@ import dataclasses
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -54,8 +53,6 @@ class NearSingularA(NumericalFailure):
 class SingularSystem(NumericalFailure):
     """The Baker-Akhiezer linear system is singular at this truncation."""
 
-
-_NUMERIC = (int, float, complex, np.number)
 
 # Terms of the Sato shift t - [z^{-1}] that are kept.
 _SATO_TERMS = 24
@@ -120,12 +117,11 @@ def schur(t, K: int) -> np.ndarray:
 
     Defined by ``exp(sum_k t_k z^k) = sum_q S_q z^q`` and computed by the
     differential recurrence ``q S_q = sum_{j <= min(q, M)} (j t_j) S_{q-j}``
-    in plain Python arithmetic, one code path for every coefficient ring.
-    Numeric entries run on Python ``complex`` and scale by ``1.0 / q``, the
+    in plain Python ``complex`` arithmetic, scaled by ``1.0 / q``, the
     reciprocal numpy's complex-by-integer division multiplies by, so the
-    values are byte-identical to :func:`~shapeflow.series.exp_series`.
-    Exact entries (Fractions, symbols) stay exact and scale by
-    ``Fraction(1, q)``.
+    values are byte-identical to :func:`~shapeflow.series.exp_series`.  The
+    times are numbers: a ``Fraction`` is read as its float, and a sympy
+    symbol raises ``TypeError`` from the complex conversion.
 
     ``S_q`` depends on ``q`` and ``t`` alone, so ``schur(t, K)`` is the first
     ``K + 1`` entries of ``schur(t, L)`` for every ``L >= K``, bit for bit.
@@ -136,24 +132,20 @@ def schur(t, K: int) -> np.ndarray:
     times = GeneralizedTimes.of(t)
     if K < 0:
         raise ValueError("Schur order must be >= 0")
-    numeric = all(isinstance(v, _NUMERIC) for v in times.values)
     out = times._schur
     if len(out) <= K:
-        vals = times.values[:K]
-        if numeric:
-            vals = [complex(v) for v in vals]
-        jt = [j * v for j, v in enumerate(vals, start=1)]
+        jt = [j * complex(v) for j, v in enumerate(times.values[:K], start=1)]
         out = list(out) or [1]
         for q in range(len(out), K + 1):
             # out holds S_0..S_{q-1}, so reversed(out) pairs t_j with S_{q-j}
             acc = 0
             for w, s in zip(jt, reversed(out)):
                 acc = acc + w * s
-            out.append(acc * (1.0 / q if numeric else Fraction(1, q)))
+            out.append(acc * (1.0 / q))
         # published whole, so a times object shared between threads only
         # ever holds a complete prefix
         object.__setattr__(times, "_schur", tuple(out))
-    return np.asarray(out[: K + 1], dtype=complex if numeric else object)
+    return np.asarray(out[: K + 1], dtype=complex)
 
 
 @functools.lru_cache(maxsize=16)
@@ -315,9 +307,8 @@ def _wave_system(op: GraphOperator, t, N: int):
     system ``S omega = r`` with ``S = body - T shifted`` and ``r = T a``.
     """
     cols = min(N, op.N) + 1
-    graph = np.asarray(op.matrix, dtype=complex)[:, :cols]
-    a = np.asarray(schur(t, cols + op.n - 1), dtype=complex)
-    return a, _upper_toeplitz(a[: op.n]), a[_hankel_table(cols, op.n)], graph
+    a = schur(t, cols + op.n - 1)
+    return a, _upper_toeplitz(a[: op.n]), a[_hankel_table(cols, op.n)], op.matrix[:, :cols]
 
 
 def baker_akhiezer(op: GraphOperator, t, z_samples: Sequence = ()) -> BakerAkhiezer:

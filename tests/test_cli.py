@@ -1778,6 +1778,7 @@ def test_output_digests_script_lists_every_output(digest_run):
     evolve_runs = ("single_atom", "switch_off_grid", "switch_on_grid", "three_atoms", "wide_window")
     want += [f"evolve/{name}/{file}" for name in evolve_runs for file in ("conservation.json", "trajectory.csv")]
     want += [f"graph/n{n}_N{N}/graph.json" for n in (1, 2, 3) for N in (16, 32, 4)]
+    want += [f"graph/n5_N{N}/graph.json" for N in (16, 32)]
     want += ["identities.jsonl"]
     want += [f"sweep/n{n}{part}" for n in (1, 2, 3)
              for part in ("/kp_sweep.csv", "/tau.csv", "_nopair/kp_sweep.csv")

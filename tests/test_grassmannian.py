@@ -1,5 +1,6 @@
 """Graph-operator construction and big-cell tests."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ import sympy as sp
 from shapeflow.arrays import _hankel_table, _upper_toeplitz
 from shapeflow.grassmannian import (
     GraphOperator,
-    _band,
     InverseCheckFailed,
     UnsupportedOrder,
     c_blocks,
@@ -20,7 +20,15 @@ from shapeflow.observables import BracketWindow, corrected_G, reciprocal_coeffic
 from shapeflow.series import TruncatedSeries
 from shapeflow.virasoro import kirillov_L
 
-from helpers import in_big_cell, tuple_terms
+from helpers import (
+    exact_c_blocks,
+    exact_band,
+    exact_fprime_reciprocal,
+    exact_graph_rows,
+    exact_step2_graph,
+    in_big_cell,
+    tuple_terms,
+)
 
 
 def _basis_operator(n, N, columns):
@@ -39,8 +47,11 @@ def test_big_cell_predicate_rejects_a_column_below_its_order():
     op = _basis_operator(1, 2, [{-1: 1.0}, {1: 1.0}, {2: 1.0}])
     assert not in_big_cell(op)
     assert in_big_cell(_basis_operator(1, 2, [{-1: 1.0, 0: 1.0}, {1: 1.0}, {2: 1.0}]))
-    # a graph of exact input is in the big cell exactly
-    assert in_big_cell(step2_graph([Fraction(1, 10), Fraction(-1, 3)], 3, 6))
+    # a graph of exact input is in the big cell exactly, and so is the
+    # numeric graph of the same input
+    c = [Fraction(1, 10), Fraction(-1, 3)]
+    assert exact_step2_graph(c, 3, 6).c11.dtype == object
+    assert in_big_cell(exact_step2_graph(c, 3, 6)) and in_big_cell(step2_graph(c, 3, 6))
 
 
 @pytest.mark.parametrize("n", [16, 48])
@@ -57,14 +68,14 @@ def test_index_set_of_a_graph_with_large_rows_is_z_plus(n):
 def c12_cut(f_coeffs, n, N):
     """Step 1's n raw negative rows: row j - 1, column q carries (q+1+j) c_{q+j}
     = d_{q+j} (column q pairs with psibar_{q+1}), zero past the window."""
-    _, d, _ = _band(f_coeffs, N)
+    _, d = exact_band(f_coeffs, N)
     return d[np.arange(1, n + 1)[:, None] + np.arange(N + 1)]
 
 
 def step1_ttilde(f_coeffs, n, N):
     """Step 1's raw finite-rank operator: negative rows of the conjugated map times C11inv."""
     cbar = [v.conjugate() for v in f_coeffs]
-    _, c11inv = c_blocks(cbar, n, N)
+    _, c11inv = exact_c_blocks(cbar, N)
     return c12_cut(cbar, n, N) @ c11inv
 
 
@@ -78,7 +89,7 @@ def test_c_blocks_identity_map():
 
 def test_c_blocks_band_and_exact_inverse():
     c = [Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), Fraction(1, 11)]
-    c11, c11inv = c_blocks(c, 3, 6)
+    c11, c11inv = exact_c_blocks(c, 6)
     first = [c11[0, m] for m in range(5)]
     assert first == [1, 2 * c[0], 3 * c[1], 4 * c[2], 5 * c[3]]
     prod = c11 @ c11inv
@@ -131,8 +142,9 @@ def test_c_blocks_numeric_inverse_matches_linalg():
 
 
 def test_fprime_reciprocal_matches_series_reciprocal():
-    # the recurrence keeps the bytes of TruncatedSeries.reciprocal on numbers
-    # and its exact values on Fractions, for windows shorter and longer than c
+    # the recurrence keeps the bytes of TruncatedSeries.reciprocal on numbers,
+    # and the exact builder its exact values on Fractions, for windows
+    # shorter and longer than c
     rng = np.random.default_rng(17)
     for N in range(0, 33):
         size = int(rng.integers(0, 20))
@@ -144,10 +156,70 @@ def test_fprime_reciprocal_matches_series_reciprocal():
         assert got.tobytes() == TruncatedSeries(symbol).reciprocal().coeffs.tobytes()
         exact = [Fraction(int(k), 7) for k in rng.integers(-5, 6, size=size + 1)]
         symbol = [1] + [(j + 1) * (exact[j - 1] if j <= size + 1 else 0) for j in range(1, N + 1)]
-        got = fprime_reciprocal(exact, N)
+        got = exact_fprime_reciprocal(exact, N)
         want = TruncatedSeries(symbol).reciprocal().coeffs
         assert got.dtype == object and list(got) == list(want)
         assert all(isinstance(x, (int, Fraction)) for x in got)
+
+
+def oracle_cases(seed, count):
+    """Seeded (c, n, N) with n = 1..6 and N = n..32: every coefficient of the
+    window c_1..c_{N+1} given as a Python complex, so neither path pads with
+    zeros of its own, and about one in five a signed zero."""
+    rng = np.random.default_rng(seed)
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        N = int(rng.integers(n, 33))
+        size = int(rng.integers(0, N + 2))
+        c = 0.5 * (rng.normal(size=size) + 1j * rng.normal(size=size)) / np.arange(1, size + 1)
+        c = [complex(x) for x in c] + [0j] * (N + 1 - size)
+        for k in np.flatnonzero(rng.random(N + 1) < 0.2):
+            c[k] = zeros[rng.integers(0, 4)]
+        yield c, n, N
+
+
+def test_numeric_graph_matches_exact_builder_bit_for_bit():
+    # the exact builders run on Python complex values round each product and
+    # sum as the complex128 path must: Gamma, C11 and C11inv, the f'
+    # reciprocal, and T as one product of the pinned blocks; n >= 4 runs the
+    # powers of u = z/f
+    def same(got, want):
+        assert got.dtype == complex and got.tobytes() == want.astype(complex).tobytes()
+
+    count = 0
+    for c, n, N in oracle_cases(42, 400):
+        same(fprime_reciprocal(c, N), exact_fprime_reciprocal(c, N))
+        for got, want in zip(c_blocks(c, n, N), exact_c_blocks(c, N)):
+            same(got, want)
+        cbar = [v.conjugate() for v in c]
+        gamma = exact_graph_rows(cbar, n, N).astype(complex)
+        c11, c11inv = (block.astype(complex) for block in exact_c_blocks(cbar, N))
+        op = step2_graph(c, n, N)
+        same(op.basis, np.vstack([gamma[::-1], c11]))
+        same(op.c11, c11)
+        same(op.matrix, gamma @ c11inv)
+        count += n >= 4
+    assert count > 100
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: step2_graph(c, 2, 4).basis,
+        lambda c: np.concatenate(c_blocks(c, 2, 4)),
+        lambda c: fprime_reciprocal(c, 4),
+    ],
+    ids=["step2_graph", "c_blocks", "fprime_reciprocal"],
+)
+def test_graph_input_is_numbers_only(build):
+    # a Fraction is read as its float; a symbol fails the complex conversion
+    exact = [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5)]
+    got = build(exact)
+    assert got.dtype == complex
+    assert got.tobytes() == build([float(x) for x in exact]).tobytes()
+    with pytest.raises(TypeError):
+        build([sp.Symbol("c1", real=True), 0.1])
 
 
 def test_inverse_check_rejects_a_non_finite_residual():
@@ -173,7 +245,7 @@ def test_step1_identity_and_reexpression():
     assert np.abs(step1_ttilde([], 2, 8)).max() == 0
     c = [Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
     t1 = step1_ttilde(c, 1, 8)
-    c11, _ = c_blocks(c, 1, 8)
+    c11, _ = exact_c_blocks(c, 8)
     c12 = c12_cut(c, 1, 8)
     back = t1 @ c11
     # undoing the change of coordinates recovers the raw tail row
@@ -188,7 +260,7 @@ def sympy_coeffs(N):
 
 def test_basis_closed_forms_through_z3():
     c = sympy_coeffs(8)
-    op = step2_graph(c, 3, 8)
+    op = exact_step2_graph(c, 3, 8)
     c1, c2, c3, c4, c5 = c[:5]
     display = {
         (0, 0): sp.Integer(1),
@@ -247,7 +319,7 @@ def test_row_two_drops_reciprocal_coefficients_past_the_window():
     N = 16
     rng = np.random.default_rng(5)
     c = [Fraction(int(rng.integers(-9, 10)), 10 * n * n) for n in range(1, N + 1)]
-    row = step2_graph(c, 3, N).basis[0]  # Gamma's row 2, the first basis row at n = 3
+    row = exact_step2_graph(c, 3, N).basis[0]  # Gamma's row 2, the first basis row at n = 3
     w = BracketWindow(n_c=N + 3, m_neg=0, n_psi=N + 1)
     g = corrected_G(-2, w)
     a = reciprocal_coefficients(N + 3, w)
@@ -266,7 +338,7 @@ def test_rows_three_to_five_are_kirillov_fields_inside_the_window():
     N, n = 12, 6
     rng = np.random.default_rng(8)
     c = [Fraction(int(rng.integers(-9, 10)), 10 * m * m) for m in range(1, N + 3)]
-    basis = step2_graph(c, n, N).basis
+    basis = exact_step2_graph(c, n, N).basis
     w = BracketWindow(n_c=N + n + 2, m_neg=0, n_psi=N + 1)
     for r in (3, 4, 5):
         field = kirillov_L(-r, w)
@@ -330,12 +402,29 @@ def test_json_dump_deterministic():
     op = step2_graph([0.1 + 0.2j, -0.05], 2, 5)
     blob = op.to_json()
     assert blob == step2_graph([0.1 + 0.2j, -0.05], 2, 5).to_json()
-    import json
-
     data = json.loads(blob)
     assert data["n"] == 2 and data["N"] == 5
     assert data["c11_band"][1] == [0.2, -0.4]  # band built from conj(c)
     assert len(data["basis"]) == 6 and data["basis"][0]["lo"] == -2
+
+
+def test_json_dump_writes_each_entry_as_its_float_pair():
+    # the whole-array dump writes the bytes of a per-entry [re, im] dump,
+    # signed zeros included
+    def ri(x):
+        x = complex(x)
+        return [x.real, x.imag]
+
+    for c, n, N in oracle_cases(7, 30):
+        op = step2_graph(c, n, N)
+        payload = {
+            "n": n,
+            "N": N,
+            "T": [[ri(x) for x in row] for row in op.matrix],
+            "c11_band": [ri(op.c11[0, m]) for m in range(N + 1)],
+            "basis": [{"lo": -n, "coeffs": [ri(x) for x in e]} for e in op.basis.T],
+        }
+        assert op.to_json() == json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 def test_json_dump_refuses_non_finite_values():

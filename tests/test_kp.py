@@ -37,6 +37,8 @@ from shapeflow.kp import (
 from shapeflow.observables import WindowTooSmall
 from shapeflow.series import TruncatedSeries, exp_series
 
+from helpers import exact_schur
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -101,7 +103,7 @@ def test_sato_shift_values():
 
 def test_schur_matches_displayed_polynomials():
     t1, t2, t3, t4 = sp.symbols("t1 t2 t3 t4")
-    S = schur((t1, t2, t3, t4), 4)
+    S = exact_schur((t1, t2, t3, t4), 4)
     want = {
         1: t1,
         2: t1**2 / 2 + t2,
@@ -154,19 +156,16 @@ def test_schur_matches_series_oracle_bit_for_bit():
     [
         (-0.0, 0.0, -0.0),
         (0.1 - 0.2j, complex(-0.0, 0.3), -0.05j, 0.02),
-        (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)),
+        (1, np.float64(-0.5), np.complex128(0.1 - 0.25j), -2),
     ],
-    ids=["signed-zeros", "complex", "fractions"],
+    ids=["signed-zeros", "complex", "ints-and-numpy-scalars"],
 )
 def test_schur_extends_its_prefix_bit_for_bit(values):
     # one times object keeps its Schur values; each call, shorter or longer
     # than the last, equals a fresh run on the plain values
     def same(got, want):
-        assert got.dtype == want.dtype
-        if got.dtype == object:
-            assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
-        else:
-            assert got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes()
 
     times = GeneralizedTimes(values)
     twin = GeneralizedTimes(values)
@@ -210,10 +209,27 @@ def test_schur_refuses_a_negative_order():
 
 
 def test_schur_exact_path_agrees_with_float_path():
-    exact = schur((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 10)
+    # the exact oracle on Fractions is within roundoff of the float path,
+    # and on the same Python complex values it rounds as schur does, bit for bit
+    exact = exact_schur((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 10)
+    assert all(type(x) in (int, Fraction) for x in exact)
     floats = schur((0.5, 1 / 3, 0.2), 10)
     for q in range(11):
         assert abs(complex(exact[q]) - complex(floats[q])) < 1e-14
+    for t, K in schur_cases(2026, 300):
+        values = GeneralizedTimes(t).values
+        want = exact_schur([complex(v) for v in values], K).astype(complex)
+        assert schur(t, K).tobytes() == want.tobytes(), (t, K)
+
+
+def test_schur_input_is_numbers_only():
+    # a Fraction is read as its float; a symbol fails the complex conversion
+    exact = (Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5))
+    got = schur(exact, 12)
+    assert got.dtype == complex
+    assert got.tobytes() == schur(tuple(float(x) for x in exact), 12).tobytes()
+    with pytest.raises(TypeError):
+        schur((sp.Symbol("t1"), 0.1, 0.0), 4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -570,11 +586,13 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
     sweep = {"f_source": {"c": [0.3]}, "n": 2, "N": 4, "t_rows": [[0.05]]}
     graph = {"c": [0.3], "n": 2, "N": 4}
     numeric = {"shapeflow.evolution", "shapeflow.driver"}
+    # the numeric commands take numbers only, so none loads exact arithmetic
+    exact = EXACT_LAYER | {"fractions", "decimal"}
     runs = {
-        "evolve": (flow, "shapeflow.evolution", EXACT_LAYER | {"shapeflow.kp", "shapeflow.grassmannian"}),
-        "kp": (sweep, "shapeflow.kp", EXACT_LAYER | numeric),
-        "tau": (sweep, "shapeflow.kp", EXACT_LAYER | numeric),
-        "graph-dump": (graph, "shapeflow.grassmannian", EXACT_LAYER | numeric),
+        "evolve": (flow, "shapeflow.evolution", exact | {"shapeflow.kp", "shapeflow.grassmannian"}),
+        "kp": (sweep, "shapeflow.kp", exact | numeric),
+        "tau": (sweep, "shapeflow.kp", exact | numeric),
+        "graph-dump": (graph, "shapeflow.grassmannian", exact | numeric),
         "check witt": (None, "shapeflow.checks", numeric | {"shapeflow.kp"}),
         "check quadrature": (None, "shapeflow.checks", numeric | {"shapeflow.kp"}),
         "--dump-identities": (None, "shapeflow.checks", numeric | {"shapeflow.kp"}),
@@ -597,7 +615,7 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
     assert package("cli") == {"shapeflow.cli"}
     assert package("arrays") == {"shapeflow.arrays"}
     for module in ("kp", "evolution", "grassmannian"):
-        assert not loaded[module] & EXACT_LAYER, module
+        assert not loaded[module] & exact, module
     # no probe passes --parallel, so none builds a thread pool
     for command, (_, used, unused) in runs.items():
         assert used in loaded[command], command
